@@ -86,6 +86,14 @@ class BackendError(ProbeError):
     code = "BACKEND_ERROR"
 
 
+class ScorerConnectionLost(BackendError):
+    """The scorer connection timed out, closed or failed. Replies still in
+    flight can no longer be paired with their requests, so the connection is
+    not reused and the stage fails instead of auditing every later set."""
+
+    code = "SCORER_CONNECTION_LOST"
+
+
 class NonFiniteScore(ProbeError):
     code = "NON_FINITE_SCORE"
 

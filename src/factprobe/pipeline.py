@@ -9,7 +9,9 @@ file that is folded into the final sorted record store.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -25,10 +27,12 @@ from .errors import (
     ClientError,
     ConfigError,
     EmptyGroup,
+    MalformedRecord,
     MissingPatterns,
     NoEligibleRecords,
     NoExemplars,
     ProbeError,
+    ScorerConnectionLost,
 )
 from .metrics import (
     FEMALE_GENDERS,
@@ -47,6 +51,7 @@ from .score import (
     OracleScorer,
     ProtocolScorerClient,
     TableScorer,
+    candidate_continuations,
     rank_candidates,
     rank_of_form,
     score_candidates,
@@ -437,6 +442,71 @@ def make_scorer(config: RunConfig, bundle_dir: Path):
     raise ConfigError(f"unknown scorer backend {settings.backend!r}")
 
 
+def _load_progress(path: Path, header: dict):
+    """Done keys, records and audits of a progress file written for ``header``.
+
+    A file written for another header is deleted. An undecodable last line
+    is what a run killed mid-write leaves: it is cut off, so its set is
+    scored again. An undecodable line anywhere else is an error.
+    """
+    done: set[tuple[str, str]] = set()
+    record_lines: list[dict] = []
+    audit: list[dict] = []
+    if not path.exists():
+        return done, record_lines, audit
+    with open(path, "rb") as fh:
+        raw_lines = fh.readlines()
+    entries = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            entry = json.loads(raw)
+        except ValueError as exc:
+            if lineno < len(raw_lines):
+                raise MalformedRecord(
+                    f"undecodable progress line: {exc}", file=str(path), line=lineno
+                ) from exc
+            break
+        if lineno == 1 and entry != header:
+            # Progress is only resumable against the same bundle and config
+            # it was produced from.
+            break
+        entries.append(entry)
+    if not entries:
+        path.unlink()
+        return done, record_lines, audit
+    kept = raw_lines[: len(entries)]
+    tail = b"" if kept[-1].endswith(b"\n") else b"\n"
+    if len(kept) < len(raw_lines) or tail:
+        # Later entries are appended after the last whole line.
+        with open(path, "r+b") as fh:
+            fh.truncate(sum(map(len, kept)))
+            fh.seek(0, 2)
+            fh.write(tail)
+    for entry in entries[1:]:
+        data = entry["data"]
+        done.add((data["fact_id"], data["source"]))
+        if entry["type"] == "record":
+            record_lines.append(data)
+        else:
+            audit.append(data)
+    return done, record_lines, audit
+
+
+def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
+    """``(line, CandidateSet)`` for each bundle line not yet done, built
+    only when the caller reaches it."""
+    for line in lines:
+        if (line["fact_id"], line["source"]) in done:
+            continue
+        yield line, CandidateSet(
+            fact_id=line["fact_id"],
+            prompt=line["prompt"],
+            correct_forms=tuple(line["correct_forms"]),
+            distractors=tuple(Distractor(e, f) for e, f in line["distractors"]),
+            salt=line["salt"],
+        )
+
+
 def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False) -> Path:
     """Score and rank every candidate set, producing the record store.
 
@@ -452,66 +522,34 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
         return records_dir
     records_dir.mkdir(parents=True, exist_ok=True)
 
-    if scorer is None:
-        scorer = make_scorer(config, bundle_dir)
+    with contextlib.ExitStack() as stack:
+        # The oracle reads the whole bundle: make it before the bundle lines
+        # below are read, so that the two are never held at once.
+        if scorer is None:
+            scorer = make_scorer(config, bundle_dir)
+            if hasattr(scorer, "close"):
+                stack.callback(scorer.close)
 
-    progress_path = records_dir / "progress.jsonl"
-    done: set[tuple[str, str]] = set()
-    record_lines: list[dict] = []
-    audit: list[dict] = []
-    if progress_path.exists():
-        stale = False
-        parsed: list[dict] = []
-        with open(progress_path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                entry = json.loads(raw)
-                if lineno == 1:
-                    # Progress is only resumable against the same bundle
-                    # and config it was produced from.
-                    stale = entry != {
-                        "type": "header",
-                        "config_digest": config_digest,
-                        "inputs": inputs,
-                    }
-                    if stale:
-                        break
-                    continue
-                parsed.append(entry)
-        if stale:
-            progress_path.unlink()
-        else:
-            for entry in parsed:
-                data = entry["data"]
-                done.add((data["fact_id"], data["source"]))
-                if entry["type"] == "record":
-                    record_lines.append(data)
-                else:
-                    audit.append(data)
-    if not progress_path.exists():
-        with open(progress_path, "w", encoding="utf-8") as fh:
-            fh.write(_dump({
-                "type": "header",
-                "config_digest": config_digest,
-                "inputs": inputs,
-            }) + "\n")
+        progress_path = records_dir / "progress.jsonl"
+        header = {"type": "header", "config_digest": config_digest, "inputs": inputs}
+        done, record_lines, audit = _load_progress(progress_path, header)
+        if not progress_path.exists():
+            with open(progress_path, "w", encoding="utf-8") as fh:
+                fh.write(_dump(header) + "\n")
 
-    lines = read_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets")
-    lines.sort(key=lambda line: (line["fact_id"], line["source"]))
-    with open(progress_path, "a", encoding="utf-8") as progress:
-        for line in lines:
-            key = (line["fact_id"], line["source"])
-            if key in done:
-                continue
-            candidate_set = CandidateSet(
-                fact_id=line["fact_id"],
-                prompt=line["prompt"],
-                correct_forms=tuple(line["correct_forms"]),
-                distractors=tuple(Distractor(e, f) for e, f in line["distractors"]),
-                salt=line["salt"],
-            )
+        lines = read_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets")
+        lines.sort(key=lambda line: (line["fact_id"], line["source"]))
+        sets = _pending_sets(lines, done)
+        if hasattr(scorer, "pipelined"):
+            # The scorer sends requests up to its window ahead of this loop
+            # and answers its score_batch calls in the same order.
+            sets, ahead = itertools.tee(sets)
+            stack.enter_context(scorer.pipelined(
+                (cs.prompt, candidate_continuations(cs, bool(line.get("no_space"))))
+                for line, cs in ahead
+            ))
+        progress = stack.enter_context(open(progress_path, "a", encoding="utf-8"))
+        for line, candidate_set in sets:
             try:
                 scored = score_candidates(
                     scorer, candidate_set, config.normalization,
@@ -521,6 +559,8 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                     scored, candidate_set.correct_forms, config.n_values,
                     fact_id=candidate_set.fact_id,
                 )
+            except ScorerConnectionLost:
+                raise
             except BackendError as exc:
                 entry = {
                     "fact_id": line["fact_id"],

@@ -9,16 +9,25 @@ of the scores.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+import selectors
 import socket
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .candidates import CandidateSet
-from .errors import BackendError, FormNotPresent, NonFiniteScore
+from .errors import BackendError, FormNotPresent, NonFiniteScore, ScorerConnectionLost
 
 PROTOCOL_VERSION = 1
+
+# Requests the protocol client keeps in flight on its connection. A server
+# that answers one line at a time loses nothing by it, because its next
+# request is already buffered when it finishes the current one.
+PIPELINE_WINDOW = 8
 
 NORMALIZATION_SUM = "SUM"
 NORMALIZATION_MEAN = "MEAN"
@@ -66,6 +75,13 @@ def join_continuation(prompt: str, form: str, no_space: bool = False) -> str:
     return " " + form
 
 
+def candidate_continuations(candidate_set: CandidateSet, no_space: bool = False) -> list[str]:
+    """The continuations scored for a candidate set: correct forms first,
+    then distractors, each joined to the prompt."""
+    forms = [*candidate_set.correct_forms, *(d.form for d in candidate_set.distractors)]
+    return [join_continuation(candidate_set.prompt, form, no_space) for form in forms]
+
+
 def score_candidates(
     scorer: ScorerBackend,
     candidate_set: CandidateSet,
@@ -81,11 +97,10 @@ def score_candidates(
     items.extend((d.form, d.entity_id) for d in candidate_set.distractors)
     if not items:
         raise ValueError("candidate set is empty")
-    continuations = [
-        join_continuation(candidate_set.prompt, form, no_space) for form, _ in items
-    ]
     try:
-        results = scorer.score_batch(candidate_set.prompt, continuations)
+        results = scorer.score_batch(
+            candidate_set.prompt, candidate_continuations(candidate_set, no_space)
+        )
     except BackendError:
         raise
     except Exception as exc:
@@ -248,53 +263,171 @@ class OracleScorer:
         return results
 
 
+def _encode_request(prompt: str, continuations) -> bytes:
+    request = {
+        "version": PROTOCOL_VERSION,
+        "prompt": prompt,
+        "continuations": list(continuations),
+    }
+    return (json.dumps(request, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _decode_reply(line: bytearray, count: int) -> list[tuple[float, int]]:
+    try:
+        response = json.loads(line)
+    except ValueError as exc:
+        raise BackendError(f"scorer reply is not JSON: {exc}") from exc
+    if not isinstance(response, dict):
+        raise BackendError("malformed scorer response")
+    if response.get("version") != PROTOCOL_VERSION:
+        raise BackendError(
+            f"unsupported protocol version {response.get('version')!r}"
+        )
+    results = response.get("results")
+    if not isinstance(results, list) or len(results) != count:
+        raise BackendError("malformed scorer response")
+    try:
+        return [(float(lp), int(tc)) for lp, tc in results]
+    except (TypeError, ValueError) as exc:
+        raise BackendError(f"malformed scorer response: {exc}") from exc
+
+
 class ProtocolScorerClient:
     """Client for the line-delimited JSON score protocol.
 
     One request line: ``{"version": 1, "prompt": ..., "continuations":
     [...]}``; one response line: ``{"version": 1, "results": [[logprob,
-    token_count], ...]}``. UTF-8, newline-terminated. The connection is
-    opened eagerly so an unreachable backend fails fast.
+    token_count], ...]}``. UTF-8, newline-terminated. The server answers
+    lines in the order it receives them, so the client keeps up to
+    ``PIPELINE_WINDOW`` requests in flight on its one connection and pairs
+    each reply with the oldest unanswered request. The connection is opened
+    eagerly so an unreachable backend fails fast.
+
+    A timeout, EOF or socket error leaves the connection out of step with
+    its replies: it raises ``ScorerConnectionLost``, and every later call
+    raises it again.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0):
         self.host = host
         self.port = port
+        self._timeout = timeout
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise BackendError(
                 f"cannot reach scorer backend at {host}:{port}: {exc}"
             ) from exc
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
+        # Requests are written only as far as the socket takes them, and
+        # replies are read in the meantime, so a server blocked on writing a
+        # large reply never waits on a client blocked on writing a request.
+        self._sock.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._events = selectors.EVENT_READ
+        self._selector.register(self._sock, self._events)
+        self._outgoing = bytearray()
+        self._incoming = bytearray()
+        self._lost: str | None = None
+        self._pipeline: Iterator | None = None
 
     def score_batch(self, prompt, continuations):
-        request = {
-            "version": PROTOCOL_VERSION,
-            "prompt": prompt,
-            "continuations": list(continuations),
-        }
+        """Score one request. Inside ``pipelined``, the request must be the
+        next one given to it, and its reply may already be here."""
+        if self._pipeline is None:
+            (outcome,) = self.score_stream([(prompt, continuations)])
+        else:
+            outcome = next(self._pipeline)
+        if isinstance(outcome, BackendError):
+            raise outcome
+        return outcome
+
+    @contextlib.contextmanager
+    def pipelined(self, requests: Iterable[tuple[str, list[str]]]):
+        """While open, ``score_batch`` calls take the outcomes of
+        ``score_stream(requests)``, one per call in request order."""
+        self._pipeline = self.score_stream(requests)
         try:
-            self._writer.write(json.dumps(request, ensure_ascii=False) + "\n")
-            self._writer.flush()
-            line = self._reader.readline()
+            yield
+        finally:
+            self._pipeline.close()
+            self._pipeline = None
+
+    def score_stream(self, requests: Iterable[tuple[str, list[str]]]) -> Iterator:
+        """Score ``(prompt, continuations)`` requests with up to
+        ``PIPELINE_WINDOW`` of them in flight.
+
+        Yields one outcome per request, in request order: its results, or
+        the ``BackendError`` that rejected its reply (a reply that is not
+        JSON, has another version or the wrong number of results), which
+        leaves the connection in step. Requests are drawn lazily, at most
+        the window ahead of the outcomes taken. Leaving the stream before
+        its end loses the connection.
+        """
+        if self._lost is not None:
+            raise ScorerConnectionLost(self._lost)
+        requests = iter(requests)
+        expected: deque[int] = deque()  # result count of each request in flight
+        try:
+            while True:
+                for prompt, continuations in itertools.islice(
+                    requests, PIPELINE_WINDOW - len(expected)
+                ):
+                    self._outgoing += _encode_request(prompt, continuations)
+                    expected.append(len(continuations))
+                if not expected:
+                    return
+                self._send()
+                line = self._read_line()
+                try:
+                    outcome = _decode_reply(line, expected.popleft())
+                except BackendError as exc:
+                    outcome = exc
+                yield outcome
+        finally:
+            if expected:
+                self._lose("a request stream ended with replies unread")
+
+    def _lose(self, reason: str) -> ScorerConnectionLost:
+        if self._lost is None:
+            self._lost = f"scorer connection to {self.host}:{self.port} lost: {reason}"
+            self._selector.close()
+            self._sock.close()
+        return ScorerConnectionLost(self._lost)
+
+    def _send(self) -> None:
+        """Write as much of the queued requests as the socket takes now."""
+        try:
+            while self._outgoing:
+                del self._outgoing[: self._sock.send(self._outgoing)]
+        except BlockingIOError:
+            pass
         except OSError as exc:
-            raise BackendError(f"scorer connection failed: {exc}") from exc
-        if not line:
-            raise BackendError("scorer closed the connection")
-        response = json.loads(line)
-        if response.get("version") != PROTOCOL_VERSION:
-            raise BackendError(
-                f"unsupported protocol version {response.get('version')!r}"
-            )
-        results = response.get("results")
-        if not isinstance(results, list) or len(results) != len(continuations):
-            raise BackendError("malformed scorer response")
-        return [(float(lp), int(tc)) for lp, tc in results]
+            raise self._lose(str(exc)) from exc
+
+    def _read_line(self) -> bytearray:
+        """The next reply line, writing queued requests while it waits."""
+        scanned = 0
+        while (end := self._incoming.find(b"\n", scanned)) < 0:
+            scanned = len(self._incoming)
+            events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._outgoing else 0)
+            if events != self._events:
+                self._selector.modify(self._sock, events)
+                self._events = events
+            if not self._selector.select(self._timeout):
+                raise self._lose(f"no reply within {self._timeout:g} s")
+            self._send()
+            try:
+                chunk = self._sock.recv(1 << 16)
+            except BlockingIOError:
+                continue
+            except OSError as exc:
+                raise self._lose(str(exc)) from exc
+            if not chunk:
+                raise self._lose("the scorer closed the connection")
+            self._incoming += chunk
+        line = self._incoming[: end + 1]
+        del self._incoming[: end + 1]
+        return line
 
     def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._lose("the client was closed")

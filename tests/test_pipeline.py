@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from factprobe import cli
+from factprobe import cli, pipeline
 from factprobe.config import load_config
-from factprobe.errors import NoExemplars
+from factprobe.errors import MalformedRecord, NoExemplars
 from factprobe.pipeline import (
     cmd_build_dataset,
     cmd_evaluate,
@@ -149,6 +149,74 @@ def test_interrupt_and_resume_identical_store(tmp_path):
         records_b / "records.jsonl"
     ).read_bytes()
     assert not (records_a / "progress.jsonl").exists()
+
+
+def _interrupted_progress(tmp_path, name, after=10):
+    """A workspace whose evaluate stopped after ``after`` sets; returns the
+    config, bundle, scorer and progress file."""
+    config, _ = _build(tmp_path, name, facts_per_cell=4)
+    bundle = cmd_build_dataset(config, replay=True)
+    oracle = make_scorer(config, bundle)
+    with pytest.raises(_Interrupted):
+        cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=after))
+    return config, bundle, oracle, config.output_dir / "records" / "progress.jsonl"
+
+
+@pytest.mark.parametrize(
+    "tear",
+    [lambda raw: raw[: len(raw) // 2], lambda raw: raw[:-1]],
+    ids=["cut-mid-line", "cut-before-newline"],
+)
+def test_torn_last_progress_line_resumes(tmp_path, tear):
+    config, bundle, oracle, progress = _interrupted_progress(tmp_path, "a")
+    # A run killed mid-write leaves its last progress entry cut short.
+    lines = progress.read_bytes().splitlines(keepends=True)
+    progress.write_bytes(b"".join(lines[:-1]) + tear(lines[-1]))
+    # Entries appended after the repaired tail must read back on a later resume.
+    with pytest.raises(_Interrupted):
+        cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=5))
+    records = cmd_evaluate(config, bundle, scorer=oracle)
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=4)
+    records_clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    assert (records / "records.jsonl").read_bytes() == (
+        records_clean / "records.jsonl"
+    ).read_bytes()
+
+
+def test_undecodable_progress_line_before_the_last_is_an_error(tmp_path):
+    config, bundle, oracle, progress = _interrupted_progress(tmp_path, "ws")
+    lines = progress.read_bytes().splitlines(keepends=True)
+    lines[3] = b'{"type":"rec\n'
+    progress.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRecord) as info:
+        cmd_evaluate(config, bundle, scorer=oracle)
+    assert info.value.context == {"file": str(progress), "line": 4}
+
+
+class _ClosableScorer:
+    def __init__(self, inner):
+        self.inner = inner
+        self.closed = 0
+
+    def score_batch(self, prompt, continuations):
+        return self.inner.score_batch(prompt, continuations)
+
+    def close(self):
+        self.closed += 1
+
+
+def test_evaluate_closes_only_the_scorer_it_opened(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=2)
+    bundle = cmd_build_dataset(config, replay=True)
+    opened = _ClosableScorer(make_scorer(config, bundle))
+    monkeypatch.setattr(pipeline, "make_scorer", lambda config, bundle_dir: opened)
+    cmd_evaluate(config, bundle)
+    assert opened.closed == 1
+
+    passed = _ClosableScorer(opened.inner)
+    cmd_evaluate(config, bundle, scorer=passed, force=True)
+    assert passed.closed == 0
 
 
 def test_stale_progress_discarded_after_rebuild(tmp_path):
