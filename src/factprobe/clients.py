@@ -21,7 +21,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ClientError, ReplayMiss
+from .errors import ClientError, MalformedRecord, ReplayMiss
+from .jsonl import dump, iter_lines
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,14 @@ class TextRequest:
     extra: tuple[tuple[str, str], ...] = ()
 
     def canonical(self) -> str:
-        return json.dumps(
+        return dump(
             {
                 "client_id": self.client_id,
                 "text": self.text,
                 "source_language": self.source_language,
                 "target_language": self.target_language,
                 "extra": {k: v for k, v in self.extra},
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     def digest(self) -> str:
@@ -70,8 +68,10 @@ class ResponseCache:
         path = self._path(key)
         if not path.exists():
             return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        return entry["response"]
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))["response"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise MalformedRecord(f"corrupt cache entry: {exc}", file=str(path)) from exc
 
     def put(self, key: str, request: TextRequest, response: str) -> None:
         entry = {
@@ -90,31 +90,26 @@ class ResponseCache:
 
 
 def load_fixtures(paths) -> dict[str, str]:
-    """Load replay fixtures (JSONL of request+response) into a digest map."""
+    """Load replay fixtures (headerless JSONL of request+response) into a digest map."""
     table: dict[str, str] = {}
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                record = json.loads(raw)
-                req = record["request"]
-                request = TextRequest(
-                    client_id=req["client_id"],
-                    text=req["text"],
-                    source_language=req["source_language"],
-                    target_language=req["target_language"],
-                    extra=tuple(sorted((k, v) for k, v in req.get("extra", {}).items())),
-                )
-                table[request.digest()] = record["response"]
+        for _, record in iter_lines(path):
+            req = record["request"]
+            request = TextRequest(
+                client_id=req["client_id"],
+                text=req["text"],
+                source_language=req["source_language"],
+                target_language=req["target_language"],
+                extra=tuple(sorted((k, v) for k, v in req.get("extra", {}).items())),
+            )
+            table[request.digest()] = record["response"]
     return table
 
 
 def append_fixture(path, request: TextRequest, response: str) -> None:
     record = {"request": json.loads(request.canonical()), "response": response}
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        fh.write(dump(record) + "\n")
 
 
 class ReplayClient:
@@ -164,7 +159,8 @@ class HttpClient:
         self.call_count = 0
 
     def complete(self, request: TextRequest) -> str:
-        import requests
+        # Imported here: it loads ssl, which costs every replay run ~2 MB.
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if self.auth_env:
@@ -182,15 +178,14 @@ class HttpClient:
             "target_language": request.target_language,
             "extra": {k: v for k, v in request.extra},
         }
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             try:
                 self.call_count += 1
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-                response.raise_for_status()
-                return response.json()["text"]
+                post = urllib.request.Request(self.endpoint, data=body, headers=headers)
+                with urllib.request.urlopen(post, timeout=self.timeout) as response:
+                    return json.loads(response.read())["text"]
             except Exception as exc:  # noqa: BLE001 - wrapped below
                 last_error = exc
                 if attempt + 1 < self.max_attempts:

@@ -9,7 +9,6 @@ makes it stable under key reordering and comments.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import yaml
 
 from .corpus import is_language_code
 from .errors import ConfigError
+from .jsonl import dump
 from .metrics import DEFAULT_N_VALUES
 from .split import MatchConfig
 
@@ -80,9 +80,7 @@ class RunConfig:
     raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def digest(self) -> str:
-        canonical = json.dumps(self.raw, ensure_ascii=False, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(dump(self.raw).encode("utf-8")).hexdigest()
 
 
 def _client_settings(data: dict | None, default_id: str, base: Path) -> ClientSettings | None:

@@ -8,15 +8,13 @@ validates referential integrity and all record invariants; the resulting
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DanglingReference, DuplicateId, MalformedRecord, UnknownRelation
-
-SCHEMA_VERSION = 1
+from .jsonl import iter_lines, write_jsonl
 
 PLACEHOLDER_SUBJECT = "[X]"
 PLACEHOLDER_OBJECT = "[Y]"
@@ -121,43 +119,6 @@ class RelationFilterReport:
 EXCLUDE_NOT_OBJECT_FINAL = "NOT_OBJECT_FINAL"
 EXCLUDE_TOO_FEW_OBJECTS = "TOO_FEW_OBJECTS"
 EXCLUDE_EXPLICIT = "EXPLICIT_EXCLUDE"
-
-
-def _read_jsonl(path: Path, kind: str):
-    """Yield (line_number, record) after validating the schema header."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"invalid JSON: {exc}", file=str(path), line=lineno
-                ) from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord(
-                    "record is not an object", file=str(path), line=lineno
-                )
-            if lineno == 1:
-                version = record.get("schema_version")
-                if version != SCHEMA_VERSION:
-                    raise MalformedRecord(
-                        f"unsupported schema_version {version!r}",
-                        file=str(path),
-                        line=lineno,
-                        field="schema_version",
-                    )
-                if record.get("kind") not in (None, kind):
-                    raise MalformedRecord(
-                        f"expected kind {kind!r}, found {record.get('kind')!r}",
-                        file=str(path),
-                        line=lineno,
-                        field="kind",
-                    )
-                continue
-            yield lineno, record
 
 
 def _require(record: dict, key: str, typ, path: Path, lineno: int):
@@ -332,7 +293,7 @@ def load_corpus(entities_path, relations_path, facts_path) -> Corpus:
     the same corpus is produced regardless of record order on disk.
     """
     entities: dict[str, Entity] = {}
-    for lineno, record in _read_jsonl(Path(entities_path), "entities"):
+    for lineno, record in iter_lines(entities_path, "entities"):
         entity = _parse_entity(record, Path(entities_path), lineno)
         if entity.id in entities:
             raise DuplicateId(
@@ -341,7 +302,7 @@ def load_corpus(entities_path, relations_path, facts_path) -> Corpus:
         entities[entity.id] = entity
 
     relations: dict[str, Relation] = {}
-    for lineno, record in _read_jsonl(Path(relations_path), "relations"):
+    for lineno, record in iter_lines(relations_path, "relations"):
         relation = _parse_relation(record, Path(relations_path), lineno)
         if relation.id in relations:
             raise DuplicateId(
@@ -353,7 +314,7 @@ def load_corpus(entities_path, relations_path, facts_path) -> Corpus:
 
     facts: dict[str, Fact] = {}
     seen_triples: set[tuple[str, str, str, str]] = set()
-    for lineno, record in _read_jsonl(Path(facts_path), "facts"):
+    for lineno, record in iter_lines(facts_path, "facts"):
         fact = _parse_fact(record, Path(facts_path), lineno)
         if fact.id in facts:
             raise DuplicateId(
@@ -399,43 +360,39 @@ def save_corpus(corpus: Corpus, directory) -> dict[str, Path]:
         "facts": directory / "facts.jsonl",
     }
 
-    def dump(obj) -> str:
-        return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    def entity_record(e: Entity) -> dict:
+        record = {"id": e.id, "labels": e.labels}
+        if e.aliases:
+            record["aliases"] = {k: list(v) for k, v in e.aliases.items()}
+        return record
 
-    with open(paths["entities"], "w", encoding="utf-8") as fh:
-        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": "entities"}) + "\n")
-        for eid in sorted(corpus.entities):
-            e = corpus.entities[eid]
-            record = {"id": e.id, "labels": e.labels}
-            if e.aliases:
-                record["aliases"] = {k: list(v) for k, v in e.aliases.items()}
-            fh.write(dump(record) + "\n")
-    with open(paths["relations"], "w", encoding="utf-8") as fh:
-        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": "relations"}) + "\n")
-        for rid in sorted(corpus.relations):
-            r = corpus.relations[rid]
-            record = {
-                "id": r.id,
-                "english_template": r.english_template,
-                "templates": r.templates,
-                "object_final": r.object_final,
-                "inflection_expected": r.inflection_expected,
-            }
-            fh.write(dump(record) + "\n")
-    with open(paths["facts"], "w", encoding="utf-8") as fh:
-        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": "facts"}) + "\n")
-        for fid in sorted(corpus.facts):
-            f = corpus.facts[fid]
-            record = {
-                "id": f.id,
-                "subject_id": f.subject_id,
-                "relation_id": f.relation_id,
-                "object_id": f.object_id,
-                "language": f.language,
-            }
-            if f.subject_gender is not None:
-                record["subject_gender"] = f.subject_gender
-            fh.write(dump(record) + "\n")
+    def relation_record(r: Relation) -> dict:
+        return {
+            "id": r.id,
+            "english_template": r.english_template,
+            "templates": r.templates,
+            "object_final": r.object_final,
+            "inflection_expected": r.inflection_expected,
+        }
+
+    def fact_record(f: Fact) -> dict:
+        record = {
+            "id": f.id,
+            "subject_id": f.subject_id,
+            "relation_id": f.relation_id,
+            "object_id": f.object_id,
+            "language": f.language,
+        }
+        if f.subject_gender is not None:
+            record["subject_gender"] = f.subject_gender
+        return record
+
+    for kind, table, to_record in (
+        ("entities", corpus.entities, entity_record),
+        ("relations", corpus.relations, relation_record),
+        ("facts", corpus.facts, fact_record),
+    ):
+        write_jsonl(paths[kind], kind, (to_record(table[key]) for key in sorted(table)))
     return paths
 
 

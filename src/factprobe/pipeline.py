@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -21,7 +22,7 @@ from . import report as report_mod
 from .candidates import CandidateSet, Distractor, assemble_candidate_set, sample_distractors
 from .clients import HttpClient, RecordingClient, ReplayClient, ResponseCache, TextRequest, TextService
 from .config import RunConfig
-from .corpus import filter_relations, load_corpus, unique_object_pool
+from .corpus import Corpus, Fact, filter_relations, load_corpus, unique_object_pool
 from .errors import (
     BackendError,
     ClientError,
@@ -34,6 +35,7 @@ from .errors import (
     ProbeError,
     ScorerConnectionLost,
 )
+from .jsonl import SCHEMA_VERSION, dump, iter_lines, read_jsonl, write_jsonl
 from .metrics import (
     FEMALE_GENDERS,
     FORM_INFLECTED,
@@ -66,8 +68,6 @@ from .verbalize import (
     parse_exemplar_file,
 )
 
-SCHEMA_VERSION = 1
-
 # Audit kinds that block a (fact, source) from producing a record; the
 # remaining kinds are informational notes.
 BLOCKING_AUDIT_KINDS = (
@@ -84,69 +84,24 @@ BLOCKING_AUDIT_KINDS = (
 STEM_CONFIDENCE_FLOOR = 0.75
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-
-
-def write_jsonl(path: Path, kind: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"schema_version": SCHEMA_VERSION, "kind": kind}) + "\n")
-        for line in lines:
-            fh.write(_dump(line) + "\n")
-
-
-def read_jsonl(path: Path, kind: str) -> list[dict]:
-    lines = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = json.loads(raw)
-            if lineno == 1:
-                if record.get("kind") != kind or record.get("schema_version") != SCHEMA_VERSION:
-                    raise ProbeError(f"{path} is not a {kind} artifact")
-                continue
-            lines.append(record)
-    return lines
-
-
 def file_digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(directory: Path, stage: str, config_digest: str,
-                   inputs: dict[str, str], artifacts: dict[str, str],
-                   counts: dict) -> None:
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "stage": stage,
-        "config_digest": config_digest,
-        "complete": True,
-        "inputs": inputs,
-        "artifacts": artifacts,
-        "counts": counts,
-    }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
+def _write_json(path: Path, obj) -> None:
+    path.write_text(
+        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
     )
 
 
-def load_manifest(directory: Path) -> dict | None:
-    path = directory / "manifest.json"
-    if not path.exists():
-        return None
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return None
-
-
 def _stage_is_current(directory: Path, stage: str, config_digest: str,
                       inputs: dict[str, str]) -> bool:
-    manifest = load_manifest(directory)
-    if manifest is None or not manifest.get("complete"):
+    try:
+        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    if not manifest.get("complete"):
         return False
     if manifest.get("stage") != stage or manifest.get("config_digest") != config_digest:
         return False
@@ -157,6 +112,33 @@ def _stage_is_current(directory: Path, stage: str, config_digest: str,
         and file_digest(directory / name) == digest
         for name, digest in manifest.get("artifacts", {}).items()
     )
+
+
+def _run_stage(directory: Path, stage: str, config: RunConfig, inputs: dict[str, Path],
+               force: bool, work) -> Path:
+    """Run one stage into ``directory`` unless its manifest shows it current.
+
+    ``inputs`` maps the names recorded in the manifest to the files the
+    stage reads. ``work(config_digest, input_digests)`` writes the
+    artifacts and returns their names, the manifest counts, and whether the
+    stage is complete; an incomplete stage is run again on the next call.
+    """
+    config_digest = config.digest()
+    input_digests = {name: file_digest(path) for name, path in inputs.items()}
+    if not force and _stage_is_current(directory, stage, config_digest, input_digests):
+        return directory
+    directory.mkdir(parents=True, exist_ok=True)
+    names, counts, complete = work(config_digest, input_digests)
+    _write_json(directory / "manifest.json", {
+        "schema_version": SCHEMA_VERSION,
+        "stage": stage,
+        "config_digest": config_digest,
+        "complete": complete,
+        "inputs": input_digests,
+        "artifacts": {name: file_digest(directory / name) for name in names},
+        "counts": counts,
+    })
+    return directory
 
 
 def make_client(settings, cache, replay: bool = False):
@@ -182,16 +164,16 @@ def make_client(settings, cache, replay: bool = False):
     return client
 
 
-def _qe_annotate(fact, corpus, sentence, qe_client, cache) -> float:
+def _qe_annotate(fact, corpus, sentence, qe: TextService) -> float:
     source = english_sentence(fact, corpus)
     request = TextRequest(
-        client_id=getattr(qe_client, "client_id", "qe"),
+        client_id=getattr(qe.client, "client_id", "qe"),
         text=sentence,
         source_language="en",
         target_language=fact.language,
         extra=(("source_text", source),),
     )
-    response = TextService(client=qe_client, cache=cache).fetch(request)
+    response = qe.fetch(request)
     try:
         return float(response.strip())
     except ValueError as exc:
@@ -200,228 +182,247 @@ def _qe_annotate(fact, corpus, sentence, qe_client, cache) -> float:
         ) from exc
 
 
+@dataclass(frozen=True)
+class BuildContext:
+    """Everything ``build_fact`` reads besides the fact; fixed for a run."""
+
+    config: RunConfig
+    corpus: Corpus
+    pools: dict[tuple[str, str], list[str]]
+    exemplars: dict[tuple[str, str], list]
+    # One service per enabled client role ("MT", "LLM", "QE").
+    services: dict[str, TextService]
+
+
+def _audit(fact: Fact, source: str, kind: str, detail: str = "") -> dict:
+    return {"fact_id": fact.id, "source": source, "kind": kind, "detail": detail}
+
+
+def build_fact(fact: Fact, ctx: BuildContext):
+    """Candidate-set lines, verbalization lines and audit entries of one fact.
+
+    The only side effect is fetching through the context's services. A
+    ``MalformedRecord`` (a corrupt cache entry) fails the stage; any other
+    per-fact ``ProbeError`` becomes an audit entry.
+    """
+    config, corpus = ctx.config, ctx.corpus
+    candidate_lines: list[dict] = []
+    verbalization_lines: list[dict] = []
+    audit: list[dict] = []
+    relation = corpus.relations[fact.relation_id]
+    entity = corpus.entities[fact.object_id]
+    verbalizations = {}
+    for source in config.sources:
+        try:
+            if source == "TEMPLATE":
+                verb = make_template_verbalization(fact, corpus)
+            elif source == "MT":
+                verb = make_mt_verbalization(fact, corpus, ctx.services["MT"])
+            else:
+                verb = make_llm_verbalization(
+                    fact, corpus, ctx.services["LLM"],
+                    ctx.exemplars[(fact.relation_id, fact.language)], config.match,
+                )
+        except MalformedRecord:
+            raise
+        except ProbeError as exc:
+            audit.append(_audit(fact, source, "VERBALIZATION_ERROR", exc.code))
+            continue
+        verbalizations[VerbalizationSource(source)] = verb
+        line = {
+            "fact_id": fact.id,
+            "source": source,
+            "sentence": verb.sentence,
+            "provenance": verb.provenance,
+        }
+        if verb.warning:
+            line["warning"] = verb.warning
+            audit.append(_audit(fact, source, "NOTE_CONSTRAINT_VIOLATION", verb.sentence))
+        verbalization_lines.append(line)
+
+    splits = {}
+    for source, verb in verbalizations.items():
+        result = split_verbalization(verb, entity, corpus, config.match)
+        if isinstance(result, Rejection):
+            audit.append(_audit(fact, source.value, "REJECTION", result.reason))
+            continue
+        splits[source] = result
+        if result.matched_via.value == "STEM" and result.confidence < STEM_CONFIDENCE_FLOOR:
+            audit.append(_audit(
+                fact, source.value, "NOTE_LOW_CONFIDENCE_STEM",
+                f"{result.object_form}:{result.confidence:.3f}",
+            ))
+    if not splits:
+        return candidate_lines, verbalization_lines, audit
+
+    try:
+        base_forms = collect_correct_forms(corpus, fact, splits)
+        correct_forms = collect_correct_forms(
+            corpus, fact, splits,
+            include_aliases=config.include_aliases,
+            include_english=config.include_english,
+        )
+    except ProbeError as exc:
+        audit.extend(_audit(fact, source.value, "POOL_ERROR", exc.code) for source in splits)
+        return candidate_lines, verbalization_lines, audit
+
+    inflection_pair = None
+    if relation.inflection_expected and len(base_forms) == 2:
+        inflection_pair = {
+            "noninflected": base_forms[0],
+            "inflected": base_forms[1],
+        }
+
+    try:
+        distractors = sample_distractors(
+            corpus, ctx.pools[(fact.relation_id, fact.language)], fact,
+            correct_forms, config.k_distractors, config.salt,
+        )
+    except ProbeError as exc:
+        audit.extend(_audit(fact, source.value, "SAMPLING_ERROR", exc.code) for source in splits)
+        return candidate_lines, verbalization_lines, audit
+
+    qe = ctx.services.get("QE")
+    for source in VerbalizationSource:
+        split_result = splits.get(source)
+        if split_result is None:
+            continue
+        try:
+            candidate_set, dropped = assemble_candidate_set(
+                fact.id, split_result.prompt_prefix, correct_forms,
+                distractors, config.salt,
+            )
+        except ProbeError as exc:
+            audit.append(_audit(fact, source.value, "ASSEMBLY_ERROR", exc.code))
+            continue
+        audit.extend(
+            _audit(fact, source.value, "NOTE_DISTRACTOR_DROPPED", f"{d.entity_id}:{d.form}")
+            for d in dropped
+        )
+        qe_value = None
+        if qe is not None:
+            try:
+                qe_value = _qe_annotate(fact, corpus, verbalizations[source].sentence, qe)
+            except MalformedRecord:
+                raise
+            except ProbeError as exc:
+                audit.append(_audit(fact, source.value, "QE_ERROR", exc.code))
+                continue
+        candidate_lines.append(
+            {
+                "fact_id": fact.id,
+                "source": source.value,
+                "language": fact.language,
+                "relation_id": fact.relation_id,
+                "prompt": candidate_set.prompt,
+                "correct_forms": list(candidate_set.correct_forms),
+                "distractors": [[d.entity_id, d.form] for d in candidate_set.distractors],
+                "salt": config.salt,
+                "subject_gender": fact.subject_gender,
+                "inflection_pair": inflection_pair,
+                "qe_score": qe_value,
+                "no_space": fact.language in config.no_space_languages,
+            }
+        )
+    return candidate_lines, verbalization_lines, audit
+
+
 def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = False) -> Path:
     """Verbalize, split and assemble candidate sets for every eligible fact."""
     bundle_dir = config.output_dir / "bundle"
-    config_digest = config.digest()
-    inputs = {
-        "entities.jsonl": file_digest(config.entities_path),
-        "relations.jsonl": file_digest(config.relations_path),
-        "facts.jsonl": file_digest(config.facts_path),
-    }
-    if not force and _stage_is_current(bundle_dir, "build_dataset", config_digest, inputs):
-        return bundle_dir
-    bundle_dir.mkdir(parents=True, exist_ok=True)
 
-    corpus = load_corpus(config.entities_path, config.relations_path, config.facts_path)
-    filter_report = filter_relations(
-        corpus, config.languages, config.min_unique_objects, config.exclude_relations
-    )
-    retained = set(filter_report.retained)
-    facts = [
-        f for f in corpus.facts_sorted()
-        if f.language in config.languages and f.relation_id in retained
-    ]
-
-    exemplar_sets: dict[tuple[str, str], list] = {}
-    if "LLM" in config.sources:
-        if config.exemplars_dir is None:
-            raise NoExemplars("LLM source enabled but no exemplars_dir configured")
-        for key in sorted({(f.relation_id, f.language) for f in facts}):
-            relation_id, language = key
-            path = Path(config.exemplars_dir) / f"{relation_id}.{language}.txt"
-            if not path.exists():
-                raise NoExemplars(
-                    f"missing exemplar file {path.name}", path=str(path)
-                )
-            exemplar_sets[key] = parse_exemplar_file(path)
-
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-    mt_client = make_client(config.mt, cache, replay) if "MT" in config.sources else None
-    llm_client = make_client(config.llm, cache, replay) if "LLM" in config.sources else None
-    qe_client = make_client(config.qe, cache, replay)
-    if "MT" in config.sources and mt_client is None:
-        raise ConfigError("MT source enabled but no mt client configured")
-    if "LLM" in config.sources and llm_client is None:
-        raise ConfigError("LLM source enabled but no llm client configured")
-
-    pools = {
-        key: unique_object_pool(corpus, key[0], key[1])
-        for key in sorted({(f.relation_id, f.language) for f in facts})
-    }
-
-    audit: list[dict] = []
-    candidate_lines: list[dict] = []
-    verbalization_lines: list[dict] = []
-
-    def audit_entry(fact, source, kind, detail=""):
-        audit.append(
-            {"fact_id": fact.id, "source": source, "kind": kind, "detail": detail}
+    def work(config_digest, input_digests):
+        corpus = load_corpus(config.entities_path, config.relations_path, config.facts_path)
+        filter_report = filter_relations(
+            corpus, config.languages, config.min_unique_objects, config.exclude_relations
         )
+        retained = set(filter_report.retained)
+        facts = [
+            f for f in corpus.facts_sorted()
+            if f.language in config.languages and f.relation_id in retained
+        ]
+        cells = sorted({(f.relation_id, f.language) for f in facts})
 
-    for fact in facts:
-        relation = corpus.relations[fact.relation_id]
-        entity = corpus.entities[fact.object_id]
-        verbalizations = {}
-        for source in config.sources:
-            try:
-                if source == "TEMPLATE":
-                    verb = make_template_verbalization(fact, corpus)
-                elif source == "MT":
-                    verb = make_mt_verbalization(fact, corpus, mt_client, cache)
-                else:
-                    verb = make_llm_verbalization(
-                        fact, corpus, llm_client,
-                        exemplar_sets[(fact.relation_id, fact.language)],
-                        cache, config.match,
+        exemplars: dict[tuple[str, str], list] = {}
+        if "LLM" in config.sources:
+            if config.exemplars_dir is None:
+                raise NoExemplars("LLM source enabled but no exemplars_dir configured")
+            for relation_id, language in cells:
+                path = Path(config.exemplars_dir) / f"{relation_id}.{language}.txt"
+                if not path.exists():
+                    raise NoExemplars(
+                        f"missing exemplar file {path.name}", path=str(path)
                     )
-            except ProbeError as exc:
-                audit_entry(fact, source, "VERBALIZATION_ERROR", exc.code)
-                continue
-            verbalizations[VerbalizationSource(source)] = verb
-            line = {
-                "fact_id": fact.id,
-                "source": source,
-                "sentence": verb.sentence,
-                "provenance": verb.provenance,
-            }
-            if verb.warning:
-                line["warning"] = verb.warning
-                audit_entry(fact, source, "NOTE_CONSTRAINT_VIOLATION", verb.sentence)
-            verbalization_lines.append(line)
+                exemplars[(relation_id, language)] = parse_exemplar_file(path)
 
-        splits = {}
-        for source, verb in verbalizations.items():
-            result = split_verbalization(verb, entity, corpus, config.match)
-            if isinstance(result, Rejection):
-                audit_entry(fact, source.value, "REJECTION", result.reason)
+        cache = ResponseCache(config.cache_dir) if config.cache_dir else None
+        services = {}
+        for role, settings in (("MT", config.mt), ("LLM", config.llm), ("QE", config.qe)):
+            if role != "QE" and role not in config.sources:
                 continue
-            splits[source] = result
-            if result.matched_via.value == "STEM" and result.confidence < STEM_CONFIDENCE_FLOOR:
-                audit_entry(
-                    fact, source.value, "NOTE_LOW_CONFIDENCE_STEM",
-                    f"{result.object_form}:{result.confidence:.3f}",
+            client = make_client(settings, cache, replay)
+            if client is not None:
+                services[role] = TextService(client=client, cache=cache)
+            elif role != "QE":
+                raise ConfigError(
+                    f"{role} source enabled but no {role.lower()} client configured"
                 )
-        if not splits:
-            continue
 
-        try:
-            base_forms = collect_correct_forms(corpus, fact, splits)
-            correct_forms = collect_correct_forms(
-                corpus, fact, splits,
-                include_aliases=config.include_aliases,
-                include_english=config.include_english,
-            )
-        except ProbeError as exc:
-            for source in splits:
-                audit_entry(fact, source.value, "POOL_ERROR", exc.code)
-            continue
-
-        inflection_pair = None
-        if relation.inflection_expected and len(base_forms) == 2:
-            inflection_pair = {
-                "noninflected": base_forms[0],
-                "inflected": base_forms[1],
-            }
-
-        try:
-            distractors = sample_distractors(
-                corpus, pools[(fact.relation_id, fact.language)], fact,
-                correct_forms, config.k_distractors, config.salt,
-            )
-        except ProbeError as exc:
-            for source in splits:
-                audit_entry(fact, source.value, "SAMPLING_ERROR", exc.code)
-            continue
-
-        for source in VerbalizationSource:
-            split_result = splits.get(source)
-            if split_result is None:
-                continue
-            try:
-                candidate_set, dropped = assemble_candidate_set(
-                    fact.id, split_result.prompt_prefix, correct_forms,
-                    distractors, config.salt,
-                )
-            except ProbeError as exc:
-                audit_entry(fact, source.value, "ASSEMBLY_ERROR", exc.code)
-                continue
-            for d in dropped:
-                audit_entry(
-                    fact, source.value, "NOTE_DISTRACTOR_DROPPED",
-                    f"{d.entity_id}:{d.form}",
-                )
-            qe_value = None
-            if qe_client is not None:
-                try:
-                    qe_value = _qe_annotate(
-                        fact, corpus, verbalizations[source].sentence, qe_client, cache
-                    )
-                except ProbeError as exc:
-                    audit_entry(fact, source.value, "QE_ERROR", exc.code)
-                    continue
-            candidate_lines.append(
-                {
-                    "fact_id": fact.id,
-                    "source": source.value,
-                    "language": fact.language,
-                    "relation_id": fact.relation_id,
-                    "prompt": candidate_set.prompt,
-                    "correct_forms": list(candidate_set.correct_forms),
-                    "distractors": [[d.entity_id, d.form] for d in candidate_set.distractors],
-                    "salt": config.salt,
-                    "subject_gender": fact.subject_gender,
-                    "inflection_pair": inflection_pair,
-                    "qe_score": qe_value,
-                    "no_space": fact.language in config.no_space_languages,
-                }
-            )
-
-    write_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets", candidate_lines)
-    write_jsonl(bundle_dir / "verbalizations.jsonl", "verbalizations", verbalization_lines)
-    write_jsonl(bundle_dir / "audit.jsonl", "audit", audit)
-    (bundle_dir / "relation_filter.json").write_text(
-        json.dumps(
-            {
-                "retained": list(filter_report.retained),
-                "excluded": [list(pair) for pair in filter_report.excluded],
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-            indent=1,
+        ctx = BuildContext(
+            config=config,
+            corpus=corpus,
+            pools={key: unique_object_pool(corpus, key[0], key[1]) for key in cells},
+            exemplars=exemplars,
+            services=services,
         )
-        + "\n",
-        encoding="utf-8",
-    )
+        candidate_lines: list[dict] = []
+        verbalization_lines: list[dict] = []
+        audit: list[dict] = []
+        for fact in facts:
+            candidates, verbalizations, entries = build_fact(fact, ctx)
+            candidate_lines += candidates
+            verbalization_lines += verbalizations
+            audit += entries
 
-    blocking: dict[str, int] = {}
-    notes: dict[str, int] = {}
-    for entry in audit:
-        bucket = blocking if entry["kind"] in BLOCKING_AUDIT_KINDS else notes
-        bucket[entry["kind"]] = bucket.get(entry["kind"], 0) + 1
-    artifacts = {
-        name: file_digest(bundle_dir / name)
-        for name in ("candidate_sets.jsonl", "verbalizations.jsonl", "audit.jsonl",
-                     "relation_filter.json")
-    }
-    write_manifest(
-        bundle_dir, "build_dataset", config_digest, inputs, artifacts,
-        counts={
+        write_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets", candidate_lines)
+        write_jsonl(bundle_dir / "verbalizations.jsonl", "verbalizations", verbalization_lines)
+        write_jsonl(bundle_dir / "audit.jsonl", "audit", audit)
+        _write_json(bundle_dir / "relation_filter.json", {
+            "retained": list(filter_report.retained),
+            "excluded": [list(pair) for pair in filter_report.excluded],
+        })
+
+        blocking: dict[str, int] = {}
+        notes: dict[str, int] = {}
+        for entry in audit:
+            bucket = blocking if entry["kind"] in BLOCKING_AUDIT_KINDS else notes
+            bucket[entry["kind"]] = bucket.get(entry["kind"], 0) + 1
+        names = ("candidate_sets.jsonl", "verbalizations.jsonl", "audit.jsonl",
+                 "relation_filter.json")
+        counts = {
             "facts_eligible": len(facts),
             "enabled_sources": len(config.sources),
             "candidate_sets": len(candidate_lines),
             "audit_blocking": blocking,
             "audit_notes": notes,
-        },
-    )
-    return bundle_dir
+        }
+        return names, counts, True
+
+    inputs = {
+        "entities.jsonl": config.entities_path,
+        "relations.jsonl": config.relations_path,
+        "facts.jsonl": config.facts_path,
+    }
+    return _run_stage(bundle_dir, "build_dataset", config, inputs, force, work)
 
 
-def make_scorer(config: RunConfig, bundle_dir: Path):
+def make_scorer(config: RunConfig, lines: list[dict]):
+    """The configured scorer; the oracle takes its correct forms from
+    ``lines``, the candidate-set lines of the bundle being evaluated."""
     settings = config.scorer
     if settings.backend == "oracle":
         correct_by_prompt: dict[str, frozenset] = {}
-        for line in read_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets"):
+        for line in lines:
             forms = frozenset(line["correct_forms"])
             existing = correct_by_prompt.get(line["prompt"])
             correct_by_prompt[line["prompt"]] = (
@@ -442,54 +443,34 @@ def make_scorer(config: RunConfig, bundle_dir: Path):
     raise ConfigError(f"unknown scorer backend {settings.backend!r}")
 
 
-def _load_progress(path: Path, header: dict):
-    """Done keys, records and audits of a progress file written for ``header``.
+def _load_progress(path: Path, header: dict) -> list[dict]:
+    """Records of a progress file written for ``header``.
 
     A file written for another header is deleted. An undecodable last line
-    is what a run killed mid-write leaves: it is cut off, so its set is
-    scored again. An undecodable line anywhere else is an error.
+    is what a run killed mid-write leaves: it is dropped, so its set is
+    scored again, and the file is rewritten whole for the entries that
+    follow. An undecodable line anywhere else is an error.
     """
-    done: set[tuple[str, str]] = set()
-    record_lines: list[dict] = []
-    audit: list[dict] = []
     if not path.exists():
-        return done, record_lines, audit
-    with open(path, "rb") as fh:
-        raw_lines = fh.readlines()
+        return []
     entries = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        try:
-            entry = json.loads(raw)
-        except ValueError as exc:
-            if lineno < len(raw_lines):
-                raise MalformedRecord(
-                    f"undecodable progress line: {exc}", file=str(path), line=lineno
-                ) from exc
-            break
-        if lineno == 1 and entry != header:
-            # Progress is only resumable against the same bundle and config
-            # it was produced from.
-            break
-        entries.append(entry)
+    try:
+        for lineno, entry in iter_lines(path):
+            if lineno == 1 and entry != header:
+                # Progress is only resumable against the same bundle and
+                # config it was produced from.
+                break
+            entries.append(entry)
+    except MalformedRecord as exc:
+        with open(path, "rb") as fh:
+            if exc.context["line"] < sum(1 for _ in fh):
+                raise
     if not entries:
         path.unlink()
-        return done, record_lines, audit
-    kept = raw_lines[: len(entries)]
-    tail = b"" if kept[-1].endswith(b"\n") else b"\n"
-    if len(kept) < len(raw_lines) or tail:
-        # Later entries are appended after the last whole line.
-        with open(path, "r+b") as fh:
-            fh.truncate(sum(map(len, kept)))
-            fh.seek(0, 2)
-            fh.write(tail)
-    for entry in entries[1:]:
-        data = entry["data"]
-        done.add((data["fact_id"], data["source"]))
-        if entry["type"] == "record":
-            record_lines.append(data)
-        else:
-            audit.append(data)
-    return done, record_lines, audit
+        return []
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(dump(entry) + "\n" for entry in entries)
+    return [entry["data"] for entry in entries[1:] if entry["type"] == "record"]
 
 
 def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
@@ -512,107 +493,93 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
 
     Progress is appended per (fact, source); an interrupted run resumes
     where it stopped and the final sorted store is byte-identical to an
-    uninterrupted one.
+    uninterrupted one. Sets whose scoring failed with a ``BackendError``
+    are audited and leave the stage incomplete, with its progress kept, so
+    the next run scores only those sets again.
     """
-    bundle_dir = Path(bundle_dir)
+    candidate_sets = Path(bundle_dir) / "candidate_sets.jsonl"
     records_dir = config.output_dir / "records"
-    config_digest = config.digest()
-    inputs = {"candidate_sets.jsonl": file_digest(bundle_dir / "candidate_sets.jsonl")}
-    if not force and _stage_is_current(records_dir, "evaluate", config_digest, inputs):
-        return records_dir
-    records_dir.mkdir(parents=True, exist_ok=True)
 
-    with contextlib.ExitStack() as stack:
-        # The oracle reads the whole bundle: make it before the bundle lines
-        # below are read, so that the two are never held at once.
-        if scorer is None:
-            scorer = make_scorer(config, bundle_dir)
-            if hasattr(scorer, "close"):
-                stack.callback(scorer.close)
-
+    def work(config_digest, input_digests):
+        lines = read_jsonl(candidate_sets, "candidate_sets")
+        lines.sort(key=lambda line: (line["fact_id"], line["source"]))
         progress_path = records_dir / "progress.jsonl"
-        header = {"type": "header", "config_digest": config_digest, "inputs": inputs}
-        done, record_lines, audit = _load_progress(progress_path, header)
+        header = {"type": "header", "config_digest": config_digest, "inputs": input_digests}
+        record_lines = _load_progress(progress_path, header)
         if not progress_path.exists():
             with open(progress_path, "w", encoding="utf-8") as fh:
-                fh.write(_dump(header) + "\n")
-
-        lines = read_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets")
-        lines.sort(key=lambda line: (line["fact_id"], line["source"]))
-        sets = _pending_sets(lines, done)
-        if hasattr(scorer, "pipelined"):
-            # The scorer sends requests up to its window ahead of this loop
-            # and answers its score_batch calls in the same order.
-            sets, ahead = itertools.tee(sets)
-            stack.enter_context(scorer.pipelined(
-                (cs.prompt, candidate_continuations(cs, bool(line.get("no_space"))))
-                for line, cs in ahead
-            ))
-        progress = stack.enter_context(open(progress_path, "a", encoding="utf-8"))
-        for line, candidate_set in sets:
-            try:
-                scored = score_candidates(
-                    scorer, candidate_set, config.normalization,
-                    no_space=bool(line.get("no_space")),
-                )
-                result = rank_candidates(
-                    scored, candidate_set.correct_forms, config.n_values,
-                    fact_id=candidate_set.fact_id,
-                )
-            except ScorerConnectionLost:
-                raise
-            except BackendError as exc:
-                entry = {
+                fh.write(dump(header) + "\n")
+        audit: list[dict] = []
+        with contextlib.ExitStack() as stack:
+            backend = scorer
+            if backend is None:
+                backend = make_scorer(config, lines)
+                if hasattr(backend, "close"):
+                    stack.callback(backend.close)
+            sets = _pending_sets(lines, {(r["fact_id"], r["source"]) for r in record_lines})
+            if hasattr(backend, "pipelined"):
+                # The scorer sends requests up to its window ahead of this
+                # loop and answers its score_batch calls in the same order.
+                sets, ahead = itertools.tee(sets)
+                stack.enter_context(backend.pipelined(
+                    (cs.prompt, candidate_continuations(cs, bool(line.get("no_space"))))
+                    for line, cs in ahead
+                ))
+            progress = stack.enter_context(open(progress_path, "a", encoding="utf-8"))
+            for line, candidate_set in sets:
+                try:
+                    scored = score_candidates(
+                        backend, candidate_set, config.normalization,
+                        no_space=bool(line.get("no_space")),
+                    )
+                    result = rank_candidates(
+                        scored, candidate_set.correct_forms, config.n_values,
+                        fact_id=candidate_set.fact_id,
+                    )
+                except ScorerConnectionLost:
+                    raise
+                except BackendError as exc:
+                    audit.append({
+                        "fact_id": line["fact_id"],
+                        "source": line["source"],
+                        "kind": "BACKEND_ERROR",
+                        "detail": exc.code,
+                    })
+                    continue
+                form_ranks = None
+                pair = line.get("inflection_pair")
+                if pair:
+                    form_ranks = {
+                        FORM_NONINFLECTED: rank_of_form(result, pair["noninflected"]),
+                        FORM_INFLECTED: rank_of_form(result, pair["inflected"]),
+                    }
+                record = {
                     "fact_id": line["fact_id"],
+                    "language": line["language"],
+                    "relation_id": line["relation_id"],
                     "source": line["source"],
-                    "kind": "BACKEND_ERROR",
-                    "detail": exc.code,
+                    "best_correct_rank": result.best_correct_rank,
+                    "best_correct_form": result.best_correct_form,
+                    "hits": {str(n): hit for n, hit in sorted(result.hits.items())},
+                    "form_ranks": form_ranks,
+                    "qe_score": line.get("qe_score"),
+                    "subject_gender": line.get("subject_gender"),
+                    "prompt": line["prompt"],
                 }
-                audit.append(entry)
-                progress.write(_dump({"type": "audit", "data": entry}) + "\n")
+                record_lines.append(record)
+                progress.write(dump({"type": "record", "data": record}) + "\n")
                 progress.flush()
-                continue
-            form_ranks = None
-            pair = line.get("inflection_pair")
-            if pair:
-                form_ranks = {
-                    FORM_NONINFLECTED: rank_of_form(result, pair["noninflected"]),
-                    FORM_INFLECTED: rank_of_form(result, pair["inflected"]),
-                }
-            record = {
-                "fact_id": line["fact_id"],
-                "language": line["language"],
-                "relation_id": line["relation_id"],
-                "source": line["source"],
-                "best_correct_rank": result.best_correct_rank,
-                "best_correct_form": result.best_correct_form,
-                "hits": {str(n): hit for n, hit in sorted(result.hits.items())},
-                "form_ranks": form_ranks,
-                "qe_score": line.get("qe_score"),
-                "subject_gender": line.get("subject_gender"),
-                "prompt": line["prompt"],
-            }
-            record_lines.append(record)
-            progress.write(_dump({"type": "record", "data": record}) + "\n")
-            progress.flush()
 
-    record_lines.sort(key=lambda r: (r["fact_id"], r["source"]))
-    audit.sort(key=lambda a: (a["fact_id"], a["source"]))
-    write_jsonl(records_dir / "records.jsonl", "records", record_lines)
-    write_jsonl(records_dir / "audit.jsonl", "audit", audit)
-    artifacts = {
-        name: file_digest(records_dir / name)
-        for name in ("records.jsonl", "audit.jsonl")
-    }
-    write_manifest(
-        records_dir, "evaluate", config_digest, inputs, artifacts,
-        counts={
-            "records": len(record_lines),
-            "backend_errors": len(audit),
-        },
-    )
-    progress_path.unlink(missing_ok=True)
-    return records_dir
+        record_lines.sort(key=lambda r: (r["fact_id"], r["source"]))
+        write_jsonl(records_dir / "records.jsonl", "records", record_lines)
+        write_jsonl(records_dir / "audit.jsonl", "audit", audit)
+        if not audit:
+            progress_path.unlink()
+        counts = {"records": len(record_lines), "backend_errors": len(audit)}
+        return ("records.jsonl", "audit.jsonl"), counts, not audit
+
+    return _run_stage(records_dir, "evaluate", config,
+                      {"candidate_sets.jsonl": candidate_sets}, force, work)
 
 
 def load_records(records_dir) -> list[EvalRecord]:
@@ -648,83 +615,64 @@ def _load_gender_patterns(path) -> dict:
 
 def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
     """Render markdown tables and CSVs from the record store."""
-    records_dir = Path(records_dir)
     report_dir = config.output_dir / "report"
-    config_digest = config.digest()
-    inputs = {"records.jsonl": file_digest(records_dir / "records.jsonl")}
-    if not force and _stage_is_current(report_dir, "report", config_digest, inputs):
-        return report_dir
-    report_dir.mkdir(parents=True, exist_ok=True)
 
-    records = load_records(records_dir)
-    if not records:
-        raise EmptyGroup("record store is empty")
+    def work(config_digest, input_digests):
+        records = load_records(records_dir)
+        if not records:
+            raise EmptyGroup("record store is empty")
 
-    languages = [l for l in config.languages if any(r.language == l for r in records)]
-    sources = [s for s in config.sources if any(r.source == s for r in records)]
-    n_values = config.n_values
-    cells = aggregate_by_group(records, n_values)
-    histograms = {
-        key: rank_histogram(group, config.report_max_rank_bucket)
-        for key, group in group_records(records).items()
-    }
+        languages = [l for l in config.languages if any(r.language == l for r in records)]
+        sources = [s for s in config.sources if any(r.source == s for r in records)]
+        n_values = config.n_values
+        cells = aggregate_by_group(records, n_values)
+        histograms = {
+            key: rank_histogram(group, config.report_max_rank_bucket)
+            for key, group in group_records(records).items()
+        }
 
-    sections = ["# Evaluation report", ""]
-    sections.append(
-        f"Records: {len(records)}; normalization: {config.normalization}; "
-        f"n values: {', '.join(str(n) for n in n_values)}."
-    )
-    sections += ["", "## Retrieval by verbalization", ""]
-    sections.append(report_mod.render_main_table(cells, languages, sources, n=1))
-
-    sections += ["## Inflected vs non-inflected rank delta", ""]
-    try:
-        delta_cells = inflection_delta(records, config.flip_inflection_delta_sign)
-        sections.append(report_mod.render_delta_table(delta_cells, languages, sources))
-    except NoEligibleRecords:
-        delta_cells = None
-        sections.append("No records carry both ground-truth form ranks.\n")
-
-    sections += ["## QE delta vs retrieval delta", ""]
-    qe_cells = None
-    try:
-        qe_cells = qe_delta_correlation(records)
-        qe_sources = [s for s in sources if any(k[1] == s for k in qe_cells)]
-        sections.append(report_mod.render_qe_table(qe_cells, languages, qe_sources))
-    except EmptyGroup:
-        sections.append("No QE annotations present.\n")
-
-    sections += ["## Female-subject subset", ""]
-    gender_sections = _gender_tables(config, records, languages, sources, n_values)
-    sections.append(gender_sections)
-
-    (report_dir / "report.md").write_text("\n".join(sections), encoding="utf-8")
-    (report_dir / "cells.csv").write_text(
-        report_mod.cells_csv(cells, n_values), encoding="utf-8"
-    )
-    (report_dir / "curves.csv").write_text(
-        report_mod.curves_csv(cells, n_values), encoding="utf-8"
-    )
-    (report_dir / "rank_counts.csv").write_text(
-        report_mod.histogram_csv(histograms), encoding="utf-8"
-    )
-    (report_dir / "rank_quartiles.csv").write_text(
-        report_mod.quartiles_csv(histograms), encoding="utf-8"
-    )
-    artifact_names = ["report.md", "cells.csv", "curves.csv", "rank_counts.csv",
-                      "rank_quartiles.csv"]
-    if qe_cells:
-        (report_dir / "qe_correlation.csv").write_text(
-            report_mod.qe_csv(qe_cells), encoding="utf-8"
+        sections = ["# Evaluation report", ""]
+        sections.append(
+            f"Records: {len(records)}; normalization: {config.normalization}; "
+            f"n values: {', '.join(str(n) for n in n_values)}."
         )
-        artifact_names.append("qe_correlation.csv")
+        sections += ["", "## Retrieval by verbalization", ""]
+        sections.append(report_mod.render_main_table(cells, languages, sources, n=1))
 
-    artifacts = {name: file_digest(report_dir / name) for name in artifact_names}
-    write_manifest(
-        report_dir, "report", config_digest, inputs, artifacts,
-        counts={"records": len(records)},
-    )
-    return report_dir
+        sections += ["## Inflected vs non-inflected rank delta", ""]
+        try:
+            delta_cells = inflection_delta(records, config.flip_inflection_delta_sign)
+            sections.append(report_mod.render_delta_table(delta_cells, languages, sources))
+        except NoEligibleRecords:
+            sections.append("No records carry both ground-truth form ranks.\n")
+
+        sections += ["## QE delta vs retrieval delta", ""]
+        qe_cells = None
+        try:
+            qe_cells = qe_delta_correlation(records)
+            qe_sources = [s for s in sources if any(k[1] == s for k in qe_cells)]
+            sections.append(report_mod.render_qe_table(qe_cells, languages, qe_sources))
+        except EmptyGroup:
+            sections.append("No QE annotations present.\n")
+
+        sections += ["## Female-subject subset", ""]
+        sections.append(_gender_tables(config, records, languages, sources, n_values))
+
+        artifacts = {
+            "report.md": "\n".join(sections),
+            "cells.csv": report_mod.cells_csv(cells, n_values),
+            "curves.csv": report_mod.curves_csv(cells, n_values),
+            "rank_counts.csv": report_mod.histogram_csv(histograms),
+            "rank_quartiles.csv": report_mod.quartiles_csv(histograms),
+        }
+        if qe_cells:
+            artifacts["qe_correlation.csv"] = report_mod.qe_csv(qe_cells)
+        for name, text in artifacts.items():
+            (report_dir / name).write_text(text, encoding="utf-8")
+        return list(artifacts), {"records": len(records)}, True
+
+    return _run_stage(report_dir, "report", config,
+                      {"records.jsonl": Path(records_dir) / "records.jsonl"}, force, work)
 
 
 def _gender_tables(config, records, languages, sources, n_values) -> str:

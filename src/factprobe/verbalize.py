@@ -134,18 +134,15 @@ def english_sentence(fact: Fact, corpus: Corpus) -> str:
     return fill_template(relation.english_template, subject, obj)
 
 
-def make_mt_verbalization(
-    fact: Fact, corpus: Corpus, mt_client, cache=None
-) -> Verbalization:
+def make_mt_verbalization(fact: Fact, corpus: Corpus, service: TextService) -> Verbalization:
     """Whole-sentence machine translation of the filled English template."""
     source = english_sentence(fact, corpus)
     request = TextRequest(
-        client_id=getattr(mt_client, "client_id", "mt"),
+        client_id=getattr(service.client, "client_id", "mt"),
         text=source,
         source_language="en",
         target_language=fact.language,
     )
-    service = TextService(client=mt_client, cache=cache)
     response = service.fetch(request)
     sentence = response.strip()
     if not sentence:
@@ -298,9 +295,8 @@ def parse_completion(completion: str) -> str:
 def make_llm_verbalization(
     fact: Fact,
     corpus: Corpus,
-    llm_client,
+    service: TextService,
     exemplars: list[FewShotExemplar],
-    cache=None,
     match_config: MatchConfig | None = None,
 ) -> Verbalization:
     """Few-shot LLM translation with enforced entity translations.
@@ -312,13 +308,12 @@ def make_llm_verbalization(
     relation = corpus.relations[fact.relation_id]
     prompt = build_fewshot_prompt(relation, fact.language, exemplars, fact, corpus)
     request = TextRequest(
-        client_id=getattr(llm_client, "client_id", "llm"),
+        client_id=getattr(service.client, "client_id", "llm"),
         text=prompt,
         source_language="en",
         target_language=fact.language,
         extra=(("decoding", "deterministic"),),
     )
-    service = TextService(client=llm_client, cache=cache)
     completion = service.fetch(request)
     sentence = parse_completion(completion)
     if not sentence:

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from factprobe.clients import TextRequest, append_fixture, load_fixtures
+from factprobe.config import load_config
+
 from factprobe.corpus import (
     EXCLUDE_EXPLICIT,
     EXCLUDE_NOT_OBJECT_FINAL,
@@ -19,7 +22,9 @@ from factprobe.errors import (
     UnknownRelation,
 )
 
-from conftest import write_corpus_files
+from factprobe.pipeline import cmd_build_dataset, cmd_evaluate
+
+from conftest import make_toy_workspace, write_corpus_files
 
 
 def _minimal_records():
@@ -95,18 +100,38 @@ def test_subject_equals_object_rejected(tmp_path):
         _load(tmp_path, entities, relations, facts)
 
 
-def test_malformed_json_reports_line(tmp_path):
-    entities, relations, facts = _minimal_records()
-    write_corpus_files(tmp_path, entities, relations, facts)
-    with open(tmp_path / "facts.jsonl", "a", encoding="utf-8") as fh:
+def _corpus_case(tmp_path):
+    write_corpus_files(tmp_path, *_minimal_records())
+    path = tmp_path / "facts.jsonl"
+    return path, lambda: load_corpus(
+        tmp_path / "entities.jsonl", tmp_path / "relations.jsonl", path
+    )
+
+
+def _bundle_case(tmp_path):
+    config = load_config(make_toy_workspace(tmp_path / "ws", facts_per_cell=2))
+    bundle = cmd_build_dataset(config, replay=True)
+    return bundle / "candidate_sets.jsonl", lambda: cmd_evaluate(config, bundle)
+
+
+def _fixture_case(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    append_fixture(path, TextRequest("mt", "hello", "en", "cs"), "ahoj")
+    return path, lambda: load_fixtures([path])
+
+
+@pytest.mark.parametrize(
+    "make_case", [_corpus_case, _bundle_case, _fixture_case],
+    ids=["corpus", "bundle", "fixture"],
+)
+def test_malformed_json_reports_line(tmp_path, make_case):
+    path, load = make_case(tmp_path)
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
+    lines = len(path.read_text(encoding="utf-8").splitlines())
     with pytest.raises(MalformedRecord) as err:
-        load_corpus(
-            tmp_path / "entities.jsonl",
-            tmp_path / "relations.jsonl",
-            tmp_path / "facts.jsonl",
-        )
-    assert err.value.context["line"] == 3
+        load()
+    assert err.value.context == {"file": str(path), "line": lines}
 
 
 def test_missing_schema_header(tmp_path):

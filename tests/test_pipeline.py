@@ -5,7 +5,7 @@ import pytest
 
 from factprobe import cli, pipeline
 from factprobe.config import load_config
-from factprobe.errors import MalformedRecord, NoExemplars
+from factprobe.errors import BackendError, MalformedRecord, NoExemplars
 from factprobe.pipeline import (
     cmd_build_dataset,
     cmd_evaluate,
@@ -21,6 +21,10 @@ from conftest import make_toy_workspace
 def _build(tmp_path, name="ws", **kwargs):
     config_path = make_toy_workspace(tmp_path / name, **kwargs)
     return load_config(config_path), config_path
+
+
+def _oracle(config, bundle):
+    return make_scorer(config, read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets"))
 
 
 def _records_by_source(records):
@@ -135,7 +139,7 @@ class _TrippingScorer:
 def test_interrupt_and_resume_identical_store(tmp_path):
     config_a, _ = _build(tmp_path, "a", facts_per_cell=4)
     bundle_a = cmd_build_dataset(config_a, replay=True)
-    oracle = make_scorer(config_a, bundle_a)
+    oracle = _oracle(config_a, bundle_a)
     with pytest.raises(_Interrupted):
         cmd_evaluate(config_a, bundle_a, scorer=_TrippingScorer(oracle, after=10))
     assert (config_a.output_dir / "records" / "progress.jsonl").exists()
@@ -156,7 +160,7 @@ def _interrupted_progress(tmp_path, name, after=10):
     config, bundle, scorer and progress file."""
     config, _ = _build(tmp_path, name, facts_per_cell=4)
     bundle = cmd_build_dataset(config, replay=True)
-    oracle = make_scorer(config, bundle)
+    oracle = _oracle(config, bundle)
     with pytest.raises(_Interrupted):
         cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=after))
     return config, bundle, oracle, config.output_dir / "records" / "progress.jsonl"
@@ -194,6 +198,55 @@ def test_undecodable_progress_line_before_the_last_is_an_error(tmp_path):
     assert info.value.context == {"file": str(progress), "line": 4}
 
 
+class _FailingOnceScorer:
+    """Raises one BackendError on its first batch, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed = False
+
+    def score_batch(self, prompt, continuations):
+        if not self.failed:
+            self.failed = True
+            raise BackendError("transient scorer failure")
+        return self.inner.score_batch(prompt, continuations)
+
+
+def test_backend_error_leaves_evaluate_incomplete_until_a_healthy_rerun(tmp_path):
+    config, _ = _build(tmp_path, "ws", facts_per_cell=3)
+    bundle = cmd_build_dataset(config, replay=True)
+    oracle = _oracle(config, bundle)
+    records = cmd_evaluate(config, bundle, scorer=_FailingOnceScorer(oracle))
+    manifest = json.loads((records / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    assert manifest["counts"]["backend_errors"] == 1
+    assert (records / "progress.jsonl").exists()
+
+    # The rerun, without --force, scores only the set that failed.
+    records = cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=1))
+    manifest = json.loads((records / "manifest.json").read_text())
+    assert manifest["complete"] is True
+    assert manifest["counts"]["backend_errors"] == 0
+    assert not (records / "progress.jsonl").exists()
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=3)
+    clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    for name in ("records.jsonl", "audit.jsonl", "manifest.json"):
+        assert (records / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_bundle_of_another_kind_is_malformed(tmp_path):
+    config, _ = _build(tmp_path, facts_per_cell=2)
+    bundle = cmd_build_dataset(config, replay=True)
+    path = bundle / "candidate_sets.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = '{"kind":"records","schema_version":1}\n'
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        cmd_evaluate(config, bundle)
+    assert info.value.context == {"file": str(path), "line": 1, "field": "kind"}
+
+
 class _ClosableScorer:
     def __init__(self, inner):
         self.inner = inner
@@ -209,8 +262,8 @@ class _ClosableScorer:
 def test_evaluate_closes_only_the_scorer_it_opened(tmp_path, monkeypatch):
     config, _ = _build(tmp_path, facts_per_cell=2)
     bundle = cmd_build_dataset(config, replay=True)
-    opened = _ClosableScorer(make_scorer(config, bundle))
-    monkeypatch.setattr(pipeline, "make_scorer", lambda config, bundle_dir: opened)
+    opened = _ClosableScorer(_oracle(config, bundle))
+    monkeypatch.setattr(pipeline, "make_scorer", lambda config, lines: opened)
     cmd_evaluate(config, bundle)
     assert opened.closed == 1
 
@@ -224,7 +277,7 @@ def test_stale_progress_discarded_after_rebuild(tmp_path):
 
     config, config_path = _build(tmp_path, "ws", facts_per_cell=4)
     bundle = cmd_build_dataset(config, replay=True)
-    oracle = make_scorer(config, bundle)
+    oracle = _oracle(config, bundle)
     with pytest.raises(_Interrupted):
         cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=5))
 
@@ -325,6 +378,21 @@ def test_cli_reports_config_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("config_version: 99\n", encoding="utf-8")
     assert cli.main(["build-dataset", "--config", str(bad)]) == 1
+
+
+def test_cli_reports_corrupt_cache_entry(tmp_path, capsys):
+    config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
+    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 0
+    entry = sorted((tmp_path / "ws" / "cache").glob("*.json"))[0]
+    entry.write_bytes(entry.read_bytes()[:20])
+    capsys.readouterr()
+    assert cli.main(
+        ["build-dataset", "--config", str(config_path), "--replay", "--force"]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [MALFORMED_RECORD]")
+    assert str(entry) in err
+    assert "Traceback" not in err
 
 
 def test_records_carry_qe_and_gender(tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factprobe.clients import ReplayClient, ResponseCache, TextRequest
+from factprobe.clients import ReplayClient, ResponseCache, TextRequest, TextService
 from factprobe.errors import (
     EmptyTranslation,
     MalformedRecord,
@@ -118,7 +118,7 @@ def test_mt_verbalization_replay_fixture(cs_corpus, tmp_path):
     client = ReplayClient("mt", fixtures=[DATA_DIR / "replay_mt_cs.jsonl"])
     cache = ResponseCache(tmp_path / "cache")
     verb = make_mt_verbalization(cs_corpus.facts["fact-p19-karel"], cs_corpus,
-                                 client, cache)
+                                 TextService(client, cache))
     assert verb.sentence == "Karel Schwarzenberg se narodil v Praze."
     assert verb.source is VerbalizationSource.MT
     assert verb.provenance["source_sentence"] == "Karel Schwarzenberg was born in Prague ."
@@ -128,9 +128,9 @@ def test_mt_verbalization_warm_cache_zero_calls(cs_corpus, tmp_path):
     fact = cs_corpus.facts["fact-p19-karel"]
     cache = ResponseCache(tmp_path / "cache")
     client = CountingClient("Karel Schwarzenberg se narodil v Praze.")
-    first = make_mt_verbalization(fact, cs_corpus, client, cache)
+    first = make_mt_verbalization(fact, cs_corpus, TextService(client, cache))
     assert client.calls == 1
-    second = make_mt_verbalization(fact, cs_corpus, client, cache)
+    second = make_mt_verbalization(fact, cs_corpus, TextService(client, cache))
     assert client.calls == 1
     assert first == second
 
@@ -139,20 +139,22 @@ def test_mt_verbalization_replay_miss(cs_corpus, tmp_path):
     client = ReplayClient("mt", fixtures=[])
     with pytest.raises(ReplayMiss):
         make_mt_verbalization(cs_corpus.facts["fact-p19-karel"], cs_corpus,
-                              client, ResponseCache(tmp_path / "c"))
+                              TextService(client, ResponseCache(tmp_path / "c")))
 
 
 def test_mt_verbalization_empty_translation(cs_corpus, tmp_path):
     client = CountingClient("   \n ")
     with pytest.raises(EmptyTranslation):
         make_mt_verbalization(cs_corpus.facts["fact-p19-karel"], cs_corpus,
-                              client, ResponseCache(tmp_path / "c"))
+                              TextService(client, ResponseCache(tmp_path / "c")))
 
 
 def test_mt_provenance_regenerates_request(cs_corpus, tmp_path):
     fact = cs_corpus.facts["fact-p19-karel"]
     client = CountingClient("Karel Schwarzenberg se narodil v Praze.")
-    verb = make_mt_verbalization(fact, cs_corpus, client, ResponseCache(tmp_path / "c"))
+    verb = make_mt_verbalization(
+        fact, cs_corpus, TextService(client, ResponseCache(tmp_path / "c"))
+    )
     import json
 
     fields = json.loads(verb.provenance["request"])
@@ -231,8 +233,8 @@ def test_llm_verbalization_stem_check_passes(cs_corpus, cs_exemplars, tmp_path):
         "Theodoros Studijský se narodil v Konstantinopoli.", client_id="llm"
     )
     verb = make_llm_verbalization(
-        cs_corpus.facts["fact-p19-theodore"], cs_corpus, client, cs_exemplars,
-        ResponseCache(tmp_path / "c"),
+        cs_corpus.facts["fact-p19-theodore"], cs_corpus,
+        TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
     )
     assert verb.sentence == "Theodoros Studijský se narodil v Konstantinopoli."
     assert verb.warning is None
@@ -244,8 +246,8 @@ def test_llm_verbalization_constraint_violation(cs_corpus, cs_exemplars, tmp_pat
         "Theodoros Studijský se narodil v Istanbulu.", client_id="llm"
     )
     verb = make_llm_verbalization(
-        cs_corpus.facts["fact-p19-theodore"], cs_corpus, client, cs_exemplars,
-        ResponseCache(tmp_path / "c"),
+        cs_corpus.facts["fact-p19-theodore"], cs_corpus,
+        TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
     )
     assert verb.warning == WARN_CONSTRAINT_VIOLATION
     assert verb.sentence.endswith("Istanbulu.")
@@ -257,10 +259,12 @@ def test_llm_verbalization_warm_cache(cs_corpus, cs_exemplars, tmp_path):
         "Theodoros Studijský se narodil v Konstantinopoli.", client_id="llm"
     )
     make_llm_verbalization(
-        cs_corpus.facts["fact-p19-theodore"], cs_corpus, client, cs_exemplars, cache
+        cs_corpus.facts["fact-p19-theodore"], cs_corpus, TextService(client, cache),
+        cs_exemplars,
     )
     make_llm_verbalization(
-        cs_corpus.facts["fact-p19-theodore"], cs_corpus, client, cs_exemplars, cache
+        cs_corpus.facts["fact-p19-theodore"], cs_corpus, TextService(client, cache),
+        cs_exemplars,
     )
     assert client.calls == 1
 
@@ -269,8 +273,8 @@ def test_llm_verbalization_empty_completion(cs_corpus, cs_exemplars, tmp_path):
     client = CountingClient("\n\n", client_id="llm")
     with pytest.raises(EmptyTranslation):
         make_llm_verbalization(
-            cs_corpus.facts["fact-p19-theodore"], cs_corpus, client, cs_exemplars,
-            ResponseCache(tmp_path / "c"),
+            cs_corpus.facts["fact-p19-theodore"], cs_corpus,
+            TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
         )
 
 
