@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .config import load_config
-from .errors import ProbeError
+from .errors import BackendError, ProbeError
 from .pipeline import cmd_build_dataset, cmd_evaluate, cmd_report
 
 
@@ -52,6 +53,12 @@ def main(argv=None) -> int:
             print(f"bundle: {bundle}")
         elif args.command == "evaluate":
             records = cmd_evaluate(config, args.bundle, force=args.force)
+            manifest = json.loads((records / "manifest.json").read_text(encoding="utf-8"))
+            if not manifest["complete"]:
+                raise BackendError(
+                    f"{manifest['counts']['backend_errors']} candidate sets failed to score; "
+                    "a rerun of evaluate retries them", records=str(records),
+                )
             print(f"records: {records}")
         elif args.command == "report":
             report_dir = cmd_report(config, args.records, force=args.force)

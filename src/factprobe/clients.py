@@ -5,11 +5,11 @@ text comes out. Three modes cover the live-to-CI spectrum:
 
 * live    -- HTTP client, responses cached by request digest
 * record  -- live, plus every response appended to a portable fixtures file
-* replay  -- fixtures/cache only; a missing response is an error (CI-safe)
+* replay  -- cache and fixtures only; a missing response is an error (CI-safe)
 
 Cache entries are content-addressed by a digest of the canonical request
 serialization, so a cache hit is byte-identical to the original response
-and warm reruns make zero network calls.
+and warm reruns make zero network calls. Only client responses are cached.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ClientError, MalformedRecord, ReplayMiss
+from .errors import ClientError, ConfigError, MalformedRecord, ReplayMiss
 from .jsonl import dump, iter_lines
 
 
@@ -35,19 +35,41 @@ class TextRequest:
     target_language: str
     extra: tuple[tuple[str, str], ...] = ()
 
+    def fields(self) -> dict:
+        return {
+            "client_id": self.client_id,
+            "text": self.text,
+            "source_language": self.source_language,
+            "target_language": self.target_language,
+            "extra": dict(self.extra),
+        }
+
     def canonical(self) -> str:
-        return dump(
-            {
-                "client_id": self.client_id,
-                "text": self.text,
-                "source_language": self.source_language,
-                "target_language": self.target_language,
-                "extra": {k: v for k, v in self.extra},
-            }
-        )
+        return dump(self.fields())
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+
+
+_REQUEST_FIELDS = ("client_id", "text", "source_language", "target_language")
+
+
+def record_line(request: TextRequest, response: str) -> str:
+    """The line a fixture file and a cache entry hold for one response."""
+    return dump({"request": request.fields(), "response": response}) + "\n"
+
+
+def parse_record(record, **where) -> tuple[TextRequest, str]:
+    """The request and response of a fixture line or cache entry; a record
+    of another shape is a ``MalformedRecord`` carrying ``where``."""
+    req = record.get("request") if isinstance(record, dict) else None
+    extra = req.get("extra", {}) if isinstance(req, dict) else None
+    if not isinstance(extra, dict) or not all(isinstance(value, str) for value in (
+            record.get("response"), *extra, *extra.values(),
+            *(req.get(name) for name in _REQUEST_FIELDS))):
+        raise MalformedRecord("expected a request of strings and a string response", **where)
+    request = TextRequest(*(req[name] for name in _REQUEST_FIELDS), tuple(sorted(extra.items())))
+    return request, record["response"]
 
 
 class ResponseCache:
@@ -69,70 +91,42 @@ class ResponseCache:
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))["response"]
-        except (ValueError, TypeError, KeyError) as exc:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
             raise MalformedRecord(f"corrupt cache entry: {exc}", file=str(path)) from exc
+        return parse_record(record, file=str(path))[1]
 
     def put(self, key: str, request: TextRequest, response: str) -> None:
-        entry = {
-            "key": key,
-            "request": json.loads(request.canonical()),
-            "response": response,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
         path = self._path(key)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(entry, ensure_ascii=False, sort_keys=True, indent=1),
-            encoding="utf-8",
-        )
+        tmp.write_text(record_line(request, response), encoding="utf-8")
         os.replace(tmp, path)
 
 
 def load_fixtures(paths) -> dict[str, str]:
     """Load replay fixtures (headerless JSONL of request+response) into a digest map."""
-    table: dict[str, str] = {}
-    for path in paths:
-        for _, record in iter_lines(path):
-            req = record["request"]
-            request = TextRequest(
-                client_id=req["client_id"],
-                text=req["text"],
-                source_language=req["source_language"],
-                target_language=req["target_language"],
-                extra=tuple(sorted((k, v) for k, v in req.get("extra", {}).items())),
-            )
-            table[request.digest()] = record["response"]
-    return table
+    records = (parse_record(record, file=str(path), line=lineno)
+               for path in paths for lineno, record in iter_lines(path))
+    return {request.digest(): response for request, response in records}
 
 
 def append_fixture(path, request: TextRequest, response: str) -> None:
-    record = {"request": json.loads(request.canonical()), "response": response}
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(dump(record) + "\n")
+        fh.write(record_line(request, response))
 
 
 class ReplayClient:
-    """Serves responses from fixture files and/or the cache; never online."""
+    """The replay-mode client: it sees only requests that neither the cache
+    nor the fixtures answered, so every call is a miss."""
 
-    def __init__(self, client_id: str, fixtures=(), cache: ResponseCache | None = None):
+    def __init__(self, client_id: str):
         self.client_id = client_id
-        self._table = load_fixtures(fixtures)
-        self._cache = cache
-        self.call_count = 0  # network calls; stays 0 by construction
 
     def complete(self, request: TextRequest) -> str:
-        key = request.digest()
-        if key in self._table:
-            return self._table[key]
-        if self._cache is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         raise ReplayMiss(
             "no recorded response for request",
             client_id=self.client_id,
-            digest=key,
+            digest=request.digest(),
             text=request.text[:80],
         )
 
@@ -171,13 +165,8 @@ class HttpClient:
                     client_id=self.client_id,
                 )
             headers["Authorization"] = f"Bearer {token}"
-        payload = {
-            "model": self.model,
-            "text": request.text,
-            "source_language": request.source_language,
-            "target_language": request.target_language,
-            "extra": {k: v for k, v in request.extra},
-        }
+        payload = dict(request.fields(), model=self.model)
+        del payload["client_id"]
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
@@ -202,13 +191,9 @@ class RecordingClient:
 
     def __init__(self, inner, record_path):
         self.inner = inner
-        self.client_id = getattr(inner, "client_id", "client")
+        self.client_id = inner.client_id
         self.record_path = Path(record_path)
         self.record_path.parent.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def call_count(self) -> int:
-        return getattr(self.inner, "call_count", 0)
 
     def complete(self, request: TextRequest) -> str:
         response = self.inner.complete(request)
@@ -218,11 +203,13 @@ class RecordingClient:
 
 @dataclass
 class TextService:
-    """Cache-first wrapper around a client: hits never touch the network."""
+    """The one fetch path of a client role: the cache, then the read-only
+    replay fixtures (digest -> response), then the client. Only the client's
+    answers are stored."""
 
     client: object
     cache: ResponseCache | None = None
-    client_calls: int = field(default=0, init=False)
+    fixtures: dict[str, str] = field(default_factory=dict)
 
     def fetch(self, request: TextRequest) -> str:
         key = request.digest()
@@ -230,8 +217,27 @@ class TextService:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        response = self.client.complete(request)
-        self.client_calls += 1
-        if self.cache is not None:
-            self.cache.put(key, request, response)
+        response = self.fixtures.get(key)
+        if response is None:
+            response = self.client.complete(request)
+            if self.cache is not None:
+                self.cache.put(key, request, response)
         return response
+
+
+def make_service(settings, cache, replay: bool = False) -> TextService | None:
+    """The ``TextService`` of a configured client role (None if the role has
+    no settings) in its live/record/replay mode; ``replay`` forces replay."""
+    if settings is None:
+        return None
+    name, mode = settings.client_id, "replay" if replay else settings.mode
+    if mode == "replay":
+        return TextService(ReplayClient(name), cache, load_fixtures(settings.fixtures))
+    if settings.endpoint is None:
+        raise ConfigError(f"client {name!r} in {mode} mode needs an endpoint")
+    client = HttpClient(name, settings.endpoint, settings.model, settings.auth_env)
+    if mode == "record":
+        if settings.record_fixtures is None:
+            raise ConfigError(f"client {name!r} in record mode needs record_fixtures")
+        client = RecordingClient(client, settings.record_fixtures)
+    return TextService(client, cache)

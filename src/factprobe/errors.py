@@ -118,9 +118,5 @@ class DegenerateInput(ProbeError):
     code = "DEGENERATE_INPUT"
 
 
-class InsufficientRelations(ProbeError):
-    code = "INSUFFICIENT_RELATIONS"
-
-
 class ConfigError(ProbeError):
     code = "CONFIG_ERROR"

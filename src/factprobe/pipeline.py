@@ -20,7 +20,7 @@ import yaml
 
 from . import report as report_mod
 from .candidates import CandidateSet, Distractor, assemble_candidate_set, sample_distractors
-from .clients import HttpClient, RecordingClient, ReplayClient, ResponseCache, TextRequest, TextService
+from .clients import ResponseCache, TextRequest, TextService, make_service
 from .config import RunConfig
 from .corpus import Corpus, Fact, filter_relations, load_corpus, unique_object_pool
 from .errors import (
@@ -58,7 +58,7 @@ from .score import (
     rank_of_form,
     score_candidates,
 )
-from .split import Rejection, collect_correct_forms, split_verbalization
+from .split import Rejection, collect_correct_forms, get_lemmatizer, split_verbalization
 from .verbalize import (
     VerbalizationSource,
     english_sentence,
@@ -141,33 +141,10 @@ def _run_stage(directory: Path, stage: str, config: RunConfig, inputs: dict[str,
     return directory
 
 
-def make_client(settings, cache, replay: bool = False):
-    """Instantiate a client per its configured mode (live/record/replay)."""
-    if settings is None:
-        return None
-    mode = "replay" if replay else settings.mode
-    if mode == "replay":
-        return ReplayClient(settings.client_id, settings.fixtures, cache)
-    if settings.endpoint is None:
-        raise ConfigError(
-            f"client {settings.client_id!r} in {mode} mode needs an endpoint"
-        )
-    client = HttpClient(
-        settings.client_id, settings.endpoint, settings.model, settings.auth_env
-    )
-    if mode == "record":
-        if settings.record_fixtures is None:
-            raise ConfigError(
-                f"client {settings.client_id!r} in record mode needs record_fixtures"
-            )
-        return RecordingClient(client, settings.record_fixtures)
-    return client
-
-
 def _qe_annotate(fact, corpus, sentence, qe: TextService) -> float:
     source = english_sentence(fact, corpus)
     request = TextRequest(
-        client_id=getattr(qe.client, "client_id", "qe"),
+        client_id=qe.client.client_id,
         text=sentence,
         source_language="en",
         target_language=fact.language,
@@ -332,6 +309,10 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
     bundle_dir = config.output_dir / "bundle"
 
     def work(config_digest, input_digests):
+        # Checked here, not per fact: build_fact audits per-fact errors.
+        lemmatizer = config.match.lemmatizer
+        if lemmatizer is not None and get_lemmatizer(lemmatizer) is None:
+            raise ConfigError(f"match.lemmatizer {lemmatizer!r} is not a registered lemmatizer")
         corpus = load_corpus(config.entities_path, config.relations_path, config.facts_path)
         filter_report = filter_relations(
             corpus, config.languages, config.min_unique_objects, config.exclude_relations
@@ -360,9 +341,9 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
         for role, settings in (("MT", config.mt), ("LLM", config.llm), ("QE", config.qe)):
             if role != "QE" and role not in config.sources:
                 continue
-            client = make_client(settings, cache, replay)
-            if client is not None:
-                services[role] = TextService(client=client, cache=cache)
+            service = make_service(settings, cache, replay)
+            if service is not None:
+                services[role] = service
             elif role != "QE":
                 raise ConfigError(
                     f"{role} source enabled but no {role.lower()} client configured"

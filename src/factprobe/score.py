@@ -205,17 +205,6 @@ def default_token_count(text: str) -> int:
     return max(1, len(text.split()))
 
 
-class CallableScorer:
-    """Backend wrapping a plain ``fn(prompt, continuation) -> logprob``."""
-
-    def __init__(self, fn, token_counter=default_token_count):
-        self._fn = fn
-        self._count = token_counter
-
-    def score_batch(self, prompt, continuations):
-        return [(self._fn(prompt, c), self._count(c)) for c in continuations]
-
-
 class TableScorer:
     """Pass-through fixture backend: explicit (prompt, continuation) table."""
 

@@ -138,7 +138,7 @@ def make_mt_verbalization(fact: Fact, corpus: Corpus, service: TextService) -> V
     """Whole-sentence machine translation of the filled English template."""
     source = english_sentence(fact, corpus)
     request = TextRequest(
-        client_id=getattr(service.client, "client_id", "mt"),
+        client_id=service.client.client_id,
         text=source,
         source_language="en",
         target_language=fact.language,
@@ -308,7 +308,7 @@ def make_llm_verbalization(
     relation = corpus.relations[fact.relation_id]
     prompt = build_fewshot_prompt(relation, fact.language, exemplars, fact, corpus)
     request = TextRequest(
-        client_id=getattr(service.client, "client_id", "llm"),
+        client_id=service.client.client_id,
         text=prompt,
         source_language="en",
         target_language=fact.language,

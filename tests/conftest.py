@@ -37,6 +37,19 @@ def cs_exemplars():
     return parse_exemplar_file(EXEMPLARS_DIR / "P19.cs.txt")
 
 
+class CallableScorer:
+    """Backend wrapping a plain ``fn(prompt, continuation) -> logprob``."""
+
+    def __init__(self, fn, token_counter=None):
+        from factprobe.score import default_token_count
+
+        self._fn = fn
+        self._count = token_counter or default_token_count
+
+    def score_batch(self, prompt, continuations):
+        return [(self._fn(prompt, c), self._count(c)) for c in continuations]
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 

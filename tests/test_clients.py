@@ -13,8 +13,10 @@ from factprobe.clients import (
     TextService,
     append_fixture,
     load_fixtures,
+    make_service,
 )
-from factprobe.errors import ClientError, ReplayMiss
+from factprobe.config import ClientSettings
+from factprobe.errors import ClientError, MalformedRecord, ReplayMiss
 
 
 def _request(text="hello", extra=()):
@@ -42,24 +44,26 @@ def test_cache_roundtrip_byte_identity(tmp_path):
 def test_replay_client_hit_and_miss(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     append_fixture(path, _request(), "odpověď")
-    client = ReplayClient("mt", fixtures=[path])
-    assert client.complete(_request()) == "odpověď"
+    cache = ResponseCache(tmp_path / "cache")
+    service = make_service(ClientSettings("mt", fixtures=(str(path),)), cache, replay=True)
+    assert service.fetch(_request()) == "odpověď"
     with pytest.raises(ReplayMiss):
-        client.complete(_request("unknown"))
+        service.fetch(_request("unknown"))
+    # A replay run reads the fixtures and writes nothing to the cache.
+    assert list(cache.directory.iterdir()) == []
 
 
 def test_replay_client_reads_cache(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     request = _request()
     cache.put(request.digest(), request, "z cache")
-    client = ReplayClient("mt", fixtures=[], cache=cache)
-    assert client.complete(request) == "z cache"
+    service = make_service(ClientSettings("mt"), cache, replay=True)
+    assert service.fetch(request) == "z cache"
 
 
 def test_recording_client_appends_fixture(tmp_path):
     class Inner:
         client_id = "mt"
-        call_count = 0
 
         def complete(self, request):
             return "živě"
@@ -70,7 +74,67 @@ def test_recording_client_appends_fixture(tmp_path):
     table = load_fixtures([path])
     assert table[_request().digest()] == "živě"
     # The recorded file replays cleanly.
-    assert ReplayClient("mt", fixtures=[path]).complete(_request()) == "živě"
+    service = TextService(ReplayClient("mt"), fixtures=load_fixtures([path]))
+    assert service.fetch(_request()) == "živě"
+
+
+def test_cache_entry_is_a_fixture_line(tmp_path):
+    request = _request(extra=(("k", "v"),))
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(request.digest(), request, "odpověď")
+    append_fixture(tmp_path / "fixtures.jsonl", request, "odpověď")
+    entry = (tmp_path / "cache" / f"{request.digest()}.json").read_bytes()
+    assert entry == (tmp_path / "fixtures.jsonl").read_bytes()
+
+
+def test_cache_reads_indented_entries_with_key_and_timestamp(tmp_path):
+    request = _request()
+    (tmp_path / f"{request.digest()}.json").write_text(json.dumps({
+        "key": request.digest(),
+        "request": request.fields(),
+        "response": "starý záznam",
+        "timestamp": "2025-01-01T00:00:00Z",
+    }, ensure_ascii=False, sort_keys=True, indent=1), encoding="utf-8")
+    assert ResponseCache(tmp_path).get(request.digest()) == "starý záznam"
+
+
+_GOOD_REQUEST = _request(extra=(("k", "v"),)).fields()
+
+WRONG_SHAPES = {
+    "no-request": {"response": "x"},
+    "response-not-string": {"request": _GOOD_REQUEST, "response": 5},
+    "request-not-object": {"request": "hello", "response": "x"},
+    "field-not-string": {"request": {**_GOOD_REQUEST, "text": 3}, "response": "x"},
+    "field-missing": {
+        "request": {k: v for k, v in _GOOD_REQUEST.items() if k != "client_id"},
+        "response": "x",
+    },
+    "extra-not-object": {"request": {**_GOOD_REQUEST, "extra": ["k"]}, "response": "x"},
+    "extra-value-not-string": {
+        "request": {**_GOOD_REQUEST, "extra": {"k": 1}}, "response": "x",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+def test_wrong_shape_fixture_line_is_malformed(tmp_path, shape):
+    path = tmp_path / "fixtures.jsonl"
+    append_fixture(path, _request(), "dobře")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(WRONG_SHAPES[shape]) + "\n")
+    with pytest.raises(MalformedRecord) as info:
+        load_fixtures([path])
+    assert info.value.context == {"file": str(path), "line": 2}
+
+
+@pytest.mark.parametrize("shape", sorted(WRONG_SHAPES) + ["not-an-object"])
+def test_wrong_shape_cache_entry_is_malformed(tmp_path, shape):
+    request = _request()
+    path = tmp_path / f"{request.digest()}.json"
+    path.write_text(json.dumps(WRONG_SHAPES.get(shape, [1, 2])), encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        ResponseCache(tmp_path).get(request.digest())
+    assert info.value.context == {"file": str(path)}
 
 
 def test_text_service_cache_first(tmp_path):

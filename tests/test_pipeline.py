@@ -2,10 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from factprobe import cli, pipeline
+from factprobe.clients import ResponseCache, parse_record
 from factprobe.config import load_config
-from factprobe.errors import BackendError, MalformedRecord, NoExemplars
+from factprobe.errors import BackendError, ConfigError, MalformedRecord, NoExemplars
 from factprobe.pipeline import (
     cmd_build_dataset,
     cmd_evaluate,
@@ -14,6 +16,7 @@ from factprobe.pipeline import (
     make_scorer,
     read_jsonl,
 )
+from factprobe.score import candidate_continuations
 
 from conftest import make_toy_workspace
 
@@ -75,15 +78,45 @@ def test_rejections_and_stem_flags_audited(tmp_path):
     assert {a["source"] for a in flags} == {"MT"}
 
 
-def test_template_only_run_touches_no_clients(tmp_path):
-    config, _ = _build(
-        tmp_path, facts_per_cell=3, sources=("TEMPLATE",), with_qe=False
-    )
+@pytest.mark.parametrize("sources,with_qe,set_count", [
+    (("TEMPLATE",), False, 18),
+    (("TEMPLATE", "MT", "LLM"), True, 51),
+], ids=["template-only", "all-sources"])
+def test_template_only_run_touches_no_clients(tmp_path, sources, with_qe, set_count):
+    config, _ = _build(tmp_path, facts_per_cell=3, sources=sources, with_qe=with_qe)
     bundle = cmd_build_dataset(config, replay=True)
     sets = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
-    assert len(sets) == 18
-    # Nothing was fetched, so the response cache stayed empty.
-    assert list((Path(config.cache_dir)).glob("*.json")) == []
+    assert len(sets) == set_count
+    # Replay responses come from the fixtures and are never cached, so
+    # the response cache stays empty whatever the sources.
+    assert list(Path(config.cache_dir).iterdir()) == []
+
+
+def test_replay_build_from_a_prefilled_cache_matches_fixture_build(tmp_path):
+    config, _ = _build(tmp_path, "fixtures", facts_per_cell=4)
+    expected = (cmd_build_dataset(config, replay=True) / "manifest.json").read_bytes()
+
+    config, config_path = _build(tmp_path, "cache", facts_per_cell=4)
+    cache = ResponseCache(config.cache_dir)
+    for path in sorted((config_path.parent / "fixtures").glob("*.jsonl")):
+        for raw in path.read_text(encoding="utf-8").splitlines():
+            request, response = parse_record(json.loads(raw))
+            cache.put(request.digest(), request, response)
+        path.write_text("", encoding="utf-8")
+    bundle = cmd_build_dataset(config, replay=True)
+    assert (bundle / "manifest.json").read_bytes() == expected
+
+
+def test_unregistered_lemmatizer_fails_build(tmp_path, capsys):
+    config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
+    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    data["match"] = {"lemmatizer": "no-such-lemmatizer"}
+    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match="no-such-lemmatizer"):
+        cmd_build_dataset(load_config(config_path), replay=True)
+    assert not (tmp_path / "ws" / "out" / "bundle" / "manifest.json").exists()
+    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 1
+    assert capsys.readouterr().err.startswith("error: [CONFIG_ERROR]")
 
 
 def test_missing_exemplars_fatal(tmp_path):
@@ -380,19 +413,71 @@ def test_cli_reports_config_errors(tmp_path):
     assert cli.main(["build-dataset", "--config", str(bad)]) == 1
 
 
+def _first_fixture(workspace: Path) -> dict:
+    with open(workspace / "fixtures" / "mt.jsonl", encoding="utf-8") as fh:
+        return json.loads(fh.readline())
+
+
 def test_cli_reports_corrupt_cache_entry(tmp_path, capsys):
     config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
-    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 0
-    entry = sorted((tmp_path / "ws" / "cache").glob("*.json"))[0]
+    request, response = parse_record(_first_fixture(tmp_path / "ws"))
+    ResponseCache(tmp_path / "ws" / "cache").put(request.digest(), request, response)
+    entry = tmp_path / "ws" / "cache" / f"{request.digest()}.json"
     entry.write_bytes(entry.read_bytes()[:20])
-    capsys.readouterr()
-    assert cli.main(
-        ["build-dataset", "--config", str(config_path), "--replay", "--force"]
-    ) == 1
+    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [MALFORMED_RECORD]")
     assert str(entry) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("store", ["fixture", "cache"])
+def test_cli_reports_wrong_shape_record(tmp_path, capsys, store):
+    config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
+    if store == "fixture":
+        path = tmp_path / "ws" / "fixtures" / "mt.jsonl"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"response": "x"}) + "\n")
+    else:
+        record = _first_fixture(tmp_path / "ws")
+        path = tmp_path / "ws" / "cache" / f"{parse_record(record)[0].digest()}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"request": record["request"], "response": 5}))
+    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [MALFORMED_RECORD]")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_cli_evaluate_fails_when_backend_errors_leave_it_incomplete(tmp_path, capsys):
+    config_path = make_toy_workspace(
+        tmp_path / "ws", facts_per_cell=3, sources=("TEMPLATE",), with_qe=False
+    )
+    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    data["scorer"] = {"backend": "table", "fixtures": "scores.jsonl"}
+    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 0
+    bundle = tmp_path / "ws" / "out" / "bundle"
+    lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    # Every continuation is scored except the last one of the last set.
+    scores = [
+        {"prompt": cs.prompt, "continuation": c, "logprob": -1.0, "token_count": 1}
+        for _, cs in pipeline._pending_sets(lines, set())
+        for c in candidate_continuations(cs)
+    ][:-1]
+    pipeline.write_jsonl(tmp_path / "ws" / "scores.jsonl", "scores", scores)
+    capsys.readouterr()
+    assert cli.main(
+        ["evaluate", "--config", str(config_path), "--bundle", str(bundle)]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [BACKEND_ERROR] 1 candidate sets failed to score")
+    assert "a rerun of evaluate retries them" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    manifest = json.loads((tmp_path / "ws" / "out" / "records" / "manifest.json").read_text())
+    assert manifest["complete"] is False
 
 
 def test_records_carry_qe_and_gender(tmp_path):

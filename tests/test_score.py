@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from factprobe.candidates import CandidateSet, Distractor
 from factprobe.errors import BackendError, FormNotPresent, NonFiniteScore
 from factprobe.score import (
-    CallableScorer,
     OracleScorer,
     TableScorer,
     join_continuation,
@@ -15,6 +14,8 @@ from factprobe.score import (
     rank_of_form,
     score_candidates,
 )
+
+from conftest import CallableScorer
 
 
 def _edit_distance(a: str, b: str) -> int:

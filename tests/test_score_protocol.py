@@ -15,12 +15,11 @@ from factprobe.errors import BackendError, ScorerConnectionLost
 from factprobe.pipeline import cmd_build_dataset, cmd_evaluate, read_jsonl
 from factprobe.score import (
     PIPELINE_WINDOW,
-    CallableScorer,
     ProtocolScorerClient,
     join_continuation,
 )
 
-from conftest import make_toy_workspace
+from conftest import CallableScorer, make_toy_workspace
 
 
 def _length_score(prompt, continuation):

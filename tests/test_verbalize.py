@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factprobe.clients import ReplayClient, ResponseCache, TextRequest, TextService
+from factprobe.clients import ReplayClient, ResponseCache, TextRequest, TextService, load_fixtures
 from factprobe.errors import (
     EmptyTranslation,
     MalformedRecord,
@@ -115,10 +115,10 @@ def test_template_verbalization_missing_template(cs_corpus):
 
 
 def test_mt_verbalization_replay_fixture(cs_corpus, tmp_path):
-    client = ReplayClient("mt", fixtures=[DATA_DIR / "replay_mt_cs.jsonl"])
+    fixtures = load_fixtures([DATA_DIR / "replay_mt_cs.jsonl"])
     cache = ResponseCache(tmp_path / "cache")
     verb = make_mt_verbalization(cs_corpus.facts["fact-p19-karel"], cs_corpus,
-                                 TextService(client, cache))
+                                 TextService(ReplayClient("mt"), cache, fixtures))
     assert verb.sentence == "Karel Schwarzenberg se narodil v Praze."
     assert verb.source is VerbalizationSource.MT
     assert verb.provenance["source_sentence"] == "Karel Schwarzenberg was born in Prague ."
@@ -136,10 +136,9 @@ def test_mt_verbalization_warm_cache_zero_calls(cs_corpus, tmp_path):
 
 
 def test_mt_verbalization_replay_miss(cs_corpus, tmp_path):
-    client = ReplayClient("mt", fixtures=[])
     with pytest.raises(ReplayMiss):
         make_mt_verbalization(cs_corpus.facts["fact-p19-karel"], cs_corpus,
-                              TextService(client, ResponseCache(tmp_path / "c")))
+                              TextService(ReplayClient("mt"), ResponseCache(tmp_path / "c")))
 
 
 def test_mt_verbalization_empty_translation(cs_corpus, tmp_path):
