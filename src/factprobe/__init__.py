@@ -6,7 +6,13 @@ forms against hash-sampled typed distractors by scorer log-probability,
 and aggregate retrieval metrics.
 """
 
-from .candidates import CandidateSet, Distractor, assemble_candidate_set, sample_distractors
+from .candidates import (
+    CandidateSet,
+    Distractor,
+    assemble_candidate_set,
+    keyed_pool,
+    sample_distractors,
+)
 from .corpus import (
     Corpus,
     Entity,

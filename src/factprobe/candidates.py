@@ -4,6 +4,10 @@ Distractor sampling is a pure function of (pool, fact, correct forms, k,
 salt): every eligible entity id is keyed by a SHA-256 digest and the k
 smallest keys win. Reruns, machine changes and pool permutations cannot
 change the sample; changing the salt almost surely does.
+
+A key does not depend on the fact, so the keys of a (relation, language)
+pool are computed and sorted once (``keyed_pool``), and each fact takes the
+first k eligible entries of that sorted pool (``sample_distractors``).
 """
 
 from __future__ import annotations
@@ -44,42 +48,53 @@ def distractor_key(salt: str, relation_id: str, language: str, entity_id: str) -
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def keyed_pool(object_pool, relation_id: str, language: str, salt: str) -> list[tuple[str, str]]:
+    """``(key, entity_id)`` for every pool entity, sorted by key.
+
+    Keys are digests of distinct ids, so sorting by key alone is the
+    order of the k-smallest-keys rule.
+    """
+    return sorted(
+        (distractor_key(salt, relation_id, language, entity_id), entity_id)
+        for entity_id in object_pool
+    )
+
+
 def sample_distractors(
     corpus: Corpus,
-    object_pool,
+    keyed,
     fact: Fact,
     correct_forms,
     k: int,
-    salt: str,
 ) -> list[Distractor]:
-    """Pick up to k distractors from the relation's object pool.
+    """Pick up to k distractors from the fact's keyed pool (``keyed_pool``).
 
     Eligible are all pool entities except the fact's own object, entities
     without a default label in the fact's language, and entities whose
-    default label byte-equals a correct form. When fewer than k are
-    eligible, all of them are returned.
+    default label byte-equals a correct form. The first k eligible entries
+    in key order are returned; when fewer than k are eligible, all of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     correct = set(correct_forms)
-    keyed: list[tuple[str, str, str]] = []
-    for entity_id in object_pool:
+    entities = corpus.entities
+    picked: list[Distractor] = []
+    for _, entity_id in keyed:
         if entity_id == fact.object_id:
             continue
-        entity = corpus.entities[entity_id]
-        label = entity.label(fact.language)
+        label = entities[entity_id].label(fact.language)
         if label is None or label in correct:
             continue
-        key = distractor_key(salt, fact.relation_id, fact.language, entity_id)
-        keyed.append((key, entity_id, label))
-    if not keyed:
+        picked.append(Distractor(entity_id, label))
+        if len(picked) == k:
+            break
+    if not picked:
         raise EmptyPool(
             f"no eligible distractors for fact {fact.id!r}",
             relation_id=fact.relation_id,
             language=fact.language,
         )
-    keyed.sort()
-    return [Distractor(entity_id, label) for _, entity_id, label in keyed[:k]]
+    return picked
 
 
 def assemble_candidate_set(

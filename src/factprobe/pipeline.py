@@ -19,7 +19,13 @@ from pathlib import Path
 import yaml
 
 from . import report as report_mod
-from .candidates import CandidateSet, Distractor, assemble_candidate_set, sample_distractors
+from .candidates import (
+    CandidateSet,
+    Distractor,
+    assemble_candidate_set,
+    keyed_pool,
+    sample_distractors,
+)
 from .clients import ResponseCache, TextRequest, TextService, make_service
 from .config import RunConfig
 from .corpus import Corpus, Fact, filter_relations, load_corpus, unique_object_pool
@@ -165,7 +171,9 @@ class BuildContext:
 
     config: RunConfig
     corpus: Corpus
-    pools: dict[tuple[str, str], list[str]]
+    # Per (relation, language) cell: the object pool as ``keyed_pool``
+    # returns it, keyed and sorted once for all of the cell's facts.
+    pools: dict[tuple[str, str], list[tuple[str, str]]]
     exemplars: dict[tuple[str, str], list]
     # One service per enabled client role ("MT", "LLM", "QE").
     services: dict[str, TextService]
@@ -253,7 +261,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
     try:
         distractors = sample_distractors(
             corpus, ctx.pools[(fact.relation_id, fact.language)], fact,
-            correct_forms, config.k_distractors, config.salt,
+            correct_forms, config.k_distractors,
         )
     except ProbeError as exc:
         audit.extend(_audit(fact, source.value, "SAMPLING_ERROR", exc.code) for source in splits)
@@ -352,7 +360,13 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
         ctx = BuildContext(
             config=config,
             corpus=corpus,
-            pools={key: unique_object_pool(corpus, key[0], key[1]) for key in cells},
+            pools={
+                (relation_id, language): keyed_pool(
+                    unique_object_pool(corpus, relation_id, language),
+                    relation_id, language, config.salt,
+                )
+                for relation_id, language in cells
+            },
             exemplars=exemplars,
             services=services,
         )
@@ -430,7 +444,9 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
     A file written for another header is deleted. An undecodable last line
     is what a run killed mid-write leaves: it is dropped, so its set is
     scored again, and the file is rewritten whole for the entries that
-    follow. An undecodable line anywhere else is an error.
+    follow. An undecodable line anywhere else, or an entry without a
+    ``type`` and a ``data`` object with string ``fact_id`` and ``source``,
+    is an error.
     """
     if not path.exists():
         return []
@@ -441,17 +457,26 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
                 # Progress is only resumable against the same bundle and
                 # config it was produced from.
                 break
-            entries.append(entry)
+            entries.append((lineno, entry))
     except MalformedRecord as exc:
         with open(path, "rb") as fh:
             if exc.context["line"] < sum(1 for _ in fh):
                 raise
+    for lineno, entry in entries[1:]:
+        data = entry.get("data")
+        if not ("type" in entry and isinstance(data, dict)
+                and isinstance(data.get("fact_id"), str)
+                and isinstance(data.get("source"), str)):
+            raise MalformedRecord(
+                "progress entry needs a type and data with string fact_id and source",
+                file=str(path), line=lineno,
+            )
     if not entries:
         path.unlink()
         return []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(dump(entry) + "\n" for entry in entries)
-    return [entry["data"] for entry in entries[1:] if entry["type"] == "record"]
+        fh.writelines(dump(entry) + "\n" for _, entry in entries)
+    return [entry["data"] for _, entry in entries[1:] if entry["type"] == "record"]
 
 
 def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):

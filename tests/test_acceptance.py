@@ -15,7 +15,7 @@ import pytest
 from factprobe import cli
 from factprobe.config import load_config
 from factprobe.corpus import Corpus, Entity, Fact, Relation
-from factprobe.candidates import sample_distractors
+from factprobe.candidates import keyed_pool, sample_distractors
 from factprobe.metrics import (
     FORM_INFLECTED,
     FORM_NONINFLECTED,
@@ -163,14 +163,16 @@ def test_criterion_distractor_sampling_oracle():
     rng = random.Random(5)
     for k in (1, 50, 99):
         picked = sample_distractors(
-            corpus, ids, fact, ["label-Q000"], k=k, salt=salt
+            corpus, keyed_pool(ids, relation_id, language, salt), fact,
+            ["label-Q000"], k=k,
         )
         expected = oracle_sample(salt, relation_id, language, eligible, k)
         assert [d.entity_id for d in picked] == expected, k
         shuffled = ids[:]
         rng.shuffle(shuffled)
         permuted = sample_distractors(
-            corpus, shuffled, fact, ["label-Q000"], k=k, salt=salt
+            corpus, keyed_pool(shuffled, relation_id, language, salt), fact,
+            ["label-Q000"], k=k,
         )
         assert permuted == picked, k
         assert "Q000" not in {d.entity_id for d in picked}

@@ -8,6 +8,7 @@ from factprobe.candidates import (
     Distractor,
     assemble_candidate_set,
     distractor_key,
+    keyed_pool,
     sample_distractors,
 )
 from factprobe.corpus import Corpus, Entity, Fact, Relation
@@ -42,12 +43,16 @@ def _fact(object_id, relation_id="P1", language="aa"):
     )
 
 
+def _keyed(entity_ids, salt, relation_id="P1", language="aa"):
+    return keyed_pool(entity_ids, relation_id, language, salt)
+
+
 def test_sample_matches_frozen_oracle_case():
     # Frozen with tests/oracle_distractors.py before the implementation:
     # oracle_sample("s1", "P1", "aa", ["e1", "e3"], 2) == ["e3", "e1"]
     corpus = _corpus(["e1", "e2", "e3"])
     picked = sample_distractors(
-        corpus, ["e1", "e2", "e3"], _fact("e2"), ["e2-label"], k=2, salt="s1"
+        corpus, _keyed(["e1", "e2", "e3"], "s1"), _fact("e2"), ["e2-label"], k=2
     )
     assert [d.entity_id for d in picked] == ["e3", "e1"]
 
@@ -56,8 +61,8 @@ def test_sample_matches_oracle_dynamic():
     ids = [f"entity{i:03d}" for i in range(40)]
     corpus = _corpus(ids)
     fact = _fact("entity000")
-    picked = sample_distractors(corpus, ids, fact, ["entity000-label"], k=10,
-                                salt="dyn")
+    picked = sample_distractors(corpus, _keyed(ids, "dyn"), fact,
+                                ["entity000-label"], k=10)
     eligible = [e for e in ids if e != "entity000"]
     assert [d.entity_id for d in picked] == oracle_sample("dyn", "P1", "aa",
                                                           eligible, 10)
@@ -66,16 +71,16 @@ def test_sample_matches_oracle_dynamic():
 def test_sample_returns_all_when_pool_small():
     ids = [f"e{i}" for i in range(19)]
     corpus = _corpus(ids)
-    picked = sample_distractors(corpus, ids, _fact("e0"), ["e0-label"], k=50,
-                                salt="s")
+    picked = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"],
+                                k=50)
     assert len(picked) == 18
 
 
 def test_sample_is_deterministic():
     ids = [f"e{i}" for i in range(30)]
     corpus = _corpus(ids)
-    a = sample_distractors(corpus, ids, _fact("e0"), ["e0-label"], 5, "s")
-    b = sample_distractors(corpus, ids, _fact("e0"), ["e0-label"], 5, "s")
+    a = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"], 5)
+    b = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"], 5)
     assert a == b
 
 
@@ -86,16 +91,16 @@ def test_sample_pool_permutation_invariance(seed):
     corpus = _corpus(ids)
     shuffled = ids[:]
     random.Random(seed).shuffle(shuffled)
-    base = sample_distractors(corpus, ids, _fact("e0"), ["e0-label"], 7, "s")
-    other = sample_distractors(corpus, shuffled, _fact("e0"), ["e0-label"], 7, "s")
+    base = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"], 7)
+    other = sample_distractors(corpus, _keyed(shuffled, "s"), _fact("e0"), ["e0-label"], 7)
     assert base == other
 
 
 def test_salt_changes_sample_not_size():
     ids = [f"e{i}" for i in range(40)]
     corpus = _corpus(ids)
-    a = sample_distractors(corpus, ids, _fact("e0"), ["e0-label"], 10, "salt-a")
-    b = sample_distractors(corpus, ids, _fact("e0"), ["e0-label"], 10, "salt-b")
+    a = sample_distractors(corpus, _keyed(ids, "salt-a"), _fact("e0"), ["e0-label"], 10)
+    b = sample_distractors(corpus, _keyed(ids, "salt-b"), _fact("e0"), ["e0-label"], 10)
     assert len(a) == len(b) == 10
     assert [d.entity_id for d in a] != [d.entity_id for d in b]
 
@@ -103,7 +108,7 @@ def test_salt_changes_sample_not_size():
 def test_own_object_never_sampled():
     ids = [f"e{i}" for i in range(10)]
     corpus = _corpus(ids)
-    picked = sample_distractors(corpus, ids, _fact("e3"), ["e3-label"], 50, "s")
+    picked = sample_distractors(corpus, _keyed(ids, "s"), _fact("e3"), ["e3-label"], 50)
     assert "e3" not in {d.entity_id for d in picked}
 
 
@@ -111,7 +116,7 @@ def test_label_collision_with_correct_form_excluded():
     ids = ["e1", "e2", "e3"]
     corpus = _corpus(ids)
     picked = sample_distractors(
-        corpus, ids, _fact("e1"), ["e1-label", "e2-label"], 50, "s"
+        corpus, _keyed(ids, "s"), _fact("e1"), ["e1-label", "e2-label"], 50
     )
     assert {d.entity_id for d in picked} == {"e3"}
 
@@ -120,7 +125,7 @@ def test_entity_without_target_label_skipped():
     corpus = _corpus(["e1", "e2"])
     corpus.entities["e9"] = Entity(id="e9", labels={"en": "only-english"})
     picked = sample_distractors(
-        corpus, ["e1", "e2", "e9"], _fact("e1"), ["e1-label"], 50, "s"
+        corpus, _keyed(["e1", "e2", "e9"], "s"), _fact("e1"), ["e1-label"], 50
     )
     assert {d.entity_id for d in picked} == {"e2"}
 
@@ -128,7 +133,7 @@ def test_entity_without_target_label_skipped():
 def test_empty_pool_raises():
     corpus = _corpus(["e1"])
     with pytest.raises(EmptyPool):
-        sample_distractors(corpus, ["e1"], _fact("e1"), ["e1-label"], 5, "s")
+        sample_distractors(corpus, _keyed(["e1"], "s"), _fact("e1"), ["e1-label"], 5)
 
 
 def test_distractor_key_shape():
@@ -169,3 +174,63 @@ def test_assemble_requires_surviving_distractor():
         assemble_candidate_set(
             "f1", "prompt ", ["same"], [Distractor("d1", "same")], "s"
         )
+
+
+@given(
+    flags=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=80),
+    object_index=st.one_of(st.none(), st.integers(min_value=0, max_value=79)),
+    k=st.integers(min_value=1, max_value=100),
+    salt=st.text(max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_sample_matches_oracle_over_eligible_ids(flags, object_index, k, salt):
+    # flags[i] = (label missing in "aa", label collides with a correct form).
+    ids = [f"e{i}" for i in range(len(flags))]
+    in_pool = object_index is not None and object_index < len(ids)
+    object_id = ids[object_index] if in_pool else "OBJ"
+    correct = ["OBJ-label", "shared-form"]
+    corpus = _corpus(ids + ["OBJ"])
+    for entity_id, (missing, collides) in zip(ids, flags):
+        if missing:
+            corpus.entities[entity_id] = Entity(id=entity_id, labels={"en": "x"})
+        elif collides:
+            corpus.entities[entity_id] = Entity(id=entity_id, labels={"aa": "shared-form"})
+    eligible = [
+        entity_id for entity_id, (missing, collides) in zip(ids, flags)
+        if entity_id != object_id and not missing and not collides
+    ]
+    fact = _fact(object_id)
+    if not eligible:
+        with pytest.raises(EmptyPool):
+            sample_distractors(corpus, _keyed(ids, salt), fact, correct, k)
+        return
+    picked = sample_distractors(corpus, _keyed(ids, salt), fact, correct, k)
+    assert [d.entity_id for d in picked] == oracle_sample(salt, "P1", "aa", eligible, k)
+    assert all(d.form == f"{d.entity_id}-label" for d in picked)
+
+
+# Micro-benchmarks of one build cell: 600 pool entities, one fact per
+# object, k = 50. Run alone with ``pytest tests --benchmark-only``.
+_CELL_IDS = [f"Q{i:04d}" for i in range(600)]
+
+
+def test_benchmark_keyed_pool(benchmark):
+    keyed = benchmark.pedantic(
+        keyed_pool, args=(_CELL_IDS, "P1", "aa", "bench"), rounds=5, iterations=1
+    )
+    assert len(keyed) == 600
+
+
+def test_benchmark_sample_each_fact_of_a_cell(benchmark):
+    corpus = _corpus(_CELL_IDS)
+    keyed = keyed_pool(_CELL_IDS, "P1", "aa", "bench")
+    facts = [_fact(entity_id) for entity_id in _CELL_IDS]
+
+    def sample_cell():
+        return [
+            sample_distractors(corpus, keyed, fact, [f"{fact.object_id}-label"], 50)
+            for fact in facts
+        ]
+
+    samples = benchmark.pedantic(sample_cell, rounds=5, iterations=1)
+    assert all(len(sample) == 50 for sample in samples)

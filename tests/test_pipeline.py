@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from factprobe import cli, pipeline
+from factprobe import candidates, cli, pipeline
 from factprobe.clients import ResponseCache, parse_record
 from factprobe.config import load_config
+from factprobe.corpus import load_corpus, unique_object_pool
 from factprobe.errors import BackendError, ConfigError, MalformedRecord, NoExemplars
 from factprobe.pipeline import (
     cmd_build_dataset,
@@ -229,6 +230,34 @@ def test_undecodable_progress_line_before_the_last_is_an_error(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         cmd_evaluate(config, bundle, scorer=oracle)
     assert info.value.context == {"file": str(progress), "line": 4}
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["middle", "last"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"data": {"fact_id": "f", "source": "MT"}},
+        {"type": "record"},
+        {"type": "record", "data": ["f", "MT"]},
+        {"type": "record", "data": {"fact_id": 5, "source": "MT"}},
+        {"type": "record", "data": {"fact_id": "f"}},
+    ],
+    ids=["no-type", "no-data", "data-not-object", "fact-id-not-string", "no-source"],
+)
+def test_cli_reports_wrong_shape_progress_line(tmp_path, capsys, entry, at_end):
+    config, bundle, _, progress = _interrupted_progress(tmp_path, "ws")
+    lines = progress.read_bytes().splitlines(keepends=True)
+    lineno = len(lines) + 1 if at_end else 3
+    lines.insert(lineno - 1, (json.dumps(entry) + "\n").encode())
+    progress.write_bytes(b"".join(lines))
+    config_path = tmp_path / "ws" / "config.yaml"
+    argv = ["evaluate", "--config", str(config_path), "--bundle", str(bundle)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [MALFORMED_RECORD]")
+    assert f"file={str(progress)!r}" in err
+    assert f"line={lineno}" in err
+    assert "Traceback" not in err
 
 
 class _FailingOnceScorer:
@@ -562,3 +591,20 @@ def test_evaluate_normalization_changes_ranking(tmp_path):
         records_dir = cmd_evaluate(config, bundle, scorer=_RecordingScorer(table))
         record = load_records(records_dir)[0]
         assert record.best_correct_rank == expected_rank, normalization
+
+
+def test_build_keys_each_pool_entity_once(tmp_path, monkeypatch):
+    # Keys do not depend on the fact, so a build hashes each entity of a
+    # (relation, language) pool once, not once per fact of the cell.
+    config, _ = _build(tmp_path, facts_per_cell=6)
+    calls = []
+    key = candidates.distractor_key
+    monkeypatch.setattr(candidates, "distractor_key", lambda *a: calls.append(a) or key(*a))
+    bundle = cmd_build_dataset(config, replay=True)
+    corpus = load_corpus(config.entities_path, config.relations_path, config.facts_path)
+    retained = json.loads((bundle / "relation_filter.json").read_text())["retained"]
+    pools = [
+        unique_object_pool(corpus, relation_id, language)
+        for relation_id in retained for language in config.languages
+    ]
+    assert len(calls) == sum(len(pool) for pool in pools) == 36
