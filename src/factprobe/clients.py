@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ClientError, ConfigError, MalformedRecord, ReplayMiss
-from .jsonl import dump, iter_lines
+from .jsonl import check_line, dump, iter_lines
 
 
 @dataclass(frozen=True)
@@ -51,25 +51,18 @@ class TextRequest:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
-_REQUEST_FIELDS = ("client_id", "text", "source_language", "target_language")
-
-
 def record_line(request: TextRequest, response: str) -> str:
     """The line a fixture file and a cache entry hold for one response."""
     return dump({"request": request.fields(), "response": response}) + "\n"
 
 
-def parse_record(record, **where) -> tuple[TextRequest, str]:
-    """The request and response of a fixture line or cache entry; a record
-    of another shape is a ``MalformedRecord`` carrying ``where``."""
-    req = record.get("request") if isinstance(record, dict) else None
-    extra = req.get("extra", {}) if isinstance(req, dict) else None
-    if not isinstance(extra, dict) or not all(isinstance(value, str) for value in (
-            record.get("response"), *extra, *extra.values(),
-            *(req.get(name) for name in _REQUEST_FIELDS))):
-        raise MalformedRecord("expected a request of strings and a string response", **where)
-    request = TextRequest(*(req[name] for name in _REQUEST_FIELDS), tuple(sorted(extra.items())))
-    return request, record["response"]
+def parse_record(record: dict) -> tuple[TextRequest, str]:
+    """The request and response of a fixture line or cache entry that has
+    passed ``check_line("fixture", ...)``."""
+    req = record["request"]
+    extra = tuple(sorted(req.get("extra", {}).items()))
+    fields = (req[name] for name in ("client_id", "text", "source_language", "target_language"))
+    return TextRequest(*fields, extra), record["response"]
 
 
 class ResponseCache:
@@ -94,7 +87,7 @@ class ResponseCache:
             record = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise MalformedRecord(f"corrupt cache entry: {exc}", file=str(path)) from exc
-        return parse_record(record, file=str(path))[1]
+        return parse_record(check_line("fixture", record, file=str(path)))[1]
 
     def put(self, key: str, request: TextRequest, response: str) -> None:
         path = self._path(key)
@@ -105,8 +98,7 @@ class ResponseCache:
 
 def load_fixtures(paths) -> dict[str, str]:
     """Load replay fixtures (headerless JSONL of request+response) into a digest map."""
-    records = (parse_record(record, file=str(path), line=lineno)
-               for path in paths for lineno, record in iter_lines(path))
+    records = (parse_record(record) for path in paths for _, record in iter_lines(path, "fixture"))
     return {request.digest(): response for request, response in records}
 
 

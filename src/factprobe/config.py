@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .corpus import is_language_code
-from .errors import ConfigError
+from .errors import ConfigError, MissingInput
 from .jsonl import dump
 from .metrics import DEFAULT_N_VALUES
 from .split import MatchConfig
@@ -102,10 +102,20 @@ def _client_settings(data: dict | None, default_id: str, base: Path) -> ClientSe
     )
 
 
+def _convert(key: str, convert, value):
+    """``convert(value)``; a value it cannot convert is a ``ConfigError`` naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has a bad value {value!r}", key=key) from exc
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise MissingInput("config file is missing", path=str(path)) from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if not isinstance(data, dict):
@@ -140,10 +150,14 @@ def load_config(path) -> RunConfig:
     salt = data.get("salt", "")
     if not isinstance(salt, str) or not salt:
         raise ConfigError("salt must be a non-empty string")
-    k = int(data.get("k_distractors", 50))
+    min_unique = _convert("min_unique_objects", int, data.get("min_unique_objects", 10))
+    if min_unique < 2:
+        raise ConfigError("min_unique_objects must be >= 2", key="min_unique_objects")
+    k = _convert("k_distractors", int, data.get("k_distractors", 50))
     if k < 1:
         raise ConfigError("k_distractors must be >= 1")
-    n_values = tuple(int(n) for n in data.get("n_values", DEFAULT_N_VALUES))
+    n_values = _convert("n_values", lambda ns: tuple(int(n) for n in ns),
+                        data.get("n_values", DEFAULT_N_VALUES))
     if any(n < 1 for n in n_values):
         raise ConfigError("n_values must all be >= 1")
     normalization = data.get("normalization", "SUM")
@@ -151,13 +165,13 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"normalization must be SUM or MEAN, got {normalization!r}")
 
     match_data = data.get("match", {}) or {}
+    numbers = {
+        name: _convert(f"match.{name}", type(default), match_data.get(name, default))
+        for name, default in (("min_prefix_ratio", 0.6), ("min_prefix_chars", 3),
+                              ("max_suffix_delta", 4))
+    }
     try:
-        match = MatchConfig(
-            min_prefix_ratio=float(match_data.get("min_prefix_ratio", 0.6)),
-            min_prefix_chars=int(match_data.get("min_prefix_chars", 3)),
-            max_suffix_delta=int(match_data.get("max_suffix_delta", 4)),
-            lemmatizer=match_data.get("lemmatizer"),
-        )
+        match = MatchConfig(**numbers, lemmatizer=match_data.get("lemmatizer"))
     except ValueError as exc:
         raise ConfigError(f"bad match config: {exc}") from exc
 
@@ -170,7 +184,7 @@ def load_config(path) -> RunConfig:
         backend=backend,
         mode=scorer_data.get("mode", "perfect"),
         host=scorer_data.get("host", "127.0.0.1"),
-        port=int(scorer_data.get("port", 0)),
+        port=_convert("scorer.port", int, scorer_data.get("port", 0)),
         fixtures=str(base / scorer_fixtures) if scorer_fixtures else None,
     )
 
@@ -184,7 +198,7 @@ def load_config(path) -> RunConfig:
         facts_path=resolve("facts"),
         exemplars_dir=resolve("exemplars_dir", required=False),
         cache_dir=resolve("cache_dir", required=False),
-        min_unique_objects=int(data.get("min_unique_objects", 10)),
+        min_unique_objects=min_unique,
         exclude_relations=tuple(data.get("exclude_relations", ())),
         k_distractors=k,
         n_values=n_values,
@@ -199,6 +213,8 @@ def load_config(path) -> RunConfig:
         qe=_client_settings(data.get("qe"), "qe", base),
         scorer=scorer,
         gender_patterns_path=resolve("gender_patterns", required=False),
-        report_max_rank_bucket=int(data.get("report_max_rank_bucket", 50)),
+        report_max_rank_bucket=_convert(
+            "report_max_rank_bucket", int, data.get("report_max_rank_bucket", 50)
+        ),
         raw=data,
     )

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import DanglingReference, DuplicateId, MalformedRecord, UnknownRelation
+from .errors import DanglingReference, DuplicateId, MalformedRecord, ProbeError, UnknownRelation
 from .jsonl import iter_lines, write_jsonl
 
 PLACEHOLDER_SUBJECT = "[X]"
@@ -121,169 +121,57 @@ EXCLUDE_TOO_FEW_OBJECTS = "TOO_FEW_OBJECTS"
 EXCLUDE_EXPLICIT = "EXPLICIT_EXCLUDE"
 
 
-def _require(record: dict, key: str, typ, path: Path, lineno: int):
-    value = record.get(key)
-    if not isinstance(value, typ):
-        raise MalformedRecord(
-            f"field {key!r} missing or not {typ.__name__}",
-            file=str(path),
-            line=lineno,
-            field=key,
-        )
-    return value
-
-
-def _check_nonempty(value: str, key: str, path: Path, lineno: int) -> str:
-    if not value.strip():
-        raise MalformedRecord(
-            f"field {key!r} empty after trimming", file=str(path), line=lineno, field=key
-        )
-    return value
-
-
-def _parse_entity(record: dict, path: Path, lineno: int) -> Entity:
-    eid = _check_nonempty(_require(record, "id", str, path, lineno), "id", path, lineno)
-    labels = _require(record, "labels", dict, path, lineno)
-    for lang, label in labels.items():
+def _languages(codes, field: str):
+    """``codes`` (or a mapping keyed by them) if each is a language code."""
+    for lang in codes:
         if not is_language_code(lang):
-            raise MalformedRecord(
-                f"bad language code {lang!r}", file=str(path), line=lineno, field="labels"
-            )
-        if not isinstance(label, str) or not label.strip():
-            raise MalformedRecord(
-                f"label for {lang!r} empty or not a string",
-                file=str(path),
-                line=lineno,
-                field="labels",
-            )
-    aliases: dict[str, tuple[str, ...]] = {}
-    for lang, alias_list in record.get("aliases", {}).items():
-        if not is_language_code(lang) or not isinstance(alias_list, list):
-            raise MalformedRecord(
-                f"bad alias entry for {lang!r}", file=str(path), line=lineno, field="aliases"
-            )
-        seen = set()
+            raise MalformedRecord(f"bad language code {lang!r}", field=field)
+    return codes
+
+
+# The parsers below see lines that ``iter_lines`` has checked against their
+# kind's spec, so they keep only the rules a field type cannot express.
+
+
+def _parse_entity(record: dict) -> Entity:
+    labels = _languages(record["labels"], "labels")
+    aliases = _languages(record.get("aliases", {}), "aliases")
+    for lang, alias_list in aliases.items():
+        seen = {labels.get(lang)}
         for alias in alias_list:
-            if not isinstance(alias, str) or not alias.strip():
-                raise MalformedRecord(
-                    f"alias for {lang!r} empty or not a string",
-                    file=str(path),
-                    line=lineno,
-                    field="aliases",
-                )
             if alias in seen:
-                raise MalformedRecord(
-                    f"duplicate alias {alias!r} for {lang!r}",
-                    file=str(path),
-                    line=lineno,
-                    field="aliases",
-                )
-            if labels.get(lang) == alias:
-                raise MalformedRecord(
-                    f"label {alias!r} listed as its own alias for {lang!r}",
-                    file=str(path),
-                    line=lineno,
-                    field="aliases",
-                )
+                raise MalformedRecord(f"alias {alias!r} for {lang!r} repeats the label "
+                                      "or another alias", field="aliases")
             seen.add(alias)
-        aliases[lang] = tuple(alias_list)
-    return Entity(id=eid, labels=dict(labels), aliases=aliases)
+    return Entity(record["id"], dict(labels), {k: tuple(v) for k, v in aliases.items()})
 
 
-def _parse_relation(record: dict, path: Path, lineno: int) -> Relation:
-    rid = _check_nonempty(_require(record, "id", str, path, lineno), "id", path, lineno)
-    english = _require(record, "english_template", str, path, lineno)
-    templates = _require(record, "templates", dict, path, lineno)
+def _parse_relation(record: dict) -> Relation:
+    templates = _languages(record["templates"], "templates")
     try:
-        placeholder_positions(english)
-        for lang, tpl in templates.items():
-            if not is_language_code(lang) or not isinstance(tpl, str):
-                raise MalformedRecord(
-                    f"bad template entry for {lang!r}",
-                    file=str(path),
-                    line=lineno,
-                    field="templates",
-                )
-            placeholder_positions(tpl)
+        for template in (record["english_template"], *templates.values()):
+            placeholder_positions(template)
     except MalformedRecord as exc:
-        raise MalformedRecord(
-            str(exc), file=str(path), line=lineno, field="templates"
-        ) from exc
+        exc.context["field"] = "templates"
+        raise
     declared = record.get("object_final", {})
-    if not isinstance(declared, dict):
-        raise MalformedRecord(
-            "object_final must be a mapping", file=str(path), line=lineno, field="object_final"
-        )
     object_final: dict[str, bool] = {}
     for lang, tpl in templates.items():
         derived = template_is_object_final(tpl)
-        if lang in declared:
-            value = declared[lang]
-            if not isinstance(value, bool):
-                raise MalformedRecord(
-                    f"object_final for {lang!r} not a boolean",
-                    file=str(path),
-                    line=lineno,
-                    field="object_final",
-                )
-            # A true declaration must be backed by the template shape.
-            if value and not derived:
-                raise MalformedRecord(
-                    f"object_final declared true for {lang!r} but [Y] is not sentence-final",
-                    file=str(path),
-                    line=lineno,
-                    field="object_final",
-                )
-            object_final[lang] = value
-        else:
-            object_final[lang] = derived
-    inflection = record.get("inflection_expected", False)
-    if not isinstance(inflection, bool):
-        raise MalformedRecord(
-            "inflection_expected not a boolean",
-            file=str(path),
-            line=lineno,
-            field="inflection_expected",
-        )
-    return Relation(
-        id=rid,
-        english_template=english,
-        templates=dict(templates),
-        object_final=object_final,
-        inflection_expected=inflection,
-    )
+        object_final[lang] = declared.get(lang, derived)
+        # A true declaration must be backed by the template shape.
+        if object_final[lang] and not derived:
+            raise MalformedRecord(f"object_final declared true for {lang!r} but [Y] is "
+                                  "not sentence-final", field="object_final")
+    return Relation(record["id"], record["english_template"], dict(templates), object_final,
+                    record.get("inflection_expected", False))
 
 
-def _parse_fact(record: dict, path: Path, lineno: int) -> Fact:
-    fid = _check_nonempty(_require(record, "id", str, path, lineno), "id", path, lineno)
-    subject_id = _require(record, "subject_id", str, path, lineno)
-    relation_id = _require(record, "relation_id", str, path, lineno)
-    object_id = _require(record, "object_id", str, path, lineno)
-    language = _require(record, "language", str, path, lineno)
-    if not is_language_code(language):
-        raise MalformedRecord(
-            f"bad language code {language!r}", file=str(path), line=lineno, field="language"
-        )
-    if subject_id == object_id:
-        raise MalformedRecord(
-            "subject_id equals object_id", file=str(path), line=lineno, field="object_id"
-        )
-    gender = record.get("subject_gender")
-    if gender is not None and not isinstance(gender, str):
-        raise MalformedRecord(
-            "subject_gender not a string",
-            file=str(path),
-            line=lineno,
-            field="subject_gender",
-        )
-    return Fact(
-        id=fid,
-        subject_id=subject_id,
-        relation_id=relation_id,
-        object_id=object_id,
-        language=language,
-        subject_gender=gender,
-    )
+def _parse_fact(record: dict) -> Fact:
+    _languages((record["language"],), "language")
+    if record["subject_id"] == record["object_id"]:
+        raise MalformedRecord("subject_id equals object_id", field="object_id")
+    return Fact(**{name: record.get(name) for name in Fact.__dataclass_fields__})
 
 
 def load_corpus(entities_path, relations_path, facts_path) -> Corpus:
@@ -293,106 +181,58 @@ def load_corpus(entities_path, relations_path, facts_path) -> Corpus:
     the same corpus is produced regardless of record order on disk.
     """
     entities: dict[str, Entity] = {}
-    for lineno, record in iter_lines(entities_path, "entities"):
-        entity = _parse_entity(record, Path(entities_path), lineno)
-        if entity.id in entities:
-            raise DuplicateId(
-                f"duplicate entity id {entity.id!r}", file=str(entities_path), line=lineno
-            )
-        entities[entity.id] = entity
-
     relations: dict[str, Relation] = {}
-    for lineno, record in iter_lines(relations_path, "relations"):
-        relation = _parse_relation(record, Path(relations_path), lineno)
-        if relation.id in relations:
-            raise DuplicateId(
-                f"duplicate relation id {relation.id!r}",
-                file=str(relations_path),
-                line=lineno,
-            )
-        relations[relation.id] = relation
-
     facts: dict[str, Fact] = {}
     seen_triples: set[tuple[str, str, str, str]] = set()
-    for lineno, record in iter_lines(facts_path, "facts"):
-        fact = _parse_fact(record, Path(facts_path), lineno)
-        if fact.id in facts:
-            raise DuplicateId(
-                f"duplicate fact id {fact.id!r}", file=str(facts_path), line=lineno
-            )
+
+    def check_references(fact: Fact) -> None:
         for eid in (fact.subject_id, fact.object_id):
             if eid not in entities:
-                raise DanglingReference(
-                    f"fact {fact.id!r} references unknown entity {eid!r}",
-                    file=str(facts_path),
-                    line=lineno,
-                )
+                raise DanglingReference(f"fact {fact.id!r} references unknown entity {eid!r}")
         if fact.relation_id not in relations:
             raise DanglingReference(
-                f"fact {fact.id!r} references unknown relation {fact.relation_id!r}",
-                file=str(facts_path),
-                line=lineno,
+                f"fact {fact.id!r} references unknown relation {fact.relation_id!r}"
             )
         triple = (fact.subject_id, fact.relation_id, fact.object_id, fact.language)
         if triple in seen_triples:
-            raise DuplicateId(
-                f"duplicate (subject, relation, object, language) {triple}",
-                file=str(facts_path),
-                line=lineno,
-            )
+            raise DuplicateId(f"duplicate (subject, relation, object, language) {triple}")
         seen_triples.add(triple)
-        facts[fact.id] = fact
 
-    return Corpus(
-        entities={k: entities[k] for k in sorted(entities)},
-        relations={k: relations[k] for k in sorted(relations)},
-        facts={k: facts[k] for k in sorted(facts)},
-    )
+    for path, kind, noun, parse, table in (
+        (entities_path, "entities", "entity", _parse_entity, entities),
+        (relations_path, "relations", "relation", _parse_relation, relations),
+        (facts_path, "facts", "fact", _parse_fact, facts),
+    ):
+        for lineno, record in iter_lines(path, kind):
+            try:
+                item = parse(record)
+                if item.id in table:
+                    raise DuplicateId(f"duplicate {noun} id {item.id!r}")
+                if kind == "facts":
+                    check_references(item)
+            except ProbeError as exc:
+                exc.context.update(file=str(path), line=lineno)
+                raise
+            table[item.id] = item
+
+    return Corpus(*({key: table[key] for key in sorted(table)}
+                    for table in (entities, relations, facts)))
 
 
 def save_corpus(corpus: Corpus, directory) -> dict[str, Path]:
-    """Serialize a corpus back to the three JSONL files (sorted by id)."""
+    """Serialize a corpus back to the three JSONL files (sorted by id). Empty
+    aliases and an unknown subject gender are left out, as on input."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "entities": directory / "entities.jsonl",
-        "relations": directory / "relations.jsonl",
-        "facts": directory / "facts.jsonl",
-    }
-
-    def entity_record(e: Entity) -> dict:
-        record = {"id": e.id, "labels": e.labels}
-        if e.aliases:
-            record["aliases"] = {k: list(v) for k, v in e.aliases.items()}
-        return record
-
-    def relation_record(r: Relation) -> dict:
-        return {
-            "id": r.id,
-            "english_template": r.english_template,
-            "templates": r.templates,
-            "object_final": r.object_final,
-            "inflection_expected": r.inflection_expected,
-        }
-
-    def fact_record(f: Fact) -> dict:
-        record = {
-            "id": f.id,
-            "subject_id": f.subject_id,
-            "relation_id": f.relation_id,
-            "object_id": f.object_id,
-            "language": f.language,
-        }
-        if f.subject_gender is not None:
-            record["subject_gender"] = f.subject_gender
-        return record
-
-    for kind, table, to_record in (
-        ("entities", corpus.entities, entity_record),
-        ("relations", corpus.relations, relation_record),
-        ("facts", corpus.facts, fact_record),
-    ):
-        write_jsonl(paths[kind], kind, (to_record(table[key]) for key in sorted(table)))
+    paths = {}
+    for kind, table in (("entities", corpus.entities), ("relations", corpus.relations),
+                        ("facts", corpus.facts)):
+        paths[kind] = directory / f"{kind}.jsonl"
+        write_jsonl(paths[kind], kind, (
+            {k: v for k, v in asdict(table[key]).items()
+             if k not in ("aliases", "subject_gender") or v not in (None, {})}
+            for key in sorted(table)
+        ))
     return paths
 
 

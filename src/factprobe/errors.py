@@ -26,6 +26,10 @@ class MalformedRecord(ProbeError):
     code = "MALFORMED_RECORD"
 
 
+class MissingInput(ProbeError):
+    code = "MISSING_INPUT"
+
+
 class DanglingReference(ProbeError):
     code = "DANGLING_REFERENCE"
 

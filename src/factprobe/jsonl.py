@@ -1,20 +1,120 @@
-"""The one line format of every JSONL input and artifact.
+"""The one line format of every JSONL file, and the fields of each kind read.
 
-A file is UTF-8, one compact JSON object per line. Corpus files, bundle
-artifacts, record stores and score tables open with a header line
-``{"schema_version": 1, "kind": ...}``; replay fixtures have none. A line
-that is not a JSON object, or a header of another version or kind, is a
-``MalformedRecord`` naming the file and line.
-"""
+A file is UTF-8, one compact JSON object per line, opened by a header line
+``{"schema_version": 1, "kind": ...}`` (replay fixtures have none). ``SPECS``
+maps each field of a kind to a check of its value: ``?`` marks an optional
+field, a nested mapping an object, and unnamed fields are ignored. A line
+that fails is a ``MalformedRecord`` naming file, line and field."""
 
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
-from .errors import MalformedRecord
+from .errors import MalformedRecord, MissingInput
 
 SCHEMA_VERSION = 1
+
+
+def _check(name: str, test):
+    test.__name__ = name  # what a failure says the value should be
+    return test
+
+
+STRING = _check("a string", lambda v: type(v) is str)
+TEXT = _check("a non-blank string", lambda v: type(v) is str and v.strip() != "")
+INT = _check("an integer", lambda v: type(v) is int)
+NUMBER = _check("a number", lambda v: type(v) in (int, float))
+BOOL = _check("a boolean", lambda v: type(v) is bool)
+
+
+def _list_of(item, name: str):
+    return _check(name, lambda v: type(v) is list and all(map(item, v)))
+
+
+def _map_of(item, name: str):
+    return _check(name, lambda v: type(v) is dict and all(map(item, v.values())))
+
+
+def _or_null(check):
+    return _check(f"null or {check.__name__}", lambda v: v is None or check(v))
+
+
+_PAIR = _check("", lambda v: type(v) is list and len(v) == 2
+               and type(v[0]) is str and type(v[1]) is str)
+_INFLECTION_PAIR = _check("an object of string noninflected and inflected forms", lambda v: (
+    type(v) is dict and type(v.get("noninflected")) is str and type(v.get("inflected")) is str))
+_RECORD = {
+    "fact_id": STRING, "language": STRING, "relation_id": STRING, "source": STRING,
+    "best_correct_rank": INT,
+    "hits": _check("a map from integer strings to booleans", lambda v: type(v) is dict
+                   and all(n.isdecimal() and type(hit) is bool for n, hit in v.items())),
+    "form_ranks?": _or_null(_map_of(INT, "a map of integers")),
+    "qe_score?": _or_null(NUMBER), "subject_gender?": _or_null(STRING), "prompt?": STRING,
+}
+SPECS = {
+    "entities": {
+        "id": TEXT, "labels": _map_of(TEXT, "a map of non-blank strings"),
+        "aliases?": _map_of(_list_of(TEXT, ""), "a map of lists of non-blank strings"),
+    },
+    "relations": {
+        "id": TEXT, "english_template": STRING, "templates": _map_of(STRING, "a map of strings"),
+        "object_final?": _map_of(BOOL, "a map of booleans"), "inflection_expected?": BOOL,
+    },
+    "facts": {
+        "id": TEXT, "subject_id": STRING, "relation_id": STRING, "object_id": STRING,
+        "language": STRING, "subject_gender?": _or_null(STRING),
+    },
+    "candidate_sets": {
+        "fact_id": STRING, "source": STRING, "language": STRING, "relation_id": STRING,
+        "prompt": STRING, "correct_forms": _list_of(STRING, "a list of strings"),
+        "distractors": _list_of(_PAIR, "a list of [entity id, form] string pairs"),
+        "salt": STRING, "no_space?": BOOL, "inflection_pair?": _or_null(_INFLECTION_PAIR),
+        "qe_score?": _or_null(NUMBER), "subject_gender?": _or_null(STRING),
+    },
+    "records": _RECORD,
+    "progress": _RECORD,  # the record of each set, appended as it is scored
+    "scores": {"prompt": STRING, "continuation": STRING, "logprob": NUMBER, "token_count?": INT},
+    "fixture": {  # a replay fixture line; a response-cache entry is one such line
+        "request": {"client_id": STRING, "text": STRING, "source_language": STRING,
+                    "target_language": STRING, "extra?": _map_of(STRING, "a map of strings")},
+        "response": STRING,
+    },
+}
+
+
+def _compile(spec: dict) -> tuple:
+    """``(name, required, check)`` per field; a nested spec is compiled too."""
+    return tuple((name.rstrip("?"), not name.endswith("?"),
+                  _compile(check) if isinstance(check, dict) else check)
+                 for name, check in spec.items())
+
+
+_COMPILED = {kind: _compile(spec) for kind, spec in SPECS.items()}
+
+
+def _check_object(fields: tuple, record, where: dict, at: str | None = None) -> None:
+    if type(record) is not dict:
+        context = where if at is None else dict(where, field=at)
+        raise MalformedRecord(f"{at or 'record'} is not an object", **context)
+    for name, required, check in fields:
+        field = name if at is None else f"{at}.{name}"
+        if name not in record:
+            if required:
+                raise MalformedRecord(f"missing field {field!r}", field=field, **where)
+        elif type(check) is tuple:
+            _check_object(check, record[name], where, field)
+        elif not check(record[name]):
+            raise MalformedRecord(f"field {field!r} is not {check.__name__}: "
+                                  f"{reprlib.repr(record[name])}", field=field, **where)
+
+
+def check_line(kind: str, record, **where):
+    """``record`` if it is a valid line of ``kind``, else a ``MalformedRecord``
+    carrying ``where`` and the field at fault."""
+    _check_object(_COMPILED[kind], record, where)
+    return record
 
 
 def dump(obj) -> str:
@@ -22,43 +122,45 @@ def dump(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def iter_lines(path, kind: str | None = None):
-    """Yield ``(line_number, record)`` for each non-blank line of ``path``.
-
-    With ``kind``, the first line must be the header of that kind; it is
-    checked and not yielded.
-    """
-    with open(path, encoding="utf-8") as fh:
+def iter_lines(path, kind: str, **header):
+    """Yield ``(line_number, record)`` for each non-blank line of ``path``,
+    checked against the spec of ``kind`` (a kind without one, such as
+    ``audit``, need only be objects). Every kind but ``fixture`` opens with
+    its header line, here extended by the ``header`` fields; the header is
+    checked and not yielded."""
+    fields = _COMPILED.get(kind, ())
+    expected = kind != "fixture" and _compile({
+        name: _check(repr(value), lambda v, value=value: v == value)
+        for name, value in {"schema_version": SCHEMA_VERSION, "kind": kind, **header}.items()
+    })
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise MissingInput("input file is missing", path=str(path)) from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw.isspace():
                 continue
+            where = {"file": str(path), "line": lineno}
             try:
                 record = json.loads(raw)
             except ValueError as exc:
-                raise MalformedRecord(
-                    f"invalid JSON: {exc}", file=str(path), line=lineno
-                ) from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord("record is not an object", file=str(path), line=lineno)
-            if kind is not None:
-                for field, expected in (("schema_version", SCHEMA_VERSION), ("kind", kind)):
-                    if record.get(field) != expected:
-                        raise MalformedRecord(
-                            f"expected {field} {expected!r}, found {record.get(field)!r}",
-                            file=str(path), line=lineno, field=field,
-                        )
-                kind = None
-                continue
-            yield lineno, record
+                raise MalformedRecord(f"invalid JSON: {exc}", **where) from exc
+            _check_object(expected or fields, record, where)
+            if expected:
+                expected = None
+            else:
+                yield lineno, record
 
 
 def read_jsonl(path, kind: str) -> list[dict]:
-    """The records of a ``kind`` file, header checked and dropped."""
+    """The checked records of a ``kind`` file, header dropped."""
     return [record for _, record in iter_lines(path, kind)]
 
 
-def write_jsonl(path: Path, kind: str, lines) -> None:
+def write_jsonl(path: Path, kind: str, lines, **header) -> None:
+    """``lines`` under the header of ``kind``, extended by the ``header`` fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind}) + "\n")
+        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
         for line in lines:
             fh.write(dump(line) + "\n")

@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     EmptyGroup,
     MalformedRecord,
+    MissingInput,
     MissingPatterns,
     NoEligibleRecords,
     NoExemplars,
@@ -130,6 +131,9 @@ def _run_stage(directory: Path, stage: str, config: RunConfig, inputs: dict[str,
     stage is complete; an incomplete stage is run again on the next call.
     """
     config_digest = config.digest()
+    for name, path in inputs.items():
+        if not Path(path).is_file():
+            raise MissingInput(f"input {name} is missing", path=str(path))
     input_digests = {name: file_digest(path) for name, path in inputs.items()}
     if not force and _stage_is_current(directory, stage, config_digest, input_digests):
         return directory
@@ -430,7 +434,7 @@ def make_scorer(config: RunConfig, lines: list[dict]):
         table = {}
         for line in read_jsonl(Path(settings.fixtures), "scores"):
             table[(line["prompt"], line["continuation"])] = (
-                float(line["logprob"]), int(line.get("token_count", 1))
+                float(line["logprob"]), line.get("token_count", 1)
             )
         return TableScorer(table)
     if settings.backend == "protocol":
@@ -439,44 +443,29 @@ def make_scorer(config: RunConfig, lines: list[dict]):
 
 
 def _load_progress(path: Path, header: dict) -> list[dict]:
-    """Records of a progress file written for ``header``.
+    """The records of the progress file, which is left holding ``header``
+    and those records.
 
-    A file written for another header is deleted. An undecodable last line
-    is what a run killed mid-write leaves: it is dropped, so its set is
-    scored again, and the file is rewritten whole for the entries that
-    follow. An undecodable line anywhere else, or an entry without a
-    ``type`` and a ``data`` object with string ``fact_id`` and ``source``,
-    is an error.
+    A file written under another header (another bundle or config, or an
+    older format) is started afresh. An undecodable last line is what a run
+    killed mid-write leaves: it is dropped, so its set is scored again. Any
+    other bad line is an error.
     """
-    if not path.exists():
-        return []
-    entries = []
+    records: list[dict] = []
     try:
-        for lineno, entry in iter_lines(path):
-            if lineno == 1 and entry != header:
-                # Progress is only resumable against the same bundle and
-                # config it was produced from.
-                break
-            entries.append((lineno, entry))
+        if path.exists():
+            for _, record in iter_lines(path, "progress", **header):
+                records.append(record)
     except MalformedRecord as exc:
-        with open(path, "rb") as fh:
-            if exc.context["line"] < sum(1 for _ in fh):
+        if exc.context["line"] == 1:
+            records = []
+        else:
+            with open(path, "rb") as fh:
+                last = sum(1 for _ in fh)
+            if not isinstance(exc.__cause__, ValueError) or exc.context["line"] < last:
                 raise
-    for lineno, entry in entries[1:]:
-        data = entry.get("data")
-        if not ("type" in entry and isinstance(data, dict)
-                and isinstance(data.get("fact_id"), str)
-                and isinstance(data.get("source"), str)):
-            raise MalformedRecord(
-                "progress entry needs a type and data with string fact_id and source",
-                file=str(path), line=lineno,
-            )
-    if not entries:
-        path.unlink()
-        return []
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(dump(entry) + "\n" for _, entry in entries)
-    return [entry["data"] for _, entry in entries[1:] if entry["type"] == "record"]
+    write_jsonl(path, "progress", records, **header)
+    return records
 
 
 def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
@@ -510,11 +499,9 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
         lines = read_jsonl(candidate_sets, "candidate_sets")
         lines.sort(key=lambda line: (line["fact_id"], line["source"]))
         progress_path = records_dir / "progress.jsonl"
-        header = {"type": "header", "config_digest": config_digest, "inputs": input_digests}
-        record_lines = _load_progress(progress_path, header)
-        if not progress_path.exists():
-            with open(progress_path, "w", encoding="utf-8") as fh:
-                fh.write(dump(header) + "\n")
+        record_lines = _load_progress(
+            progress_path, {"config_digest": config_digest, "inputs": input_digests}
+        )
         audit: list[dict] = []
         with contextlib.ExitStack() as stack:
             backend = scorer
@@ -573,7 +560,7 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                     "prompt": line["prompt"],
                 }
                 record_lines.append(record)
-                progress.write(dump({"type": "record", "data": record}) + "\n")
+                progress.write(dump(record) + "\n")
                 progress.flush()
 
         record_lines.sort(key=lambda r: (r["fact_id"], r["source"]))
@@ -597,13 +584,9 @@ def load_records(records_dir) -> list[EvalRecord]:
                 language=line["language"],
                 relation_id=line["relation_id"],
                 source=line["source"],
-                best_correct_rank=int(line["best_correct_rank"]),
-                hits={int(n): bool(v) for n, v in line["hits"].items()},
-                form_ranks=(
-                    {k: int(v) for k, v in line["form_ranks"].items()}
-                    if line.get("form_ranks")
-                    else None
-                ),
+                best_correct_rank=line["best_correct_rank"],
+                hits={int(n): hit for n, hit in line["hits"].items()},
+                form_ranks=line.get("form_ranks") or None,
                 qe_score=line.get("qe_score"),
                 subject_gender=line.get("subject_gender"),
                 prompt=line.get("prompt"),
@@ -613,9 +596,29 @@ def load_records(records_dir) -> list[EvalRecord]:
 
 
 def _load_gender_patterns(path) -> dict:
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ConfigError("gender patterns file must be a mapping")
+    """language -> relation id -> {"feminine": [markers], "masculine": [markers]}."""
+    try:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise MissingInput("gender patterns file is missing", path=str(path)) from exc
+    except yaml.YAMLError as exc:
+        problem = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse gender patterns: {problem}", file=str(path)) from exc
+
+    def check(ok: bool, where: str, expected: str) -> None:
+        if not ok:
+            raise ConfigError(f"gender patterns{where} must be {expected}", file=str(path))
+
+    check(isinstance(data, dict), "", "a mapping of languages")
+    for language, relations in data.items():
+        check(isinstance(relations, dict), f" of {language!r}", "a mapping of relations")
+        for relation, markers in relations.items():
+            where = f" of {language!r} {relation!r}"
+            check(isinstance(markers, dict), where, "a mapping of marker lists")
+            for gender in ("feminine", "masculine"):
+                found = markers.get(gender, [])
+                check(isinstance(found, list) and all(isinstance(m, str) for m in found),
+                      f"{where} {gender}", "a list of strings")
     return data
 
 

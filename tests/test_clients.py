@@ -115,6 +115,17 @@ WRONG_SHAPES = {
     },
 }
 
+# The field each wrong shape names.
+WRONG_FIELDS = {
+    "no-request": "request",
+    "response-not-string": "response",
+    "request-not-object": "request",
+    "field-not-string": "request.text",
+    "field-missing": "request.client_id",
+    "extra-not-object": "request.extra",
+    "extra-value-not-string": "request.extra",
+}
+
 
 @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
 def test_wrong_shape_fixture_line_is_malformed(tmp_path, shape):
@@ -124,7 +135,7 @@ def test_wrong_shape_fixture_line_is_malformed(tmp_path, shape):
         fh.write(json.dumps(WRONG_SHAPES[shape]) + "\n")
     with pytest.raises(MalformedRecord) as info:
         load_fixtures([path])
-    assert info.value.context == {"file": str(path), "line": 2}
+    assert info.value.context == {"file": str(path), "line": 2, "field": WRONG_FIELDS[shape]}
 
 
 @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES) + ["not-an-object"])
@@ -134,7 +145,10 @@ def test_wrong_shape_cache_entry_is_malformed(tmp_path, shape):
     path.write_text(json.dumps(WRONG_SHAPES.get(shape, [1, 2])), encoding="utf-8")
     with pytest.raises(MalformedRecord) as info:
         ResponseCache(tmp_path).get(request.digest())
-    assert info.value.context == {"file": str(path)}
+    expected = {"file": str(path)}
+    if shape in WRONG_FIELDS:
+        expected["field"] = WRONG_FIELDS[shape]
+    assert info.value.context == expected
 
 
 def test_text_service_cache_first(tmp_path):

@@ -232,23 +232,33 @@ def test_undecodable_progress_line_before_the_last_is_an_error(tmp_path):
     assert info.value.context == {"file": str(progress), "line": 4}
 
 
+_MISSING = object()
+
+# A progress entry is a record line. Each case drops a field or gives it
+# another type; its id names the case of the old wrapped-entry format
+# (``{"type": "record", "data": {...}}``) it replaces.
+WRONG_PROGRESS_ENTRIES = {
+    "no-type": ("best_correct_rank", "one"),
+    "no-data": ("hits", _MISSING),
+    "data-not-object": ("hits", ["1"]),
+    "fact-id-not-string": ("fact_id", 5),
+    "no-source": ("source", _MISSING),
+}
+
+
 @pytest.mark.parametrize("at_end", [False, True], ids=["middle", "last"])
-@pytest.mark.parametrize(
-    "entry",
-    [
-        {"data": {"fact_id": "f", "source": "MT"}},
-        {"type": "record"},
-        {"type": "record", "data": ["f", "MT"]},
-        {"type": "record", "data": {"fact_id": 5, "source": "MT"}},
-        {"type": "record", "data": {"fact_id": "f"}},
-    ],
-    ids=["no-type", "no-data", "data-not-object", "fact-id-not-string", "no-source"],
-)
+@pytest.mark.parametrize("entry", sorted(WRONG_PROGRESS_ENTRIES))
 def test_cli_reports_wrong_shape_progress_line(tmp_path, capsys, entry, at_end):
     config, bundle, _, progress = _interrupted_progress(tmp_path, "ws")
     lines = progress.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    field, value = WRONG_PROGRESS_ENTRIES[entry]
+    if value is _MISSING:
+        del record[field]
+    else:
+        record[field] = value
     lineno = len(lines) + 1 if at_end else 3
-    lines.insert(lineno - 1, (json.dumps(entry) + "\n").encode())
+    lines.insert(lineno - 1, (json.dumps(record) + "\n").encode())
     progress.write_bytes(b"".join(lines))
     config_path = tmp_path / "ws" / "config.yaml"
     argv = ["evaluate", "--config", str(config_path), "--bundle", str(bundle)]
@@ -257,7 +267,24 @@ def test_cli_reports_wrong_shape_progress_line(tmp_path, capsys, entry, at_end):
     assert err.startswith("error: [MALFORMED_RECORD]")
     assert f"file={str(progress)!r}" in err
     assert f"line={lineno}" in err
+    assert f"field={field!r}" in err
     assert "Traceback" not in err
+
+
+def test_progress_of_the_older_wrapped_format_is_discarded(tmp_path):
+    config, bundle, oracle, progress = _interrupted_progress(tmp_path, "ws")
+    lines = progress.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    older = [{"type": "header", "config_digest": header["config_digest"],
+              "inputs": header["inputs"]}]
+    older += [{"type": "record", "data": json.loads(line)} for line in lines[1:]]
+    progress.write_text("".join(json.dumps(entry) + "\n" for entry in older), encoding="utf-8")
+    # A resumed run would score only the sets not yet done; this one scores
+    # every set again, so it trips.
+    sets = len(read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets"))
+    with pytest.raises(_Interrupted):
+        cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=sets - len(older) + 1))
+    assert progress.read_text(encoding="utf-8").splitlines()[0] == lines[0]
 
 
 class _FailingOnceScorer:
