@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, Fact
 from .errors import EmptyPool, NoDistractorsRemain
@@ -23,8 +24,7 @@ from .errors import EmptyPool, NoDistractorsRemain
 HASH_DELIMITER = "‖"  # DOUBLE VERTICAL LINE
 
 
-@dataclass(frozen=True)
-class Distractor:
+class Distractor(NamedTuple):
     entity_id: str
     form: str
 

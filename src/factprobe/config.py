@@ -83,16 +83,17 @@ class RunConfig:
         return hashlib.sha256(dump(self.raw).encode("utf-8")).hexdigest()
 
 
-def _client_settings(data: dict | None, default_id: str, base: Path) -> ClientSettings | None:
+def _client_settings(data, key: str, base: Path) -> ClientSettings | None:
     if data is None:
         return None
+    data = _mapping(key, data)
     mode = data.get("mode", "replay")
     if mode not in ("live", "record", "replay"):
         raise ConfigError(f"client mode must be live/record/replay, got {mode!r}")
-    fixtures = tuple(str(base / p) for p in data.get("fixtures", []))
+    fixtures = tuple(str(base / p) for p in _strings(f"{key}.fixtures", data.get("fixtures", ())))
     record_fixtures = data.get("record_fixtures")
     return ClientSettings(
-        client_id=data.get("client_id", default_id),
+        client_id=data.get("client_id", key),
         mode=mode,
         endpoint=data.get("endpoint"),
         model=data.get("model"),
@@ -110,6 +111,25 @@ def _convert(key: str, convert, value):
         raise ConfigError(f"config key {key!r} has a bad value {value!r}", key=key) from exc
 
 
+def _mapping(key: str, value) -> dict:
+    """The config block ``value``, ``{}`` if it is null; a ``ConfigError``
+    naming ``key`` if it is not a mapping."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be a mapping, got {value!r}", key=key)
+    return value
+
+
+def _strings(key: str, value) -> tuple[str, ...]:
+    """The config list ``value`` as a tuple; a ``ConfigError`` naming ``key``
+    if it is not a list of strings."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"config key {key!r} must be a list of strings, got {value!r}",
+                          key=key)
+    return tuple(value)
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -117,7 +137,10 @@ def load_config(path) -> RunConfig:
     except FileNotFoundError as exc:
         raise MissingInput("config file is missing", path=str(path)) from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)
+        where = {} if mark is None else {"line": mark.line + 1, "column": mark.column + 1}
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ConfigError(f"cannot parse config: {problem}", path=str(path), **where) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     if data.get("config_version") != CONFIG_VERSION:
@@ -134,13 +157,13 @@ def load_config(path) -> RunConfig:
             return None
         return (base / str(value)).resolve()
 
-    languages = tuple(data.get("languages", ()))
+    languages = _strings("languages", data.get("languages", ()))
     if not languages:
         raise ConfigError("at least one language is required")
     for lang in languages:
         if not is_language_code(lang):
             raise ConfigError(f"bad language code {lang!r}")
-    sources = tuple(data.get("sources", ("TEMPLATE",)))
+    sources = _strings("sources", data.get("sources", ("TEMPLATE",)))
     if not sources:
         raise ConfigError("at least one verbalization source must be enabled")
     for source in sources:
@@ -164,7 +187,7 @@ def load_config(path) -> RunConfig:
     if normalization not in ("SUM", "MEAN"):
         raise ConfigError(f"normalization must be SUM or MEAN, got {normalization!r}")
 
-    match_data = data.get("match", {}) or {}
+    match_data = _mapping("match", data.get("match"))
     numbers = {
         name: _convert(f"match.{name}", type(default), match_data.get(name, default))
         for name, default in (("min_prefix_ratio", 0.6), ("min_prefix_chars", 3),
@@ -175,7 +198,7 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad match config: {exc}") from exc
 
-    scorer_data = data.get("scorer", {}) or {}
+    scorer_data = _mapping("scorer", data.get("scorer"))
     backend = scorer_data.get("backend", "oracle")
     if backend not in ("oracle", "table", "protocol"):
         raise ConfigError(f"unknown scorer backend {backend!r}")
@@ -199,14 +222,14 @@ def load_config(path) -> RunConfig:
         exemplars_dir=resolve("exemplars_dir", required=False),
         cache_dir=resolve("cache_dir", required=False),
         min_unique_objects=min_unique,
-        exclude_relations=tuple(data.get("exclude_relations", ())),
+        exclude_relations=_strings("exclude_relations", data.get("exclude_relations", ())),
         k_distractors=k,
         n_values=n_values,
         normalization=normalization,
         include_aliases=bool(data.get("include_aliases", False)),
         include_english=bool(data.get("include_english", False)),
         flip_inflection_delta_sign=bool(data.get("flip_inflection_delta_sign", False)),
-        no_space_languages=tuple(data.get("no_space_languages", ())),
+        no_space_languages=_strings("no_space_languages", data.get("no_space_languages", ())),
         match=match,
         mt=_client_settings(data.get("mt"), "mt", base),
         llm=_client_settings(data.get("llm"), "llm", base),

@@ -478,7 +478,7 @@ def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
             fact_id=line["fact_id"],
             prompt=line["prompt"],
             correct_forms=tuple(line["correct_forms"]),
-            distractors=tuple(Distractor(e, f) for e, f in line["distractors"]),
+            distractors=tuple(map(Distractor._make, line["distractors"])),
             salt=line["salt"],
         )
 
@@ -490,7 +490,8 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
     where it stopped and the final sorted store is byte-identical to an
     uninterrupted one. Sets whose scoring failed with a ``BackendError``
     are audited and leave the stage incomplete, with its progress kept, so
-    the next run scores only those sets again.
+    the next run scores only those sets again. Any other exception fails
+    the stage with its progress kept.
     """
     candidate_sets = Path(bundle_dir) / "candidate_sets.jsonl"
     records_dir = config.output_dir / "records"

@@ -17,7 +17,7 @@ import selectors
 import socket
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .candidates import CandidateSet
 from .errors import BackendError, FormNotPresent, NonFiniteScore, ScorerConnectionLost
@@ -40,16 +40,14 @@ class ScorerBackend(Protocol):
         """Log-probability sum and token count for each continuation."""
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     form: str
     entity_id: str | None  # None marks a correct form
     score: float
     token_count: int = 1
 
 
-@dataclass(frozen=True)
-class RankedCandidate:
+class RankedCandidate(NamedTuple):
     form: str
     entity_id: str | None
     score: float
@@ -59,11 +57,23 @@ class RankedCandidate:
 
 @dataclass(frozen=True)
 class RankedResult:
+    """A ranking. ``keys`` holds one ``(-score, form, not correct, entity id
+    or "")`` tuple per candidate, in rank order."""
+
     fact_id: str
-    candidates: tuple[RankedCandidate, ...]
+    keys: tuple[tuple[float, str, bool, str], ...]
     best_correct_rank: int
     best_correct_form: str
     hits: dict[int, bool]
+
+    @property
+    def candidates(self) -> tuple[RankedCandidate, ...]:
+        """The ranked candidates, built on each read; an empty entity id
+        reads back as None."""
+        return tuple(
+            RankedCandidate(form, entity_id or None, -neg_score, rank, not wrong)
+            for rank, (neg_score, form, wrong, entity_id) in enumerate(self.keys, 1)
+        )
 
 
 def join_continuation(prompt: str, form: str, no_space: bool = False) -> str:
@@ -78,8 +88,12 @@ def join_continuation(prompt: str, form: str, no_space: bool = False) -> str:
 def candidate_continuations(candidate_set: CandidateSet, no_space: bool = False) -> list[str]:
     """The continuations scored for a candidate set: correct forms first,
     then distractors, each joined to the prompt."""
-    forms = [*candidate_set.correct_forms, *(d.form for d in candidate_set.distractors)]
-    return [join_continuation(candidate_set.prompt, form, no_space) for form in forms]
+    joiner = join_continuation(candidate_set.prompt, "", no_space)
+    return [joiner + form for form in _forms(candidate_set)]
+
+
+def _forms(candidate_set: CandidateSet) -> list[str]:
+    return list(candidate_set.correct_forms) + [d.form for d in candidate_set.distractors]
 
 
 def score_candidates(
@@ -88,45 +102,40 @@ def score_candidates(
     normalization: str = NORMALIZATION_SUM,
     no_space: bool = False,
 ) -> list[ScoredCandidate]:
-    """Score every candidate continuation of the prompt."""
+    """Score every candidate continuation of the prompt.
+
+    Only a ``BackendError`` from the scorer marks a set that a rerun may
+    score; any other exception is a fault and propagates unchanged.
+    """
     if normalization not in (NORMALIZATION_SUM, NORMALIZATION_MEAN):
         raise ValueError(f"unknown normalization {normalization!r}")
-    items: list[tuple[str, str | None]] = [
-        (form, None) for form in candidate_set.correct_forms
-    ]
-    items.extend((d.form, d.entity_id) for d in candidate_set.distractors)
-    if not items:
+    forms = _forms(candidate_set)
+    if not forms:
         raise ValueError("candidate set is empty")
-    try:
-        results = scorer.score_batch(
-            candidate_set.prompt, candidate_continuations(candidate_set, no_space)
-        )
-    except BackendError:
-        raise
-    except Exception as exc:
+    entity_ids = [None] * len(candidate_set.correct_forms)
+    entity_ids += [d.entity_id for d in candidate_set.distractors]
+    results = scorer.score_batch(
+        candidate_set.prompt, candidate_continuations(candidate_set, no_space)
+    )
+    if len(results) != len(forms):
         raise BackendError(
-            f"scorer failed: {exc}", fact_id=candidate_set.fact_id
-        ) from exc
-    if len(results) != len(items):
-        raise BackendError(
-            f"scorer returned {len(results)} results for {len(items)} continuations",
+            f"scorer returned {len(results)} results for {len(forms)} continuations",
             fact_id=candidate_set.fact_id,
         )
-    scored = []
-    for (form, entity_id), (logprob, token_count) in zip(items, results):
-        score = float(logprob)
-        if normalization == NORMALIZATION_MEAN:
-            if token_count < 1:
-                raise BackendError(
-                    f"token count {token_count} < 1 for form {form!r}",
-                    fact_id=candidate_set.fact_id,
-                )
-            score /= token_count
-        scored.append(
-            ScoredCandidate(form=form, entity_id=entity_id, score=score,
-                            token_count=int(token_count))
-        )
-    return scored
+    if normalization == NORMALIZATION_SUM:
+        return [
+            ScoredCandidate(form, entity_id, float(logprob), int(count))
+            for form, entity_id, (logprob, count) in zip(forms, entity_ids, results)
+        ]
+    for form, (_, count) in zip(forms, results):
+        if count < 1:
+            raise BackendError(
+                f"token count {count} < 1 for form {form!r}", fact_id=candidate_set.fact_id
+            )
+    return [
+        ScoredCandidate(form, entity_id, float(logprob) / count, int(count))
+        for form, entity_id, (logprob, count) in zip(forms, entity_ids, results)
+    ]
 
 
 def rank_candidates(
@@ -139,65 +148,41 @@ def rank_candidates(
 
     Accepts ScoredCandidate items or plain (form, score) pairs.
     Correctness is decided by byte-equality against ``correct_forms``;
-    assembly guarantees no distractor shares a correct form.
+    assembly guarantees no distractor shares a correct form. Python orders
+    strings by code point, which is their UTF-8 byte order; correctness and
+    entity id only break ties between byte-identical forms (duplicate
+    labels).
     """
-    correct_set = set(correct_forms)
-    normalized: list[ScoredCandidate] = []
-    for item in scored:
-        if isinstance(item, ScoredCandidate):
-            normalized.append(item)
-        else:
-            form, score = item
-            normalized.append(ScoredCandidate(form=form, entity_id=None, score=score))
-    if not normalized:
+    correct = set(correct_forms)
+    keys = [
+        (-c.score, c.form, c.form not in correct, c.entity_id or "")
+        if isinstance(c, ScoredCandidate) else (-c[1], c[0], c[0] not in correct, "")
+        for c in scored
+    ]
+    if not keys:
         raise ValueError("nothing to rank")
-    for cand in normalized:
-        if not math.isfinite(cand.score):
-            raise NonFiniteScore(
-                f"score for form {cand.form!r} is not finite", fact_id=fact_id
-            )
-
-    def sort_key(cand: ScoredCandidate):
-        # UTF-8 byte order; correct-before-distractor and entity id only
-        # break ties between byte-identical forms (duplicate labels).
-        return (
-            -cand.score,
-            cand.form.encode("utf-8"),
-            0 if cand.form in correct_set else 1,
-            cand.entity_id or "",
-        )
-
-    ordered = sorted(normalized, key=sort_key)
-    ranked = tuple(
-        RankedCandidate(
-            form=c.form,
-            entity_id=c.entity_id,
-            score=c.score,
-            rank=i + 1,
-            correct=c.form in correct_set,
-        )
-        for i, c in enumerate(ordered)
-    )
-    correct_ranked = [c for c in ranked if c.correct]
-    if not correct_ranked:
+    for neg_score, form, _, _ in keys:
+        if not math.isfinite(neg_score):
+            raise NonFiniteScore(f"score for form {form!r} is not finite", fact_id=fact_id)
+    keys.sort()
+    best = next((rank for rank, key in enumerate(keys, 1) if not key[2]), 0)
+    if not best:
         raise ValueError("no correct form present among candidates")
-    best = min(correct_ranked, key=lambda c: c.rank)
-    hits = {int(n): best.rank <= int(n) for n in n_values}
     return RankedResult(
         fact_id=fact_id,
-        candidates=ranked,
-        best_correct_rank=best.rank,
-        best_correct_form=best.form,
-        hits=hits,
+        keys=tuple(keys),
+        best_correct_rank=best,
+        best_correct_form=keys[best - 1][1],
+        hits={int(n): best <= int(n) for n in n_values},
     )
 
 
 def rank_of_form(result: RankedResult, form: str) -> int:
     """Rank of a surface form (the best rank, if duplicated)."""
-    ranks = [c.rank for c in result.candidates if c.form == form]
-    if not ranks:
-        raise FormNotPresent(f"form {form!r} not present in ranked result")
-    return min(ranks)
+    for rank, key in enumerate(result.keys, 1):
+        if key[1] == form:
+            return rank
+    raise FormNotPresent(f"form {form!r} not present in ranked result")
 
 
 def default_token_count(text: str) -> int:

@@ -85,7 +85,7 @@ def _json_type(value) -> str:
 
 
 class _Interrupted(BaseException):
-    # BaseException, like a KeyboardInterrupt: scoring wraps any Exception.
+    # A BaseException, like a KeyboardInterrupt mid-run.
     pass
 
 
@@ -259,6 +259,15 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("scorer.port", "x"),
         ("match.min_prefix_chars", "x"),
         ("min_unique_objects", 1),
+        # Blocks and lists of the wrong shape each raised a traceback.
+        ("scorer", "x"),
+        ("mt", "x"),
+        ("llm", "x"),
+        ("qe", "x"),
+        ("match", "x"),
+        ("languages", 5),
+        ("exclude_relations", 5),
+        ("mt.fixtures", "fixtures/mt.jsonl"),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
@@ -273,6 +282,13 @@ def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
     code, err = _run(ws, BUILD)
     _assert_coded(code, err, "CONFIG_ERROR", key=key)
 
+
+def test_cli_reports_a_yaml_error_on_one_line(built, tmp_path):
+    ws = _copy(built, tmp_path)
+    (ws / "config.yaml").write_text("config_version: [1\n", encoding="utf-8")
+    code, err = _run(ws, BUILD)
+    _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "config.yaml"), line=2, column=1)
+    assert "expected ',' or ']'" in err, err
 
 
 @pytest.mark.parametrize(

@@ -151,8 +151,7 @@ def test_adversarial_oracle_lower_bound(tmp_path):
 
 
 class _Interrupted(BaseException):
-    # BaseException so the per-fact BackendError wrapper does not swallow
-    # it, exactly like a KeyboardInterrupt mid-run.
+    # A BaseException, exactly like a KeyboardInterrupt mid-run.
     pass
 
 
@@ -317,6 +316,42 @@ def test_backend_error_leaves_evaluate_incomplete_until_a_healthy_rerun(tmp_path
     assert manifest["complete"] is True
     assert manifest["counts"]["backend_errors"] == 0
     assert not (records / "progress.jsonl").exists()
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=3)
+    clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    for name in ("records.jsonl", "audit.jsonl", "manifest.json"):
+        assert (records / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+class _BuggyOnceScorer:
+    """Raises one RuntimeError, a fault no rerun can mend, then delegates."""
+
+    def __init__(self, inner, at: int):
+        self.inner = inner
+        self.remaining = at
+
+    def score_batch(self, prompt, continuations):
+        self.remaining -= 1
+        if self.remaining == 0:
+            raise RuntimeError("scorer bug")
+        return self.inner.score_batch(prompt, continuations)
+
+
+def test_scorer_fault_fails_evaluate_instead_of_auditing_a_backend_error(tmp_path):
+    config, _ = _build(tmp_path, "ws", facts_per_cell=3)
+    bundle = cmd_build_dataset(config, replay=True)
+    oracle = _oracle(config, bundle)
+    records = config.output_dir / "records"
+    with pytest.raises(RuntimeError, match="scorer bug"):
+        cmd_evaluate(config, bundle, scorer=_BuggyOnceScorer(oracle, at=4))
+    assert not (records / "manifest.json").exists()
+    assert not (records / "audit.jsonl").exists()
+    assert len((records / "progress.jsonl").read_text().splitlines()) == 1 + 3
+
+    # The rerun scores only the sets after the three already done.
+    cmd_evaluate(config, bundle, scorer=oracle)
+    manifest = json.loads((records / "manifest.json").read_text())
+    assert manifest["complete"] is True
 
     config_clean, _ = _build(tmp_path, "clean", facts_per_cell=3)
     clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))

@@ -8,6 +8,8 @@ from factprobe.candidates import CandidateSet, Distractor
 from factprobe.errors import BackendError, FormNotPresent, NonFiniteScore
 from factprobe.score import (
     OracleScorer,
+    RankedCandidate,
+    ScoredCandidate,
     TableScorer,
     join_continuation,
     rank_candidates,
@@ -219,3 +221,76 @@ def test_duplicate_distractor_forms_rank_deterministically():
     # All scores tie; "gold" < "twin" in byte order takes rank 1, and the
     # byte-identical twins are ordered by entity id.
     assert by_rank == {2: "d1", 3: "d2"}
+
+
+def _byte_key_ranking(scored, correct_forms):
+    """Reference ranking: a stable sort on UTF-8 bytes of the form, then
+    one RankedCandidate per position."""
+    correct = set(correct_forms)
+    ordered = sorted(scored, key=lambda c: (
+        -c.score, c.form.encode("utf-8"), 0 if c.form in correct else 1, c.entity_id or "",
+    ))
+    return tuple(
+        RankedCandidate(c.form, c.entity_id, c.score, rank, c.form in correct)
+        for rank, c in enumerate(ordered, 1)
+    )
+
+
+# Forms mix ASCII, Latin-1, CJK and astral-plane characters (where UTF-16
+# order would differ from UTF-8 order), so a few draws collide.
+_FORMS = st.text(alphabet=st.sampled_from("aAzé€中\uffff\U0001F600\U00010000"),
+                 min_size=1, max_size=3)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_the_byte_key_ranking(data):
+    count = data.draw(st.integers(1, 80), label="count")
+    forms = data.draw(st.lists(_FORMS, min_size=count, max_size=count), label="forms")
+    # Few distinct scores, so ties are common.
+    scores = data.draw(st.lists(st.sampled_from([-3.0, -1.5, -1.0, 0.0]),
+                                min_size=count, max_size=count), label="scores")
+    correct = data.draw(st.sets(st.sampled_from(forms), min_size=1), label="correct")
+    # Correct forms carry no entity id; repeated distractor forms get
+    # distinct ids, drawn out of order.
+    ids = data.draw(st.permutations([f"Q{i}" for i in range(count)]), label="ids")
+    scored = [
+        ScoredCandidate(form, None if form in correct else entity_id, score)
+        for form, entity_id, score in zip(forms, ids, scores)
+    ]
+    result = rank_candidates(scored, sorted(correct))
+    expected = _byte_key_ranking(scored, correct)
+    best = next(c for c in expected if c.correct)
+    assert result.candidates == expected
+    assert result.best_correct_rank == best.rank
+    assert result.best_correct_form == best.form
+    assert result.hits == {n: best.rank <= n for n in (1, 2, 3, 4, 5)}
+    for form in set(forms):
+        assert rank_of_form(result, form) == min(c.rank for c in expected if c.form == form)
+
+
+# Micro-benchmarks of one evaluate set: 2 correct forms and 50 distractors.
+# Run alone with ``pytest tests --benchmark-only``.
+_BENCH_SET = _candidate_set(["Praha", "Praze"], [f"město{i}" for i in range(50)])
+
+
+def test_benchmark_rank_candidates(benchmark):
+    rng = random.Random(3)
+    forms = _BENCH_SET.correct_forms + tuple(d.form for d in _BENCH_SET.distractors)
+    scored = [(form, rng.choice([-3.0, -2.0, -1.0])) for form in forms]
+    result = benchmark.pedantic(
+        rank_candidates, args=(scored, _BENCH_SET.correct_forms), rounds=200, iterations=10
+    )
+    assert len(result.keys) == 52
+
+
+def test_benchmark_score_and_rank_with_the_oracle(benchmark):
+    oracle = OracleScorer({_BENCH_SET.prompt: frozenset(_BENCH_SET.correct_forms)})
+
+    def score_and_rank():
+        scored = score_candidates(oracle, _BENCH_SET)
+        return rank_candidates(scored, _BENCH_SET.correct_forms, fact_id="f1")
+
+    result = benchmark.pedantic(score_and_rank, rounds=200, iterations=10)
+    assert result.best_correct_rank == 1
+    assert result.best_correct_form == "Praha"

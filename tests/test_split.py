@@ -292,3 +292,14 @@ def test_collect_correct_forms_contains_default(cs_corpus):
     fact = cs_corpus.facts["fact-p19-karel"]
     forms = collect_correct_forms(cs_corpus, fact, _splits(MT=_accepted("Praze")))
     assert forms[0] == "Praha"
+
+
+# Micro-benchmark of the split layer's matcher. Run alone with
+# ``pytest tests --benchmark-only``.
+def test_benchmark_sentence_final_stem_match(benchmark):
+    match = benchmark.pedantic(
+        match_object_form, args=("Karel Schwarzenberg se narodil v Praze.", ["Praha"], CONFIG),
+        rounds=200, iterations=10,
+    )
+    assert match.form == "Praze"
+    assert match.matched_via is MatchVia.STEM
