@@ -17,8 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ClientError, ConfigError, MalformedRecord, ReplayMiss
@@ -44,11 +47,18 @@ class TextRequest:
             "extra": dict(self.extra),
         }
 
+    @cached_property
+    def _serialized(self) -> tuple[str, str]:
+        # Computed once per request: the fetch path and the provenance of a
+        # verbalization both read the digest and the canonical form.
+        canonical = dump(self.fields())
+        return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
     def canonical(self) -> str:
-        return dump(self.fields())
+        return self._serialized[0]
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        return self._serialized[1]
 
 
 def record_line(request: TextRequest, response: str) -> str:
@@ -66,39 +76,118 @@ def parse_record(record: dict) -> tuple[TextRequest, str]:
 
 
 class ResponseCache:
-    """Directory of content-addressed response files.
+    """Client responses by request digest: one append-only log of fixture
+    lines per client, ``<client_id>.jsonl`` in ``directory``.
 
-    Writes are atomic (tmp file + rename), so concurrent writers of
-    distinct keys are safe and a reader never sees a torn entry.
+    Construction reads every log once, through the loader of replay
+    fixtures, so a wrong-shape line is a ``MalformedRecord`` naming its file
+    and line; ``get`` is then a dict lookup. ``put`` appends one line with a
+    single ``os.write`` on an ``O_APPEND`` descriptor, opened at the first
+    ``put`` for its client, so a run that only reads creates no file.
+    Entries of the older layout, one ``<digest>.json`` file each, are moved
+    into their client's log on construction.
+
+    A last line without its newline that does not decode is what a killed
+    write leaves: it is skipped on load and cut off before this process
+    first appends to that log. Any other bad line is an error.
+
+    Concurrent writers: the threads of one process share one descriptor per
+    log, and each ``put`` is one write of a whole line. Separate processes
+    also append whole lines with one ``O_APPEND`` write each, so their lines
+    never interleave, but each sees only the lines its construction read,
+    and cutting a torn tail assumes no other process is writing that log at
+    that moment.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+        self._responses = load_fixtures(sorted(self.directory.glob("*.jsonl")), torn_tail=True)
+        self._logs: dict[str, int] = {}
+        self._lock = threading.Lock()
+        # The descriptors are closed when the cache is collected.
+        weakref.finalize(self, _close_logs, self._logs)
+        for path in sorted(self.directory.glob("*.json")):
+            self._import(path)
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise MalformedRecord(f"corrupt cache entry: {exc}", file=str(path)) from exc
-        return parse_record(check_line("fixture", record, file=str(path)))[1]
+        return self._responses.get(key)
 
     def put(self, key: str, request: TextRequest, response: str) -> None:
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(record_line(request, response), encoding="utf-8")
-        os.replace(tmp, path)
+        """Store ``response`` under ``key``, the digest of ``request``."""
+        line = record_line(request, response).encode("utf-8")
+        client_id = request.client_id
+        with self._lock:
+            fd = self._log(client_id)
+            written = os.write(fd, line)
+            if written != len(line):
+                # The partial line is a torn tail: the next put for this
+                # client reopens the log, which cuts it off first.
+                os.close(self._logs.pop(client_id))
+                raise OSError(f"short write to the cache log of {client_id!r}: "
+                              f"{written} of {len(line)} bytes")
+        self._responses[key] = response
+
+    def _log(self, client_id: str) -> int:
+        """The descriptor of ``client_id``'s log; the caller holds the lock."""
+        if client_id not in self._logs:
+            if not is_plain_name(client_id):
+                raise ClientError("client id cannot name a cache log", client_id=client_id)
+            self._logs[client_id] = _open_log(self.directory / f"{client_id}.jsonl")
+        return self._logs[client_id]
+
+    def _import(self, path: Path) -> None:
+        """Move the older-layout entry at ``path`` into its client's log."""
+        try:
+            record = json.loads(path.read_bytes())
+        except ValueError as exc:
+            raise MalformedRecord(f"corrupt cache entry: {exc}", file=str(path)) from exc
+        request, response = parse_record(check_line("fixture", record, file=str(path)))
+        if request.digest() not in self._responses:
+            self.put(request.digest(), request, response)
+        path.unlink()
 
 
-def load_fixtures(paths) -> dict[str, str]:
-    """Load replay fixtures (headerless JSONL of request+response) into a digest map."""
-    records = (parse_record(record) for path in paths for _, record in iter_lines(path, "fixture"))
+def is_plain_name(name) -> bool:
+    """Whether ``name`` names a file of its own in a directory: a non-empty
+    string with no path separator or NUL that does not start with a dot."""
+    return (type(name) is str and name != "" and not name.startswith(".")
+            and not any(c in name for c in "/\\\0"))
+
+
+def _open_log(path: Path) -> int:
+    """An ``O_APPEND`` descriptor of the log at ``path``. A last line without
+    its newline is first cut off if it does not decode (a torn write), and
+    ended with its newline if it does, so no later line is glued onto it."""
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = os.pread(fd, size, 0)
+            start = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[start:])
+            except ValueError:
+                os.ftruncate(fd, start)
+            else:
+                os.write(fd, b"\n")
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _close_logs(logs: dict[str, int]) -> None:
+    for fd in logs.values():
+        os.close(fd)
+    logs.clear()
+
+
+def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
+    """Load replay fixtures (headerless JSONL of request+response) into a
+    digest map; ``torn_tail`` skips a torn last line, as ``iter_lines`` does."""
+    records = (parse_record(record) for path in paths
+               for _, record in iter_lines(path, "fixture", torn_tail=torn_tail))
     return {request.digest(): response for request, response in records}
 
 

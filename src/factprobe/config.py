@@ -14,6 +14,7 @@ from pathlib import Path
 
 import yaml
 
+from .clients import is_plain_name
 from .corpus import is_language_code
 from .errors import ConfigError, MissingInput
 from .jsonl import dump
@@ -92,8 +93,13 @@ def _client_settings(data, key: str, base: Path) -> ClientSettings | None:
         raise ConfigError(f"client mode must be live/record/replay, got {mode!r}")
     fixtures = tuple(str(base / p) for p in _strings(f"{key}.fixtures", data.get("fixtures", ())))
     record_fixtures = data.get("record_fixtures")
+    client_id = data.get("client_id", key)
+    if not is_plain_name(client_id):
+        # It names the client's log in cache_dir.
+        raise ConfigError(f"config key '{key}.client_id' must be a plain file name, "
+                          f"got {client_id!r}", key=f"{key}.client_id")
     return ClientSettings(
-        client_id=data.get("client_id", key),
+        client_id=client_id,
         mode=mode,
         endpoint=data.get("endpoint"),
         model=data.get("model"),
@@ -136,6 +142,8 @@ def load_config(path) -> RunConfig:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise MissingInput("config file is missing", path=str(path)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = {} if mark is None else {"line": mark.line + 1, "column": mark.column + 1}
@@ -203,9 +211,13 @@ def load_config(path) -> RunConfig:
     if backend not in ("oracle", "table", "protocol"):
         raise ConfigError(f"unknown scorer backend {backend!r}")
     scorer_fixtures = scorer_data.get("fixtures")
+    mode = scorer_data.get("mode", "perfect")
+    if mode not in ("perfect", "adversarial"):
+        raise ConfigError(f"scorer.mode must be perfect or adversarial, got {mode!r}",
+                          key="scorer.mode")
     scorer = ScorerSettings(
         backend=backend,
-        mode=scorer_data.get("mode", "perfect"),
+        mode=mode,
         host=scorer_data.get("host", "127.0.0.1"),
         port=_convert("scorer.port", int, scorer_data.get("port", 0)),
         fixtures=str(base / scorer_fixtures) if scorer_fixtures else None,

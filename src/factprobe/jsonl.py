@@ -117,24 +117,30 @@ def check_line(kind: str, record, **where):
     return record
 
 
+# Built once: ``json.dumps`` with these arguments builds an encoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
 def dump(obj) -> str:
     """Canonical serialization: the bytes of a value are a pure function of it."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
-def iter_lines(path, kind: str, **header):
+def iter_lines(path, kind: str, torn_tail: bool = False, **header):
     """Yield ``(line_number, record)`` for each non-blank line of ``path``,
     checked against the spec of ``kind`` (a kind without one, such as
     ``audit``, need only be objects). Every kind but ``fixture`` opens with
     its header line, here extended by the ``header`` fields; the header is
-    checked and not yielded."""
+    checked and not yielded. With ``torn_tail``, a last line without its
+    newline that does not decode, which is what a killed append leaves, is
+    skipped instead of being an error."""
     fields = _COMPILED.get(kind, ())
     expected = kind != "fixture" and _compile({
         name: _check(repr(value), lambda v, value=value: v == value)
         for name, value in {"schema_version": SCHEMA_VERSION, "kind": kind, **header}.items()
     })
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")  # json decodes each line, so bad UTF-8 names its line
     except FileNotFoundError as exc:
         raise MissingInput("input file is missing", path=str(path)) from exc
     with fh:
@@ -145,6 +151,8 @@ def iter_lines(path, kind: str, **header):
             try:
                 record = json.loads(raw)
             except ValueError as exc:
+                if torn_tail and not raw.endswith(b"\n"):
+                    return
                 raise MalformedRecord(f"invalid JSON: {exc}", **where) from exc
             _check_object(expected or fields, record, where)
             if expected:

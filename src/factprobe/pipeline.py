@@ -190,9 +190,10 @@ def _audit(fact: Fact, source: str, kind: str, detail: str = "") -> dict:
 def build_fact(fact: Fact, ctx: BuildContext):
     """Candidate-set lines, verbalization lines and audit entries of one fact.
 
-    The only side effect is fetching through the context's services. A
-    ``MalformedRecord`` (a corrupt cache entry) fails the stage; any other
-    per-fact ``ProbeError`` becomes an audit entry.
+    The only side effect is fetching through the context's services. Every
+    per-fact ``ProbeError`` becomes an audit entry; the cache and fixtures
+    are read and checked when the services are made, so a corrupt entry
+    fails the stage before the first fact.
     """
     config, corpus = ctx.config, ctx.corpus
     candidate_lines: list[dict] = []
@@ -212,8 +213,6 @@ def build_fact(fact: Fact, ctx: BuildContext):
                     fact, corpus, ctx.services["LLM"],
                     ctx.exemplars[(fact.relation_id, fact.language)], config.match,
                 )
-        except MalformedRecord:
-            raise
         except ProbeError as exc:
             audit.append(_audit(fact, source, "VERBALIZATION_ERROR", exc.code))
             continue
@@ -292,8 +291,6 @@ def build_fact(fact: Fact, ctx: BuildContext):
         if qe is not None:
             try:
                 qe_value = _qe_annotate(fact, corpus, verbalizations[source].sentence, qe)
-            except MalformedRecord:
-                raise
             except ProbeError as exc:
                 audit.append(_audit(fact, source.value, "QE_ERROR", exc.code))
                 continue
@@ -447,23 +444,19 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
     and those records.
 
     A file written under another header (another bundle or config, or an
-    older format) is started afresh. An undecodable last line is what a run
-    killed mid-write leaves: it is dropped, so its set is scored again. Any
-    other bad line is an error.
+    older format) is started afresh. A last line without its newline that
+    does not decode is what a run killed mid-write leaves: it is dropped, so
+    its set is scored again. Any other bad line is an error.
     """
     records: list[dict] = []
     try:
         if path.exists():
-            for _, record in iter_lines(path, "progress", **header):
+            for _, record in iter_lines(path, "progress", torn_tail=True, **header):
                 records.append(record)
     except MalformedRecord as exc:
-        if exc.context["line"] == 1:
-            records = []
-        else:
-            with open(path, "rb") as fh:
-                last = sum(1 for _ in fh)
-            if not isinstance(exc.__cause__, ValueError) or exc.context["line"] < last:
-                raise
+        if exc.context["line"] != 1:
+            raise
+        records = []
     write_jsonl(path, "progress", records, **header)
     return records
 

@@ -268,6 +268,12 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("languages", 5),
         ("exclude_relations", 5),
         ("mt.fixtures", "fixtures/mt.jsonl"),
+        # Reached evaluate and raised there.
+        ("scorer.mode", "x"),
+        # A client id names the client's log in cache_dir.
+        ("mt.client_id", "../mt"),
+        ("llm.client_id", ".llm"),
+        ("qe.client_id", 5),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
@@ -289,6 +295,17 @@ def test_cli_reports_a_yaml_error_on_one_line(built, tmp_path):
     code, err = _run(ws, BUILD)
     _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "config.yaml"), line=2, column=1)
     assert "expected ',' or ']'" in err, err
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda path: path.write_bytes(b"config_version: 1\nsalt: \xff\n"),
+    lambda path: (path.unlink(), path.mkdir()),
+], ids=["not-utf8", "a-directory"])
+def test_cli_reports_an_unreadable_config(built, tmp_path, spoil):
+    ws = _copy(built, tmp_path)
+    spoil(ws / "config.yaml")
+    code, err = _run(ws, BUILD)
+    _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "config.yaml"))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -14,6 +16,7 @@ from factprobe.clients import (
     append_fixture,
     load_fixtures,
     make_service,
+    record_line,
 )
 from factprobe.config import ClientSettings
 from factprobe.errors import ClientError, MalformedRecord, ReplayMiss
@@ -79,23 +82,140 @@ def test_recording_client_appends_fixture(tmp_path):
 
 
 def test_cache_entry_is_a_fixture_line(tmp_path):
-    request = _request(extra=(("k", "v"),))
+    requests = [_request(extra=(("k", "v"),)), _request("druhý")]
     cache = ResponseCache(tmp_path / "cache")
-    cache.put(request.digest(), request, "odpověď")
-    append_fixture(tmp_path / "fixtures.jsonl", request, "odpověď")
-    entry = (tmp_path / "cache" / f"{request.digest()}.json").read_bytes()
+    for request in requests:
+        cache.put(request.digest(), request, "odpověď")
+        append_fixture(tmp_path / "fixtures.jsonl", request, "odpověď")
+    # The client's log holds the bytes of a fixture file of the same responses.
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["mt.jsonl"]
+    entry = (tmp_path / "cache" / "mt.jsonl").read_bytes()
     assert entry == (tmp_path / "fixtures.jsonl").read_bytes()
 
 
 def test_cache_reads_indented_entries_with_key_and_timestamp(tmp_path):
     request = _request()
-    (tmp_path / f"{request.digest()}.json").write_text(json.dumps({
+    old = tmp_path / f"{request.digest()}.json"
+    old.write_text(json.dumps({
         "key": request.digest(),
         "request": request.fields(),
         "response": "starý záznam",
         "timestamp": "2025-01-01T00:00:00Z",
     }, ensure_ascii=False, sort_keys=True, indent=1), encoding="utf-8")
     assert ResponseCache(tmp_path).get(request.digest()) == "starý záznam"
+    # The entry was moved into the client's log, once.
+    assert not old.exists()
+    log = (tmp_path / "mt.jsonl").read_text(encoding="utf-8")
+    assert log == record_line(request, "starý záznam")
+    assert ResponseCache(tmp_path).get(request.digest()) == "starý záznam"
+    assert (tmp_path / "mt.jsonl").read_text(encoding="utf-8") == log
+
+
+def test_cache_imports_compact_entries_once(tmp_path):
+    logged, moved = _request("v logu"), _request("jen soubor")
+    ResponseCache(tmp_path).put(logged.digest(), logged, "z logu")
+    for request, response in ((logged, "ze souboru"), (moved, "přesunuto")):
+        (tmp_path / f"{request.digest()}.json").write_text(
+            record_line(request, response), encoding="utf-8")
+    cache = ResponseCache(tmp_path)
+    # An entry already in the log keeps the logged response and is not logged again.
+    assert cache.get(logged.digest()) == "z logu"
+    assert cache.get(moved.digest()) == "přesunuto"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mt.jsonl"]
+    assert (tmp_path / "mt.jsonl").read_text(encoding="utf-8") == (
+        record_line(logged, "z logu") + record_line(moved, "přesunuto"))
+
+
+@pytest.mark.parametrize("tear", [
+    lambda raw: raw[: len(raw) // 2],
+    lambda raw: raw[: raw.index("ř".encode("utf-8")) + 1],  # inside a character
+], ids=["cut-mid-line", "cut-mid-character"])
+def test_cache_skips_and_cuts_a_torn_last_line(tmp_path, tear):
+    kept, torn, later = _request("zůstane"), _request("utržený"), _request("pozdější")
+    log = tmp_path / "mt.jsonl"
+    log.write_bytes(record_line(kept, "ano").encode("utf-8")
+                    + tear(record_line(torn, "řádek").encode("utf-8")))
+    cache = ResponseCache(tmp_path)
+    assert cache.get(kept.digest()) == "ano"
+    assert cache.get(torn.digest()) is None
+    # The first append cuts the torn tail off, so no line is glued onto it.
+    cache.put(later.digest(), later, "potom")
+    assert log.read_text(encoding="utf-8") == (
+        record_line(kept, "ano") + record_line(later, "potom"))
+    assert ResponseCache(tmp_path).get(later.digest()) == "potom"
+
+
+def test_cache_ends_a_whole_last_line_before_appending(tmp_path):
+    kept, later = _request("celý"), _request("pozdější")
+    log = tmp_path / "mt.jsonl"
+    log.write_text(record_line(kept, "ano").rstrip("\n"), encoding="utf-8")
+    cache = ResponseCache(tmp_path)
+    assert cache.get(kept.digest()) == "ano"
+    cache.put(later.digest(), later, "potom")
+    assert log.read_text(encoding="utf-8") == (
+        record_line(kept, "ano") + record_line(later, "potom"))
+
+
+@pytest.mark.parametrize("bad, last", [
+    (record_line(_request(), "x")[:30] + "\n", False),
+    ('{"response": 5}\n', False),
+    ('{"response": 5}', True),  # decodes, so it is no torn write
+], ids=["cut-line-in-the-middle", "wrong-shape-in-the-middle", "wrong-shape-last"])
+def test_cache_log_bad_line_is_malformed(tmp_path, bad, last):
+    good = record_line(_request("dobrý"), "ano")
+    log = tmp_path / "mt.jsonl"
+    log.write_text(good + bad if last else good + bad + good, encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        ResponseCache(tmp_path)
+    assert info.value.context["file"] == str(log)
+    assert info.value.context["line"] == 2
+
+
+def test_cache_logs_of_two_writers_interleave_whole_lines(tmp_path):
+    first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+    requests = [_request(f"text{i}") for i in range(6)]
+    for i, request in enumerate(requests):
+        (first, second)[i % 2].put(request.digest(), request, f"out{i}")
+    reread = ResponseCache(tmp_path)
+    assert [reread.get(r.digest()) for r in requests] == [f"out{i}" for i in range(6)]
+
+
+def test_cache_short_write_leaves_no_glued_line(tmp_path, monkeypatch):
+    from factprobe import clients
+
+    first, cut, later = _request("první"), _request("useknutý"), _request("pozdější")
+    cache = ResponseCache(tmp_path)
+    cache.put(first.digest(), first, "ano")
+    write = os.write
+    # The disk fills part-way through the line.
+    monkeypatch.setattr(clients.os, "write", lambda fd, data: write(fd, data[:20]))
+    with pytest.raises(OSError):
+        cache.put(cut.digest(), cut, "ne")
+    monkeypatch.setattr(clients.os, "write", write)
+    assert cache.get(cut.digest()) is None
+    # The next put cuts the partial line off before appending.
+    cache.put(later.digest(), later, "potom")
+    assert (tmp_path / "mt.jsonl").read_text(encoding="utf-8") == (
+        record_line(first, "ano") + record_line(later, "potom"))
+
+
+@pytest.mark.parametrize("client_id", ["../mt", ".mt", "", "a/b"])
+def test_cache_refuses_a_client_id_that_is_no_file_name(tmp_path, client_id):
+    request = TextRequest(client_id, "hello", "en", "cs")
+    with pytest.raises(ClientError):
+        ResponseCache(tmp_path / "cache").put(request.digest(), request, "x")
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_request_is_serialized_once(monkeypatch):
+    from factprobe import clients
+
+    calls = []
+    monkeypatch.setattr(clients, "dump", lambda obj: calls.append(obj) or json.dumps(obj))
+    request = _request()
+    assert request.digest() == request.digest()
+    assert request.canonical() == json.dumps(request.fields())
+    assert len(calls) == 1
 
 
 _GOOD_REQUEST = _request(extra=(("k", "v"),)).fields()
@@ -228,6 +348,54 @@ def test_http_client_missing_auth_env(http_server, monkeypatch):
     client = HttpClient("mt", endpoint=http_server, auth_env="FACTPROBE_TEST_TOKEN")
     with pytest.raises(ClientError):
         client.complete(_request())
+
+
+def test_cache_threads_append_whole_lines_to_each_log(tmp_path):
+    # More threads than cores, switching often, over three client logs.
+    cache = ResponseCache(tmp_path)
+    requests = [
+        TextRequest(client, f"text{i}", "en", "cs")
+        for client in ("mt", "llm", "qe") for i in range(40)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda part: [
+                cache.put(r.digest(), r, r.text + "-out") for r in part
+            ], args=(requests[i::8],))
+            for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    reread = ResponseCache(tmp_path)
+    assert all(reread.get(r.digest()) == r.text + "-out" for r in requests)
+    for client in ("mt", "llm", "qe"):
+        assert len((tmp_path / f"{client}.jsonl").read_text(encoding="utf-8").splitlines()) == 40
+
+
+def test_benchmark_load_and_get_every_cache_line(tmp_path, benchmark):
+    # 3,000 cache lines over three client logs, each line read back once.
+    requests = [
+        TextRequest(client, f"Věta číslo {i} k přeložení.", "en", "cs")
+        for client in ("mt", "llm", "qe") for i in range(1000)
+    ]
+    cache = ResponseCache(tmp_path)
+    for request in requests:
+        cache.put(request.digest(), request, request.text.upper())
+    keys = [request.digest() for request in requests]
+
+    def load_and_get():
+        warm = ResponseCache(tmp_path)
+        return [warm.get(key) for key in keys]
+
+    responses = benchmark.pedantic(load_and_get, rounds=5, iterations=1)
+    assert responses == [request.text.upper() for request in requests]
 
 
 def test_cache_concurrent_distinct_keys(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from factprobe.errors import MalformedRecord
-from factprobe.jsonl import check_line
+from factprobe.jsonl import check_line, read_jsonl
 
 # A bundle line as build-dataset writes it: 2 correct forms and 50 distractors.
 _CANDIDATE_SET = {
@@ -40,6 +40,15 @@ def test_nested_fields_are_named_by_path():
     with pytest.raises(MalformedRecord) as info:
         check_line("fixture", record, file="f")
     assert info.value.context == {"file": "f", "field": "request.target_language"}
+
+
+def test_a_line_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(b'{"schema_version":1,"kind":"scores"}\n'
+                     b'{"prompt":"a","continuation":"\xff","logprob":1}\n')
+    with pytest.raises(MalformedRecord) as info:
+        read_jsonl(path, "scores")
+    assert info.value.context == {"file": str(path), "line": 2}
 
 
 def test_benchmark_check_candidate_set_line(benchmark):

@@ -511,14 +511,19 @@ def _first_fixture(workspace: Path) -> dict:
 
 def test_cli_reports_corrupt_cache_entry(tmp_path, capsys):
     config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
-    request, response = parse_record(_first_fixture(tmp_path / "ws"))
-    ResponseCache(tmp_path / "ws" / "cache").put(request.digest(), request, response)
-    entry = tmp_path / "ws" / "cache" / f"{request.digest()}.json"
-    entry.write_bytes(entry.read_bytes()[:20])
+    cache = ResponseCache(tmp_path / "ws" / "cache")
+    fixtures = (tmp_path / "ws" / "fixtures" / "mt.jsonl").read_text(encoding="utf-8")
+    for raw in fixtures.splitlines()[:2]:
+        request, response = parse_record(json.loads(raw))
+        cache.put(request.digest(), request, response)
+    # A cut line before the last is corruption, not a torn tail.
+    log = tmp_path / "ws" / "cache" / "mt.jsonl"
+    first, second = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(first[:20] + b"\n" + second)
     assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [MALFORMED_RECORD]")
-    assert str(entry) in err
+    assert f"file={str(log)!r}" in err and "line=1" in err
     assert "Traceback" not in err
 
 
