@@ -119,13 +119,13 @@ class ResponseCache:
         client_id = request.client_id
         with self._lock:
             fd = self._log(client_id)
-            written = os.write(fd, line)
-            if written != len(line):
-                # The partial line is a torn tail: the next put for this
+            try:
+                _write_line(fd, line)
+            except OSError:
+                # A partial line is a torn tail: the next put for this
                 # client reopens the log, which cuts it off first.
                 os.close(self._logs.pop(client_id))
-                raise OSError(f"short write to the cache log of {client_id!r}: "
-                              f"{written} of {len(line)} bytes")
+                raise
         self._responses[key] = response
 
     def _log(self, client_id: str) -> int:
@@ -177,6 +177,13 @@ def _open_log(path: Path) -> int:
     return fd
 
 
+def _write_line(fd: int, line: bytes) -> None:
+    """Append ``line`` with one write; a short write is an ``OSError``."""
+    written = os.write(fd, line)
+    if written != len(line):
+        raise OSError(f"short write: {written} of {len(line)} bytes")
+
+
 def _close_logs(logs: dict[str, int]) -> None:
     for fd in logs.values():
         os.close(fd)
@@ -192,8 +199,13 @@ def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
 
 
 def append_fixture(path, request: TextRequest, response: str) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record_line(request, response))
+    """Append one fixture line to ``path`` as the cache appends to its log,
+    after repairing a torn last line that a killed record run left."""
+    fd = _open_log(Path(path))
+    try:
+        _write_line(fd, record_line(request, response).encode("utf-8"))
+    finally:
+        os.close(fd)
 
 
 class ReplayClient:
@@ -258,6 +270,8 @@ class HttpClient:
                     return json.loads(response.read())["text"]
             except Exception as exc:  # noqa: BLE001 - wrapped below
                 last_error = exc
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # it holds the socket of the error response
                 if attempt + 1 < self.max_attempts:
                     time.sleep(self.backoff_seconds * (2 ** attempt))
         raise ClientError(

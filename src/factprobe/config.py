@@ -1,9 +1,10 @@
 """Run configuration: a versioned YAML file of nested key-value settings.
 
-Relative paths are resolved against the config file's directory, so a run
-directory can be moved or mounted elsewhere without edits. The config
-digest is taken over the canonical JSON form of the parsed content, which
-makes it stable under key reordering and comments.
+Every key is checked against ``SPEC`` once; a value that fails is one
+``ConfigError`` naming its dotted key. Relative paths resolve against the
+config file's directory, so a run directory can move without edits. The
+digest is over the canonical JSON of the parsed content, stable under key
+reordering and comments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import yaml
 from .clients import is_plain_name
 from .corpus import is_language_code
 from .errors import ConfigError, MissingInput
-from .jsonl import dump
+from .jsonl import (BOOL, INT, NUMBER, STRING, _check, _check_object, _compile, _list_of,
+                    _map_of, _or_null, dump)
 from .metrics import DEFAULT_N_VALUES
 from .split import MatchConfig
 
@@ -51,10 +53,10 @@ class ScorerSettings:
     fixtures: str | None = None  # table backend: JSONL of scored continuations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     languages: tuple[str, ...]
-    sources: tuple[str, ...]
+    sources: tuple[str, ...] = ("TEMPLATE",)
     salt: str
     output_dir: Path
     entities_path: Path
@@ -84,172 +86,139 @@ class RunConfig:
         return hashlib.sha256(dump(self.raw).encode("utf-8")).hexdigest()
 
 
-def _client_settings(data, key: str, base: Path) -> ClientSettings | None:
-    if data is None:
-        return None
-    data = _mapping(key, data)
-    mode = data.get("mode", "replay")
-    if mode not in ("live", "record", "replay"):
-        raise ConfigError(f"client mode must be live/record/replay, got {mode!r}")
-    fixtures = tuple(str(base / p) for p in _strings(f"{key}.fixtures", data.get("fixtures", ())))
-    record_fixtures = data.get("record_fixtures")
-    client_id = data.get("client_id", key)
-    if not is_plain_name(client_id):
-        # It names the client's log in cache_dir.
-        raise ConfigError(f"config key '{key}.client_id' must be a plain file name, "
-                          f"got {client_id!r}", key=f"{key}.client_id")
-    return ClientSettings(
-        client_id=client_id,
-        mode=mode,
-        endpoint=data.get("endpoint"),
-        model=data.get("model"),
-        auth_env=data.get("auth_env"),
-        fixtures=fixtures,
-        record_fixtures=str(base / record_fixtures) if record_fixtures else None,
-    )
+def _one_of(*values: str):
+    return _check(" or ".join(map(repr, values)), lambda v: type(v) is str and v in values)
 
 
-def _convert(key: str, convert, value):
-    """``convert(value)``; a value it cannot convert is a ``ConfigError`` naming ``key``."""
+def _at_least(n: int):
+    return _check(f"an integer >= {n}", lambda v: type(v) is int and v >= n)
+
+
+def _non_empty_list_of(test, name: str):
+    return _check(f"a non-empty list of {name}", lambda v: type(v) is list and v != []
+                  and all(map(test, v)))
+
+
+_NAME = _check("a non-empty string", lambda v: type(v) is str and v != "")
+_STRINGS = _list_of(STRING, "a list of strings")
+_CLIENT = {
+    # Wrapped: ``_check`` renames the function it is given. The id names a cache log.
+    "client_id?": _check("a plain file name", lambda v: is_plain_name(v)),
+    "mode?": _one_of("live", "record", "replay"),
+    "endpoint?": _or_null(STRING), "model?": _or_null(STRING), "auth_env?": _or_null(STRING),
+    "fixtures?": _list_of(_NAME, "a list of non-empty strings"),
+    "record_fixtures?": _or_null(_NAME),
+}
+_MATCH = {
+    "min_prefix_ratio?": _check("a number in (0, 1]", lambda v: NUMBER(v) and 0 < v <= 1),
+    "min_prefix_chars?": _at_least(1), "max_suffix_delta?": _at_least(0),
+    "lemmatizer?": _or_null(STRING),
+}
+_SCORER = {
+    "backend?": _one_of("oracle", "table", "protocol"),
+    "mode?": _one_of("perfect", "adversarial"),  # oracle backend
+    "host?": STRING, "port?": INT, "fixtures?": _or_null(_NAME),
+}
+# The run settings; ``?`` marks a key that may be left out, which keeps the
+# default of its field. A null value leaves it out too where that default is None.
+_SETTINGS = {
+    "languages": _non_empty_list_of(is_language_code, "two-letter language codes"),
+    "sources?": _non_empty_list_of(SOURCE_ORDER.__contains__, " or ".join(SOURCE_ORDER)),
+    "salt": _NAME,
+    "output_dir": _NAME, "entities": _NAME, "relations": _NAME, "facts": _NAME,
+    "exemplars_dir?": _or_null(_NAME), "cache_dir?": _or_null(_NAME),
+    "gender_patterns?": _or_null(_NAME),
+    "min_unique_objects?": _at_least(2),
+    "exclude_relations?": _STRINGS,
+    "k_distractors?": _at_least(1),
+    "n_values?": _list_of(_at_least(1), "a list of integers >= 1"),
+    "normalization?": _one_of("SUM", "MEAN"),
+    "include_aliases?": BOOL, "include_english?": BOOL, "flip_inflection_delta_sign?": BOOL,
+    "no_space_languages?": _STRINGS,
+    "match?": _MATCH, "mt?": _CLIENT, "llm?": _CLIENT, "qe?": _CLIENT, "scorer?": _SCORER,
+    "report_max_rank_bucket?": INT,
+}
+SPEC = {
+    "config_version": _check(repr(CONFIG_VERSION),
+                             lambda v: type(v) is int and v == CONFIG_VERSION),
+    **_SETTINGS,
+}
+_COMPILED = _compile(SPEC)
+# Config keys whose field has another name.
+_FIELDS = {"entities": "entities_path", "relations": "relations_path", "facts": "facts_path",
+           "gender_patterns": "gender_patterns_path"}
+
+_MARKERS = _list_of(STRING, "")
+_GENDER_PATTERNS = _map_of(_map_of(_check("", lambda v: type(v) is dict and all(
+    _MARKERS(v[gender]) for gender in ("feminine", "masculine") if gender in v)), ""),
+    "a mapping language -> relation -> {feminine: [markers], masculine: [markers]}"
+    " of strings")
+
+
+def _read_yaml(path: Path, what: str, /, **where) -> dict:
+    """The mapping the YAML file at ``path`` holds. A missing file is
+    ``MissingInput``; one that cannot be read or parsed, or holds no mapping,
+    is a ``ConfigError`` carrying ``where``."""
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} has a bad value {value!r}", key=key) from exc
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise MissingInput(f"{what} file is missing", path=str(path)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}", **where) from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = {} if mark is None else {"line": mark.line + 1, "column": mark.column + 1}
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ConfigError(f"cannot parse {what}: {problem}", **where, **at) from exc
+    if type(data) is not dict:
+        raise ConfigError(f"{what} must be a mapping", **where)
+    return data
 
 
-def _mapping(key: str, value) -> dict:
-    """The config block ``value``, ``{}`` if it is null; a ``ConfigError``
-    naming ``key`` if it is not a mapping."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {key!r} must be a mapping, got {value!r}", key=key)
-    return value
+def _as_field(value):
+    return tuple(value) if type(value) is list else value
 
 
-def _strings(key: str, value) -> tuple[str, ...]:
-    """The config list ``value`` as a tuple; a ``ConfigError`` naming ``key``
-    if it is not a list of strings."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"config key {key!r} must be a list of strings, got {value!r}",
-                          key=key)
-    return tuple(value)
+def _given(block: dict, spec: dict, **convert) -> dict:
+    """The fields that the checked ``block`` of ``spec`` sets, each converted
+    by its function in ``convert`` (a list becomes a tuple). A key that is
+    absent or null is skipped, so its field keeps the dataclass default."""
+    keys = (name.rstrip("?") for name in spec)
+    return {_FIELDS.get(key, key): convert.get(key, _as_field)(block[key])
+            for key in keys if block.get(key) is not None}
 
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise MissingInput("config file is missing", path=str(path)) from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = {} if mark is None else {"line": mark.line + 1, "column": mark.column + 1}
-        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
-        raise ConfigError(f"cannot parse config: {problem}", path=str(path), **where) from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    if data.get("config_version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"unsupported config_version {data.get('config_version')!r}"
-        )
+    data = _read_yaml(path, "config", path=str(path))
+    _check_object(_COMPILED, data, {"path": str(path)}, error=ConfigError, noun="key")
     base = path.parent
 
-    def resolve(key: str, required: bool = True) -> Path | None:
-        value = data.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"config key {key!r} is required")
-            return None
-        return (base / str(value)).resolve()
+    def resolve(value: str) -> Path:
+        return (base / value).resolve()
 
-    languages = _strings("languages", data.get("languages", ()))
-    if not languages:
-        raise ConfigError("at least one language is required")
-    for lang in languages:
-        if not is_language_code(lang):
-            raise ConfigError(f"bad language code {lang!r}")
-    sources = _strings("sources", data.get("sources", ("TEMPLATE",)))
-    if not sources:
-        raise ConfigError("at least one verbalization source must be enabled")
-    for source in sources:
-        if source not in SOURCE_ORDER:
-            raise ConfigError(f"unknown verbalization source {source!r}")
-    sources = tuple(s for s in SOURCE_ORDER if s in sources)
-    salt = data.get("salt", "")
-    if not isinstance(salt, str) or not salt:
-        raise ConfigError("salt must be a non-empty string")
-    min_unique = _convert("min_unique_objects", int, data.get("min_unique_objects", 10))
-    if min_unique < 2:
-        raise ConfigError("min_unique_objects must be >= 2", key="min_unique_objects")
-    k = _convert("k_distractors", int, data.get("k_distractors", 50))
-    if k < 1:
-        raise ConfigError("k_distractors must be >= 1")
-    n_values = _convert("n_values", lambda ns: tuple(int(n) for n in ns),
-                        data.get("n_values", DEFAULT_N_VALUES))
-    if any(n < 1 for n in n_values):
-        raise ConfigError("n_values must all be >= 1")
-    normalization = data.get("normalization", "SUM")
-    if normalization not in ("SUM", "MEAN"):
-        raise ConfigError(f"normalization must be SUM or MEAN, got {normalization!r}")
+    def join(value: str) -> str:
+        return str(base / value)
 
-    match_data = _mapping("match", data.get("match"))
-    numbers = {
-        name: _convert(f"match.{name}", type(default), match_data.get(name, default))
-        for name, default in (("min_prefix_ratio", 0.6), ("min_prefix_chars", 3),
-                              ("max_suffix_delta", 4))
-    }
-    try:
-        match = MatchConfig(**numbers, lemmatizer=match_data.get("lemmatizer"))
-    except ValueError as exc:
-        raise ConfigError(f"bad match config: {exc}") from exc
+    def client(key: str):
+        return lambda block: ClientSettings(**{"client_id": key, **_given(
+            block, _CLIENT, fixtures=lambda paths: tuple(map(join, paths)),
+            record_fixtures=join)})
 
-    scorer_data = _mapping("scorer", data.get("scorer"))
-    backend = scorer_data.get("backend", "oracle")
-    if backend not in ("oracle", "table", "protocol"):
-        raise ConfigError(f"unknown scorer backend {backend!r}")
-    scorer_fixtures = scorer_data.get("fixtures")
-    mode = scorer_data.get("mode", "perfect")
-    if mode not in ("perfect", "adversarial"):
-        raise ConfigError(f"scorer.mode must be perfect or adversarial, got {mode!r}",
-                          key="scorer.mode")
-    scorer = ScorerSettings(
-        backend=backend,
-        mode=mode,
-        host=scorer_data.get("host", "127.0.0.1"),
-        port=_convert("scorer.port", int, scorer_data.get("port", 0)),
-        fixtures=str(base / scorer_fixtures) if scorer_fixtures else None,
-    )
+    paths = ("output_dir", "entities", "relations", "facts", "exemplars_dir", "cache_dir",
+             "gender_patterns")
+    return RunConfig(raw=data, **_given(
+        data, _SETTINGS, **dict.fromkeys(paths, resolve),
+        sources=lambda names: tuple(s for s in SOURCE_ORDER if s in names),
+        match=lambda block: MatchConfig(**_given(block, _MATCH)),
+        scorer=lambda block: ScorerSettings(**_given(block, _SCORER, fixtures=join)),
+        mt=client("mt"), llm=client("llm"), qe=client("qe"),
+    ))
 
-    return RunConfig(
-        languages=languages,
-        sources=sources,
-        salt=salt,
-        output_dir=resolve("output_dir"),
-        entities_path=resolve("entities"),
-        relations_path=resolve("relations"),
-        facts_path=resolve("facts"),
-        exemplars_dir=resolve("exemplars_dir", required=False),
-        cache_dir=resolve("cache_dir", required=False),
-        min_unique_objects=min_unique,
-        exclude_relations=_strings("exclude_relations", data.get("exclude_relations", ())),
-        k_distractors=k,
-        n_values=n_values,
-        normalization=normalization,
-        include_aliases=bool(data.get("include_aliases", False)),
-        include_english=bool(data.get("include_english", False)),
-        flip_inflection_delta_sign=bool(data.get("flip_inflection_delta_sign", False)),
-        no_space_languages=_strings("no_space_languages", data.get("no_space_languages", ())),
-        match=match,
-        mt=_client_settings(data.get("mt"), "mt", base),
-        llm=_client_settings(data.get("llm"), "llm", base),
-        qe=_client_settings(data.get("qe"), "qe", base),
-        scorer=scorer,
-        gender_patterns_path=resolve("gender_patterns", required=False),
-        report_max_rank_bucket=_convert(
-            "report_max_rank_bucket", int, data.get("report_max_rank_bucket", 50)
-        ),
-        raw=data,
-    )
+
+def load_gender_patterns(path) -> dict:
+    """language -> relation id -> {"feminine": [markers], "masculine": [markers]}."""
+    data = _read_yaml(Path(path), "gender patterns", file=str(path))
+    if not _GENDER_PATTERNS(data):
+        raise ConfigError(f"gender patterns must be {_GENDER_PATTERNS.__name__}", file=str(path))
+    return data

@@ -94,20 +94,24 @@ def _compile(spec: dict) -> tuple:
 _COMPILED = {kind: _compile(spec) for kind, spec in SPECS.items()}
 
 
-def _check_object(fields: tuple, record, where: dict, at: str | None = None) -> None:
+def _check_object(fields: tuple, record, where: dict, at: str | None = None,
+                  error=MalformedRecord, noun: str = "field") -> None:
+    """Raise ``error`` with ``where`` and, under ``noun``, the first field of
+    ``record`` that fails its check. An optional object may be null."""
     if type(record) is not dict:
-        context = where if at is None else dict(where, field=at)
-        raise MalformedRecord(f"{at or 'record'} is not an object", **context)
+        context = where if at is None else dict(where, **{noun: at})
+        raise error(f"{at or 'record'} is not an object", **context)
     for name, required, check in fields:
         field = name if at is None else f"{at}.{name}"
         if name not in record:
             if required:
-                raise MalformedRecord(f"missing field {field!r}", field=field, **where)
+                raise error(f"missing {noun} {field!r}", **{noun: field}, **where)
         elif type(check) is tuple:
-            _check_object(check, record[name], where, field)
+            if required or record[name] is not None:
+                _check_object(check, record[name], where, field, error, noun)
         elif not check(record[name]):
-            raise MalformedRecord(f"field {field!r} is not {check.__name__}: "
-                                  f"{reprlib.repr(record[name])}", field=field, **where)
+            raise error(f"{noun} {field!r} is not {check.__name__}: "
+                        f"{reprlib.repr(record[name])}", **{noun: field}, **where)
 
 
 def check_line(kind: str, record, **where):

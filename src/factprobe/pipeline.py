@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from . import report as report_mod
 from .candidates import (
     CandidateSet,
@@ -27,7 +25,7 @@ from .candidates import (
     sample_distractors,
 )
 from .clients import ResponseCache, TextRequest, TextService, make_service
-from .config import RunConfig
+from .config import RunConfig, load_gender_patterns
 from .corpus import Corpus, Fact, filter_relations, load_corpus, unique_object_pool
 from .errors import (
     BackendError,
@@ -589,33 +587,6 @@ def load_records(records_dir) -> list[EvalRecord]:
     return records
 
 
-def _load_gender_patterns(path) -> dict:
-    """language -> relation id -> {"feminine": [markers], "masculine": [markers]}."""
-    try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise MissingInput("gender patterns file is missing", path=str(path)) from exc
-    except yaml.YAMLError as exc:
-        problem = " ".join(str(exc).split())
-        raise ConfigError(f"cannot parse gender patterns: {problem}", file=str(path)) from exc
-
-    def check(ok: bool, where: str, expected: str) -> None:
-        if not ok:
-            raise ConfigError(f"gender patterns{where} must be {expected}", file=str(path))
-
-    check(isinstance(data, dict), "", "a mapping of languages")
-    for language, relations in data.items():
-        check(isinstance(relations, dict), f" of {language!r}", "a mapping of relations")
-        for relation, markers in relations.items():
-            where = f" of {language!r} {relation!r}"
-            check(isinstance(markers, dict), where, "a mapping of marker lists")
-            for gender in ("feminine", "masculine"):
-                found = markers.get(gender, [])
-                check(isinstance(found, list) and all(isinstance(m, str) for m in found),
-                      f"{where} {gender}", "a list of strings")
-    return data
-
-
 def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
     """Render markdown tables and CSVs from the record store."""
     report_dir = config.output_dir / "report"
@@ -681,7 +652,7 @@ def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
 def _gender_tables(config, records, languages, sources, n_values) -> str:
     if config.gender_patterns_path is None:
         return "No gender pattern data configured.\n"
-    patterns = _load_gender_patterns(config.gender_patterns_path)
+    patterns = load_gender_patterns(config.gender_patterns_path)
     covered = [
         r for r in records
         if r.subject_gender in FEMALE_GENDERS

@@ -2,7 +2,7 @@
 
 The tests copy one prebuilt toy workspace per case, spoil one input and run
 ``factprobe`` in-process: a line of a read kind with a field dropped or of
-another JSON type, a missing input, a wrong-typed config value or a bad
+another JSON type, a missing input, a config value its spec refuses or a bad
 gender-patterns file.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factprobe import cli, pipeline
-from factprobe.config import load_config
+from factprobe.config import SPEC, load_config
 from factprobe.score import candidate_continuations
 
 from conftest import make_toy_workspace
@@ -274,6 +274,13 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("mt.client_id", "../mt"),
         ("llm.client_id", ".llm"),
         ("qe.client_id", 5),
+        # Coerced or used as given: aliases counted as correct, k rounded
+        # down, a directory named "[1]", a TypeError traceback.
+        ("include_aliases", "false"),
+        ("k_distractors", 2.7),
+        ("output_dir", [1]),
+        ("mt.record_fixtures", 5),
+        ("scorer.fixtures", 5),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
@@ -285,6 +292,49 @@ def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
         section = section.setdefault(parent, {})
     section[name] = value
     (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
+    code, err = _run(ws, BUILD)
+    _assert_coded(code, err, "CONFIG_ERROR", key=key)
+
+
+def _config_keys(spec: dict, at: str = ""):
+    """``(dotted key, optional, check)`` of every key of ``spec``, nested ones too."""
+    for name, check in spec.items():
+        key = at + name.rstrip("?")
+        yield key, name.endswith("?"), check
+        if isinstance(check, dict):
+            yield from _config_keys(check, key + ".")
+
+
+CONFIG_KEYS = list(_config_keys(SPEC))
+# YAML values of each type; a key is given one that its spec refuses.
+YAML_VALUES = [None, True, 7, 2.7, "x", [], {}]
+
+
+def _refuses(optional: bool, check, value) -> bool:
+    if isinstance(check, dict):  # a block; an optional one may be null
+        return type(value) is not dict and not (optional and value is None)
+    return not check(value)
+
+
+@pytest.mark.parametrize("key, optional, check", CONFIG_KEYS, ids=[k for k, _, _ in CONFIG_KEYS])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cli_reports_a_config_key_of_another_type(built, tmp_path_factory, key, optional,
+                                                  check, data):
+    choices = [v for v in YAML_VALUES if _refuses(optional, check, v)]
+    value = data.draw(st.sampled_from(choices + ([] if optional else [_DROP])), label="value")
+    config = yaml.safe_load((built / "config.yaml").read_text(encoding="utf-8"))
+    *parents, name = key.split(".")
+    section = config
+    for parent in parents:
+        section = section.setdefault(parent, {})
+    if value is _DROP:
+        del section[name]
+    else:
+        section[name] = value
+    # The config is checked before any input is read, so it needs no workspace.
+    ws = tmp_path_factory.mktemp("config")
+    (ws / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
     code, err = _run(ws, BUILD)
     _assert_coded(code, err, "CONFIG_ERROR", key=key)
 
@@ -317,12 +367,19 @@ def test_cli_reports_an_unreadable_config(built, tmp_path, spoil):
         "aa: {R1: [m]}\n",
         "aa: {R1: {feminine: wqr1la}}\n",
         "aa: {R1: {feminine: [1]}}\n",
+        b"aa: {R1: {feminine: [\xff]}}\n",
+        None,
     ],
     ids=["bad-yaml", "list-of-languages", "list-of-relations", "list-for-markers",
-         "marker-string", "marker-number"],
+         "marker-string", "marker-number", "not-utf8", "a-directory"],
 )
 def test_report_checks_the_gender_patterns_file(built, tmp_path, text):
     ws = _copy(built, tmp_path)
-    (ws / "gender_patterns.yaml").write_text(text, encoding="utf-8")
+    path = ws / "gender_patterns.yaml"
+    if text is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code, err = _run(ws, REPORT + ["--force"])
     _assert_coded(code, err, "CONFIG_ERROR", file=str(ws / "gender_patterns.yaml"))

@@ -81,6 +81,15 @@ def test_recording_client_appends_fixture(tmp_path):
     assert service.fetch(_request()) == "živě"
 
 
+def test_append_fixture_repairs_a_torn_last_line(tmp_path):
+    # A record run killed mid-write leaves its last line cut short.
+    path = tmp_path / "recorded.jsonl"
+    whole, torn, later = _request("celý"), _request("useknutý"), _request("pozdější")
+    path.write_bytes((record_line(whole, "ano") + record_line(torn, "ne")[:20]).encode("utf-8"))
+    append_fixture(path, later, "potom")
+    assert load_fixtures([path]) == {whole.digest(): "ano", later.digest(): "potom"}
+
+
 def test_cache_entry_is_a_fixture_line(tmp_path):
     requests = [_request(extra=(("k", "v"),)), _request("druhý")]
     cache = ResponseCache(tmp_path / "cache")
@@ -318,6 +327,8 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    thread.join()
+    server.server_close()
 
 
 def test_http_client_roundtrip(http_server):
