@@ -94,6 +94,10 @@ def _at_least(n: int):
     return _check(f"an integer >= {n}", lambda v: type(v) is int and v >= n)
 
 
+# A TCP port; the resolver would wrap a larger number round to another port.
+_PORT = _check("an integer in 1..65535", lambda v: type(v) is int and 1 <= v <= 65535)
+
+
 def _non_empty_list_of(test, name: str):
     return _check(f"a non-empty list of {name}", lambda v: type(v) is list and v != []
                   and all(map(test, v)))
@@ -117,7 +121,7 @@ _MATCH = {
 _SCORER = {
     "backend?": _one_of("oracle", "table", "protocol"),
     "mode?": _one_of("perfect", "adversarial"),  # oracle backend
-    "host?": STRING, "port?": INT, "fixtures?": _or_null(_NAME),
+    "host?": STRING, "port?": _PORT, "fixtures?": _or_null(_NAME),
 }
 # The run settings; ``?`` marks a key that may be left out, which keeps the
 # default of its field. A null value leaves it out too where that default is None.

@@ -24,9 +24,10 @@ from .errors import BackendError, FormNotPresent, NonFiniteScore, ScorerConnecti
 
 PROTOCOL_VERSION = 1
 
-# Requests the protocol client keeps in flight on its connection. A server
-# that answers one line at a time loses nothing by it, because its next
-# request is already buffered when it finishes the current one.
+# Requests the protocol client keeps in flight on its connection. Each
+# request the window admits is sent at once (Nagle's algorithm is off), so a
+# server that answers one line at a time finds its next request already
+# buffered, and one that overlaps requests sees up to this many of them.
 PIPELINE_WINDOW = 8
 
 NORMALIZATION_SUM = "SUM"
@@ -292,6 +293,10 @@ class ProtocolScorerClient:
             raise BackendError(
                 f"cannot reach scorer backend at {host}:{port}: {exc}"
             ) from exc
+        # Nagle's algorithm would hold a request shorter than a segment until
+        # the server acknowledges the previous one, which it does only with
+        # its next reply, and so would keep the window from filling.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Requests are written only as far as the socket takes them, and
         # replies are read in the meantime, so a server blocked on writing a
         # large reply never waits on a client blocked on writing a request.

@@ -281,6 +281,9 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("output_dir", [1]),
         ("mt.record_fixtures", 5),
         ("scorer.fixtures", 5),
+        # The resolver took the port modulo 65536: 70000 connected to 4464.
+        ("scorer.port", 70000),
+        ("scorer.port", 0),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):

@@ -107,6 +107,14 @@ def test_protocol_unicode_payload(score_server):
     client.close()
 
 
+def test_protocol_client_sends_without_nagle_delay(score_server):
+    # With Nagle's algorithm on, a short request waits for the server to
+    # acknowledge the previous one, so the window never fills.
+    client = ProtocolScorerClient(*score_server)
+    assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    client.close()
+
+
 def test_protocol_unreachable_backend_fails_fast():
     with pytest.raises(BackendError):
         ProtocolScorerClient("127.0.0.1", 1, timeout=0.2)
