@@ -49,7 +49,7 @@ class ScorerSettings:
     backend: str = "oracle"
     mode: str = "perfect"  # oracle backend: perfect | adversarial
     host: str = "127.0.0.1"
-    port: int = 0
+    port: int | None = None  # required by the protocol backend
     fixtures: str | None = None  # table backend: JSONL of scored continuations
 
 
@@ -211,13 +211,17 @@ def load_config(path) -> RunConfig:
 
     paths = ("output_dir", "entities", "relations", "facts", "exemplars_dir", "cache_dir",
              "gender_patterns")
-    return RunConfig(raw=data, **_given(
+    config = RunConfig(raw=data, **_given(
         data, _SETTINGS, **dict.fromkeys(paths, resolve),
         sources=lambda names: tuple(s for s in SOURCE_ORDER if s in names),
         match=lambda block: MatchConfig(**_given(block, _MATCH)),
         scorer=lambda block: ScorerSettings(**_given(block, _SCORER, fixtures=join)),
         mt=client("mt"), llm=client("llm"), qe=client("qe"),
     ))
+    if config.scorer.backend == "protocol" and config.scorer.port is None:
+        raise ConfigError("missing key 'scorer.port', which the protocol backend needs",
+                          key="scorer.port", path=str(path))
+    return config
 
 
 def load_gender_patterns(path) -> dict:

@@ -3,8 +3,9 @@
 A file is UTF-8, one compact JSON object per line, opened by a header line
 ``{"schema_version": 1, "kind": ...}`` (replay fixtures have none). ``SPECS``
 maps each field of a kind to a check of its value: ``?`` marks an optional
-field, a nested mapping an object, and unnamed fields are ignored. A line
-that fails is a ``MalformedRecord`` naming file, line and field."""
+field, a nested mapping an object, ``*`` every member of a map of objects,
+and unnamed fields are ignored. A line that fails is a ``MalformedRecord``
+naming file, line and field."""
 
 from __future__ import annotations
 
@@ -66,12 +67,13 @@ SPECS = {
         "id": TEXT, "subject_id": STRING, "relation_id": STRING, "object_id": STRING,
         "language": STRING, "subject_gender?": _or_null(STRING),
     },
-    "candidate_sets": {
-        "fact_id": STRING, "source": STRING, "language": STRING, "relation_id": STRING,
-        "prompt": STRING, "correct_forms": _list_of(STRING, "a list of strings"),
+    "candidate_sets": {  # one line per fact; its sets differ only in prompt and QE score
+        "fact_id": STRING, "language": STRING, "relation_id": STRING,
+        "correct_forms": _list_of(STRING, "a list of strings"),
         "distractors": _list_of(_PAIR, "a list of [entity id, form] string pairs"),
         "salt": STRING, "no_space?": BOOL, "inflection_pair?": _or_null(_INFLECTION_PAIR),
-        "qe_score?": _or_null(NUMBER), "subject_gender?": _or_null(STRING),
+        "subject_gender?": _or_null(STRING),
+        "sources": {"*": {"prompt": STRING, "qe_score?": _or_null(NUMBER)}},
     },
     "records": _RECORD,
     "progress": _RECORD,  # the record of each set, appended as it is scored
@@ -102,6 +104,11 @@ def _check_object(fields: tuple, record, where: dict, at: str | None = None,
         context = where if at is None else dict(where, **{noun: at})
         raise error(f"{at or 'record'} is not an object", **context)
     for name, required, check in fields:
+        if name == "*":
+            for key, value in record.items():
+                _check_object(check, value, where, key if at is None else f"{at}.{key}",
+                              error, noun)
+            continue
         field = name if at is None else f"{at}.{name}"
         if name not in record:
             if required:

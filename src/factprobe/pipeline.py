@@ -186,7 +186,8 @@ def _audit(fact: Fact, source: str, kind: str, detail: str = "") -> dict:
 
 
 def build_fact(fact: Fact, ctx: BuildContext):
-    """Candidate-set lines, verbalization lines and audit entries of one fact.
+    """Candidate-set line (at most one), verbalization lines and audit
+    entries of one fact.
 
     The only side effect is fetching through the context's services. Every
     per-fact ``ProbeError`` becomes an audit entry; the cache and fixtures
@@ -269,6 +270,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
         return candidate_lines, verbalization_lines, audit
 
     qe = ctx.services.get("QE")
+    sources: dict[str, dict] = {}
     for source in VerbalizationSource:
         split_result = splits.get(source)
         if split_result is None:
@@ -292,20 +294,22 @@ def build_fact(fact: Fact, ctx: BuildContext):
             except ProbeError as exc:
                 audit.append(_audit(fact, source.value, "QE_ERROR", exc.code))
                 continue
+        sources[source.value] = {"prompt": candidate_set.prompt, "qe_score": qe_value}
+    if sources:
+        # Assembly depends only on the correct forms and the distractors,
+        # so every source's set has those of the last one assembled.
         candidate_lines.append(
             {
                 "fact_id": fact.id,
-                "source": source.value,
                 "language": fact.language,
                 "relation_id": fact.relation_id,
-                "prompt": candidate_set.prompt,
                 "correct_forms": list(candidate_set.correct_forms),
                 "distractors": [[d.entity_id, d.form] for d in candidate_set.distractors],
                 "salt": config.salt,
                 "subject_gender": fact.subject_gender,
                 "inflection_pair": inflection_pair,
-                "qe_score": qe_value,
                 "no_space": fact.language in config.no_space_languages,
+                "sources": sources,
             }
         )
     return candidate_lines, verbalization_lines, audit
@@ -396,7 +400,8 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
         counts = {
             "facts_eligible": len(facts),
             "enabled_sources": len(config.sources),
-            "candidate_sets": len(candidate_lines),
+            # (fact, source) sets, not lines
+            "candidate_sets": sum(len(line["sources"]) for line in candidate_lines),
             "audit_blocking": blocking,
             "audit_notes": notes,
         }
@@ -418,10 +423,9 @@ def make_scorer(config: RunConfig, lines: list[dict]):
         correct_by_prompt: dict[str, frozenset] = {}
         for line in lines:
             forms = frozenset(line["correct_forms"])
-            existing = correct_by_prompt.get(line["prompt"])
-            correct_by_prompt[line["prompt"]] = (
-                forms if existing is None else existing | forms
-            )
+            for prompt in {entry["prompt"] for entry in line["sources"].values()}:
+                existing = correct_by_prompt.get(prompt)
+                correct_by_prompt[prompt] = forms if existing is None else existing | forms
         return OracleScorer(correct_by_prompt, mode=settings.mode)
     if settings.backend == "table":
         if not settings.fixtures:
@@ -460,36 +464,48 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
 
 
 def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
-    """``(line, CandidateSet)`` for each bundle line not yet done, built
-    only when the caller reaches it."""
+    """``(line, sources, CandidateSet)`` for each distinct prompt among the
+    sources of a bundle line not yet done; ``sources`` are those that share
+    the prompt, in name order. Sets are built only when the caller reaches
+    them."""
     for line in lines:
-        if (line["fact_id"], line["source"]) in done:
+        fact_id = line["fact_id"]
+        by_prompt: dict[str, list[str]] = {}
+        for source, entry in sorted(line["sources"].items()):
+            if (fact_id, source) not in done:
+                by_prompt.setdefault(entry["prompt"], []).append(source)
+        if not by_prompt:
             continue
-        yield line, CandidateSet(
-            fact_id=line["fact_id"],
-            prompt=line["prompt"],
-            correct_forms=tuple(line["correct_forms"]),
-            distractors=tuple(map(Distractor._make, line["distractors"])),
-            salt=line["salt"],
-        )
+        correct_forms = tuple(line["correct_forms"])
+        distractors = tuple(map(Distractor._make, line["distractors"]))
+        for prompt, sources in by_prompt.items():
+            yield line, sources, CandidateSet(
+                fact_id=fact_id,
+                prompt=prompt,
+                correct_forms=correct_forms,
+                distractors=distractors,
+                salt=line["salt"],
+            )
 
 
 def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False) -> Path:
     """Score and rank every candidate set, producing the record store.
 
-    Progress is appended per (fact, source); an interrupted run resumes
-    where it stopped and the final sorted store is byte-identical to an
-    uninterrupted one. Sets whose scoring failed with a ``BackendError``
-    are audited and leave the stage incomplete, with its progress kept, so
-    the next run scores only those sets again. Any other exception fails
-    the stage with its progress kept.
+    The sources of a fact that share a prompt send the same request, so
+    each distinct prompt of a fact is scored and ranked once and gives one
+    record per source. Progress is appended per (fact, source); an
+    interrupted run resumes where it stopped and the final sorted store is
+    byte-identical to an uninterrupted one. Sets whose scoring failed with
+    a ``BackendError`` are audited and leave the stage incomplete, with its
+    progress kept, so the next run scores only those sets again. Any other
+    exception fails the stage with its progress kept.
     """
     candidate_sets = Path(bundle_dir) / "candidate_sets.jsonl"
     records_dir = config.output_dir / "records"
 
     def work(config_digest, input_digests):
         lines = read_jsonl(candidate_sets, "candidate_sets")
-        lines.sort(key=lambda line: (line["fact_id"], line["source"]))
+        lines.sort(key=lambda line: line["fact_id"])
         progress_path = records_dir / "progress.jsonl"
         record_lines = _load_progress(
             progress_path, {"config_digest": config_digest, "inputs": input_digests}
@@ -508,10 +524,10 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                 sets, ahead = itertools.tee(sets)
                 stack.enter_context(backend.pipelined(
                     (cs.prompt, candidate_continuations(cs, bool(line.get("no_space"))))
-                    for line, cs in ahead
+                    for line, _, cs in ahead
                 ))
             progress = stack.enter_context(open(progress_path, "a", encoding="utf-8"))
-            for line, candidate_set in sets:
+            for line, sources, candidate_set in sets:
                 try:
                     scored = score_candidates(
                         backend, candidate_set, config.normalization,
@@ -524,12 +540,12 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                 except ScorerConnectionLost:
                     raise
                 except BackendError as exc:
-                    audit.append({
+                    audit.extend({
                         "fact_id": line["fact_id"],
-                        "source": line["source"],
+                        "source": source,
                         "kind": "BACKEND_ERROR",
                         "detail": exc.code,
-                    })
+                    } for source in sources)
                     continue
                 form_ranks = None
                 pair = line.get("inflection_pair")
@@ -538,24 +554,27 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                         FORM_NONINFLECTED: rank_of_form(result, pair["noninflected"]),
                         FORM_INFLECTED: rank_of_form(result, pair["inflected"]),
                     }
-                record = {
-                    "fact_id": line["fact_id"],
-                    "language": line["language"],
-                    "relation_id": line["relation_id"],
-                    "source": line["source"],
-                    "best_correct_rank": result.best_correct_rank,
-                    "best_correct_form": result.best_correct_form,
-                    "hits": {str(n): hit for n, hit in sorted(result.hits.items())},
-                    "form_ranks": form_ranks,
-                    "qe_score": line.get("qe_score"),
-                    "subject_gender": line.get("subject_gender"),
-                    "prompt": line["prompt"],
-                }
-                record_lines.append(record)
-                progress.write(dump(record) + "\n")
+                hits = {str(n): hit for n, hit in sorted(result.hits.items())}
+                for source in sources:
+                    record = {
+                        "fact_id": line["fact_id"],
+                        "language": line["language"],
+                        "relation_id": line["relation_id"],
+                        "source": source,
+                        "best_correct_rank": result.best_correct_rank,
+                        "best_correct_form": result.best_correct_form,
+                        "hits": hits,
+                        "form_ranks": form_ranks,
+                        "qe_score": line["sources"][source].get("qe_score"),
+                        "subject_gender": line.get("subject_gender"),
+                        "prompt": candidate_set.prompt,
+                    }
+                    record_lines.append(record)
+                    progress.write(dump(record) + "\n")
                 progress.flush()
 
         record_lines.sort(key=lambda r: (r["fact_id"], r["source"]))
+        audit.sort(key=lambda entry: (entry["fact_id"], entry["source"]))
         write_jsonl(records_dir / "records.jsonl", "records", record_lines)
         write_jsonl(records_dir / "audit.jsonl", "audit", audit)
         if not audit:

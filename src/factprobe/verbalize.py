@@ -329,7 +329,6 @@ def make_llm_verbalization(
         source=VerbalizationSource.LLM,
         sentence=sentence,
         provenance={
-            "prompt": prompt,
             "translator_id": request.client_id,
             "cache_key": request.digest(),
             "request": request.canonical(),

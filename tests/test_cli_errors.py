@@ -27,6 +27,8 @@ BUILD = ["build-dataset", "--config", "config.yaml", "--replay"]
 EVALUATE = ["evaluate", "--config", "config.yaml", "--bundle", "out/bundle"]
 REPORT = ["report", "--config", "config.yaml", "--records", "out/records"]
 
+SOURCES = ("TEMPLATE", "MT", "LLM")
+
 # Per read kind: the files holding it, the command that reads it, and its
 # required fields, optional fields and the optional fields that may be null.
 # Nested fields are dotted.
@@ -49,10 +51,12 @@ KINDS = {
     ),
     "candidate_sets": (
         ["out/bundle/candidate_sets.jsonl"], EVALUATE,
-        ["fact_id", "source", "language", "relation_id", "prompt", "correct_forms",
-         "distractors", "salt"],
-        ["no_space", "inflection_pair", "qe_score", "subject_gender"],
-        ["inflection_pair", "qe_score", "subject_gender"],
+        ["fact_id", "language", "relation_id", "correct_forms", "distractors", "salt",
+         "sources"] + [f"sources.{source}.prompt" for source in SOURCES],
+        ["no_space", "inflection_pair", "subject_gender"]
+        + [f"sources.{source}.qe_score" for source in SOURCES],
+        ["inflection_pair", "subject_gender"] + [f"sources.{source}.qe_score"
+                                                 for source in SOURCES],
     ),
     "scores": (
         ["scores.jsonl"], ["evaluate", "--config", "table.yaml", "--bundle", "out/bundle"],
@@ -117,7 +121,7 @@ def built(tmp_path_factory) -> Path:
 
     pipeline.write_jsonl(root / "scores.jsonl", "scores", [
         {"prompt": cs.prompt, "continuation": c, "logprob": -1.0, "token_count": 1}
-        for line, cs in pipeline._pending_sets(lines, set())
+        for line, _, cs in pipeline._pending_sets(lines, set())
         for c in candidate_continuations(cs, bool(line.get("no_space")))
     ])
     data = yaml.safe_load((root / "config.yaml").read_text(encoding="utf-8"))
@@ -211,7 +215,7 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
 @pytest.mark.parametrize(
     "name, lineno, field, value, argv",
     [
-        ("out/bundle/candidate_sets.jsonl", 2, "prompt", _DROP, EVALUATE),
+        ("out/bundle/candidate_sets.jsonl", 2, "sources.LLM.prompt", _DROP, EVALUATE),
         ("out/bundle/candidate_sets.jsonl", 3, "distractors", [["o1aa0"]], EVALUATE),
         ("out/records/records.jsonl", 2, "hits", _DROP, REPORT),
         ("out/records/records.jsonl", 4, "best_correct_rank", "one", REPORT),
@@ -228,6 +232,21 @@ def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, fiel
     code, err = _run(ws, argv)
     _assert_coded(code, err, "MALFORMED_RECORD", file=str(ws / name), line=lineno,
                   field=field)
+
+
+def test_cli_refuses_a_bundle_of_the_per_source_layout(built, tmp_path):
+    # Bundles used to hold one candidate-set line per (fact, source).
+    ws = _copy(built, tmp_path)
+    path = ws / "out" / "bundle" / "candidate_sets.jsonl"
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    per_source = [header]
+    for raw in lines:
+        line = json.loads(raw)
+        for source, entry in sorted(line.pop("sources").items()):
+            per_source.append(json.dumps(dict(line, source=source, **entry)))
+    path.write_text("\n".join(per_source) + "\n", encoding="utf-8")
+    code, err = _run(ws, EVALUATE)
+    _assert_coded(code, err, "MALFORMED_RECORD", file=str(path), line=2, field="sources")
 
 
 @pytest.mark.parametrize(
@@ -297,6 +316,17 @@ def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
     (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
     code, err = _run(ws, BUILD)
     _assert_coded(code, err, "CONFIG_ERROR", key=key)
+
+
+@pytest.mark.parametrize("argv", [BUILD, EVALUATE], ids=["build", "evaluate"])
+def test_cli_reports_a_protocol_scorer_without_a_port(built, tmp_path, argv):
+    # It passed the config check and build, then evaluate connected to port 0.
+    ws = _copy(built, tmp_path)
+    data = yaml.safe_load((ws / "config.yaml").read_text(encoding="utf-8"))
+    data["scorer"] = {"backend": "protocol", "host": "127.0.0.1"}
+    (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
+    code, err = _run(ws, argv)
+    _assert_coded(code, err, "CONFIG_ERROR", key="scorer.port", path=str(ws / "config.yaml"))
 
 
 def _config_keys(spec: dict, at: str = ""):

@@ -3,35 +3,61 @@ import pytest
 from factprobe.errors import MalformedRecord
 from factprobe.jsonl import check_line, read_jsonl
 
-# A bundle line as build-dataset writes it: 2 correct forms and 50 distractors.
+# A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
+# and three sources.
 _CANDIDATE_SET = {
     "fact_id": "f-1-aa-00",
-    "source": "MT",
     "language": "aa",
     "relation_id": "R1",
-    "prompt": "s1aa0aa wqr1",
     "correct_forms": ["o1aa0aa", "o1aa0aazu"],
     "distractors": [[f"Q{i:04d}", f"Q{i:04d}-label"] for i in range(50)],
     "salt": "toy-salt",
     "subject_gender": "male",
     "inflection_pair": {"noninflected": "o1aa0aa", "inflected": "o1aa0aazu"},
-    "qe_score": 0.811,
     "no_space": False,
+    "sources": {
+        "LLM": {"prompt": "s1aa0aa wqr1", "qe_score": 0.711},
+        "MT": {"prompt": "s1aa0aa wqr1", "qe_score": 0.811},
+        "TEMPLATE": {"prompt": "s1aa0aa wqr1", "qe_score": 0.611},
+    },
 }
 
 
 def test_unknown_fields_are_ignored():
     line = dict(_CANDIDATE_SET, note="kept as is")
+    line["sources"] = dict(line["sources"], MT=dict(line["sources"]["MT"], note="kept"))
     assert check_line("candidate_sets", line) is line
 
 
 def test_optional_fields_may_be_absent_or_null_where_allowed():
-    line = dict(_CANDIDATE_SET, inflection_pair=None, qe_score=None)
+    line = dict(_CANDIDATE_SET, inflection_pair=None,
+                sources={"MT": {"prompt": "p", "qe_score": None}, "LLM": {"prompt": "p"}})
     del line["no_space"]
     check_line("candidate_sets", line)
     with pytest.raises(MalformedRecord) as info:
         check_line("candidate_sets", dict(line, no_space=None), file="f", line=2)
     assert info.value.context == {"file": "f", "line": 2, "field": "no_space"}
+
+
+@pytest.mark.parametrize("mt, field", [
+    ({"qe_score": 0.5}, "sources.MT.prompt"),
+    ({"prompt": 5}, "sources.MT.prompt"),
+    ({"prompt": "p", "qe_score": "high"}, "sources.MT.qe_score"),
+    ("p", "sources.MT"),
+    (None, "sources.MT"),
+])
+def test_a_bad_source_entry_is_named_by_path(mt, field):
+    line = dict(_CANDIDATE_SET, sources=dict(_CANDIDATE_SET["sources"], MT=mt))
+    with pytest.raises(MalformedRecord) as info:
+        check_line("candidate_sets", line, file="f", line=2)
+    assert info.value.context == {"file": "f", "line": 2, "field": field}
+
+
+@pytest.mark.parametrize("sources", [None, [], "MT"])
+def test_sources_must_be_an_object(sources):
+    with pytest.raises(MalformedRecord) as info:
+        check_line("candidate_sets", dict(_CANDIDATE_SET, sources=sources), file="f")
+    assert info.value.context == {"file": "f", "field": "sources"}
 
 
 def test_nested_fields_are_named_by_path():

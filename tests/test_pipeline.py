@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,12 @@ def _oracle(config, bundle):
     return make_scorer(config, read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets"))
 
 
+def _sets(bundle):
+    """The (fact, source) candidate sets of a bundle, one line per fact."""
+    lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    return [(line["fact_id"], source) for line in lines for source in line["sources"]]
+
+
 def _records_by_source(records):
     by_source = {}
     for record in records:
@@ -41,11 +48,13 @@ def _records_by_source(records):
 def test_build_dataset_counts(tmp_path):
     config, _ = _build(tmp_path, facts_per_cell=5)
     bundle = cmd_build_dataset(config, replay=True)
-    sets = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    sets = _sets(bundle)
     # 2 languages x 3 relations x 5 facts x 3 sources = 90 potential sets;
     # the three object-initial MT sentences in "bb" are rejected.
     assert len(sets) <= 90
-    assert len(sets) == 87
+    assert len(sets) == len(set(sets)) == 87
+    # One line per fact, since every fact keeps at least one source.
+    assert len(read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")) == 30
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert manifest["counts"]["facts_eligible"] == 30
     assert manifest["counts"]["candidate_sets"] == 87
@@ -56,11 +65,11 @@ def test_build_dataset_counts(tmp_path):
 def test_audit_plus_records_cover_every_fact_source(tmp_path):
     config, _ = _build(tmp_path, facts_per_cell=5)
     bundle = cmd_build_dataset(config, replay=True)
-    sets = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    sets = _sets(bundle)
     audit = read_jsonl(bundle / "audit.jsonl", "audit")
     blocking = [a for a in audit if not a["kind"].startswith("NOTE_")]
     for source in ("TEMPLATE", "MT", "LLM"):
-        emitted = sum(1 for s in sets if s["source"] == source)
+        emitted = sum(1 for _, s in sets if s == source)
         audited = sum(1 for a in blocking if a["source"] == source)
         assert emitted + audited == 30, source
 
@@ -86,8 +95,7 @@ def test_rejections_and_stem_flags_audited(tmp_path):
 def test_template_only_run_touches_no_clients(tmp_path, sources, with_qe, set_count):
     config, _ = _build(tmp_path, facts_per_cell=3, sources=sources, with_qe=with_qe)
     bundle = cmd_build_dataset(config, replay=True)
-    sets = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
-    assert len(sets) == set_count
+    assert len(_sets(bundle)) == set_count
     # Replay responses come from the fixtures and are never cached, so
     # the response cache stays empty whatever the sources.
     assert list(Path(config.cache_dir).iterdir()) == []
@@ -278,11 +286,13 @@ def test_progress_of_the_older_wrapped_format_is_discarded(tmp_path):
               "inputs": header["inputs"]}]
     older += [{"type": "record", "data": json.loads(line)} for line in lines[1:]]
     progress.write_text("".join(json.dumps(entry) + "\n" for entry in older), encoding="utf-8")
-    # A resumed run would score only the sets not yet done; this one scores
-    # every set again, so it trips.
-    sets = len(read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets"))
+    # A resumed run would score only the requests not yet done; this one
+    # scores every request again, so it trips.
+    done = {(entry["data"]["fact_id"], entry["data"]["source"]) for entry in older[1:]}
+    pending = pipeline._pending_sets(
+        read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets"), done)
     with pytest.raises(_Interrupted):
-        cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=sets - len(older) + 1))
+        cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=len(list(pending))))
     assert progress.read_text(encoding="utf-8").splitlines()[0] == lines[0]
 
 
@@ -307,10 +317,11 @@ def test_backend_error_leaves_evaluate_incomplete_until_a_healthy_rerun(tmp_path
     records = cmd_evaluate(config, bundle, scorer=_FailingOnceScorer(oracle))
     manifest = json.loads((records / "manifest.json").read_text())
     assert manifest["complete"] is False
-    assert manifest["counts"]["backend_errors"] == 1
+    # The first request is shared by the three sources of f-1-aa-00.
+    assert manifest["counts"]["backend_errors"] == 3
     assert (records / "progress.jsonl").exists()
 
-    # The rerun, without --force, scores only the set that failed.
+    # The rerun, without --force, scores only the request that failed.
     records = cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=1))
     manifest = json.loads((records / "manifest.json").read_text())
     assert manifest["complete"] is True
@@ -321,6 +332,112 @@ def test_backend_error_leaves_evaluate_incomplete_until_a_healthy_rerun(tmp_path
     clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
     for name in ("records.jsonl", "audit.jsonl", "manifest.json"):
         assert (records / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+class _CountingScorer:
+    """Delegates to an inner backend and counts each distinct request; fails
+    with a BackendError every request whose prompt is in ``failing``."""
+
+    def __init__(self, inner, failing=()):
+        self.inner = inner
+        self.failing = set(failing)
+        self.requests = Counter()
+
+    def score_batch(self, prompt, continuations):
+        self.requests[(prompt, tuple(continuations))] += 1
+        if prompt in self.failing:
+            raise BackendError("scorer backend unavailable")
+        return self.inner.score_batch(prompt, continuations)
+
+
+def _distinct_requests(bundle) -> set[tuple[str, str]]:
+    """The (fact, prompt) pairs of a bundle: one request each."""
+    lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    return {(line["fact_id"], entry["prompt"])
+            for line in lines for entry in line["sources"].values()}
+
+
+def test_each_distinct_prompt_of_a_fact_is_scored_once(tmp_path):
+    config, _ = _build(tmp_path, facts_per_cell=4)
+    bundle = cmd_build_dataset(config, replay=True)
+    scorer = _CountingScorer(_oracle(config, bundle))
+    records = load_records(cmd_evaluate(config, bundle, scorer=scorer))
+    distinct = _distinct_requests(bundle)
+    assert set(scorer.requests.values()) == {1}
+    assert {prompt for prompt, _ in scorer.requests} == {prompt for _, prompt in distinct}
+    assert len(scorer.requests) == len(distinct)
+    # Sources share prompts, and each set still gets its own record.
+    assert len(distinct) < len(records) == len(_sets(bundle))
+
+
+def test_backend_error_on_a_shared_request_audits_every_source_sharing_it(tmp_path):
+    config, _ = _build(tmp_path, "ws", facts_per_cell=3)
+    bundle = cmd_build_dataset(config, replay=True)
+    lines = {line["fact_id"]: line
+             for line in read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")}
+    # f-1-aa-00 has one prompt for its three sources; the subject of
+    # f-1-aa-01 is female, so MT and LLM share a prompt that TEMPLATE lacks.
+    first = lines["f-1-aa-00"]["sources"]
+    second = lines["f-1-aa-01"]["sources"]
+    assert first["LLM"]["prompt"] == first["MT"]["prompt"] == first["TEMPLATE"]["prompt"]
+    assert second["LLM"]["prompt"] == second["MT"]["prompt"] != second["TEMPLATE"]["prompt"]
+    failing = {first["MT"]["prompt"], second["MT"]["prompt"]}
+    oracle = _oracle(config, bundle)
+    records = cmd_evaluate(config, bundle, scorer=_CountingScorer(oracle, failing))
+    audit = read_jsonl(records / "audit.jsonl", "audit")
+    assert [(a["fact_id"], a["source"], a["kind"]) for a in audit] == [
+        ("f-1-aa-00", "LLM", "BACKEND_ERROR"), ("f-1-aa-00", "MT", "BACKEND_ERROR"),
+        ("f-1-aa-00", "TEMPLATE", "BACKEND_ERROR"), ("f-1-aa-01", "LLM", "BACKEND_ERROR"),
+        ("f-1-aa-01", "MT", "BACKEND_ERROR"),
+    ]
+    manifest = json.loads((records / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    assert manifest["counts"]["backend_errors"] == 5
+
+    # A healthy rerun sends only the two failed requests, once each.
+    rerun = _CountingScorer(oracle)
+    records = cmd_evaluate(config, bundle, scorer=rerun)
+    assert sorted(prompt for prompt, _ in rerun.requests) == sorted(failing)
+    assert set(rerun.requests.values()) == {1}
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=3)
+    clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    for name in ("records.jsonl", "audit.jsonl", "manifest.json"):
+        assert (records / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_resume_scores_a_shared_prompt_once_when_one_of_its_sources_is_done(tmp_path):
+    # Two requests done: f-1-aa-00's one prompt (three records), then the
+    # prompt f-1-aa-01's MT and LLM share (two records, LLM first).
+    config, bundle, oracle, progress = _interrupted_progress(tmp_path, "a", after=2)
+    lines = progress.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + 3 + 2
+    last = json.loads(lines[-1])
+    assert (last["fact_id"], last["source"]) == ("f-1-aa-01", "MT")
+    # As if the run was killed between the records of the shared prompt.
+    progress.write_bytes(b"".join(lines[:-1]))
+    rerun = _CountingScorer(oracle)
+    records = cmd_evaluate(config, bundle, scorer=rerun)
+    assert sum(n for (prompt, _), n in rerun.requests.items() if prompt == last["prompt"]) == 1
+    assert set(rerun.requests.values()) == {1}
+    assert len(rerun.requests) == len(_distinct_requests(bundle)) - 1
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=4)
+    clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    assert (records / "records.jsonl").read_bytes() == (clean / "records.jsonl").read_bytes()
+
+
+def test_evaluate_sorts_its_audit_by_fact_and_source(tmp_path):
+    # LLM and TEMPLATE share a prompt, so MT's request comes last.
+    line = _line("f1", "shared:", no_space=False)
+    line["sources"] = {"LLM": {"prompt": "shared:"}, "MT": {"prompt": "own:"},
+                       "TEMPLATE": {"prompt": "shared:"}}
+    config, bundle = _manual_bundle(tmp_path, [line])
+    scorer = _CountingScorer(_RecordingScorer(), failing={"shared:", "own:"})
+    records = cmd_evaluate(config, bundle, scorer=scorer)
+    assert [prompt for prompt, _ in scorer.requests] == ["shared:", "own:"]
+    audit = read_jsonl(records / "audit.jsonl", "audit")
+    assert [a["source"] for a in audit] == ["LLM", "MT", "TEMPLATE"]
 
 
 class _BuggyOnceScorer:
@@ -346,9 +463,11 @@ def test_scorer_fault_fails_evaluate_instead_of_auditing_a_backend_error(tmp_pat
         cmd_evaluate(config, bundle, scorer=_BuggyOnceScorer(oracle, at=4))
     assert not (records / "manifest.json").exists()
     assert not (records / "audit.jsonl").exists()
-    assert len((records / "progress.jsonl").read_text().splitlines()) == 1 + 3
+    # The three requests done are the one prompt of f-1-aa-00's three
+    # sources and the two of f-1-aa-01 (MT and LLM use the feminine marker).
+    assert len((records / "progress.jsonl").read_text().splitlines()) == 1 + 3 + 3
 
-    # The rerun scores only the sets after the three already done.
+    # The rerun scores only the sets after the six already done.
     cmd_evaluate(config, bundle, scorer=oracle)
     manifest = json.loads((records / "manifest.json").read_text())
     assert manifest["complete"] is True
@@ -559,7 +678,7 @@ def test_cli_evaluate_fails_when_backend_errors_leave_it_incomplete(tmp_path, ca
     # Every continuation is scored except the last one of the last set.
     scores = [
         {"prompt": cs.prompt, "continuation": c, "logprob": -1.0, "token_count": 1}
-        for _, cs in pipeline._pending_sets(lines, set())
+        for _, _, cs in pipeline._pending_sets(lines, set())
         for c in candidate_continuations(cs)
     ][:-1]
     pipeline.write_jsonl(tmp_path / "ws" / "scores.jsonl", "scores", scores)
@@ -625,11 +744,10 @@ def _manual_bundle(tmp_path, lines, normalization="SUM"):
 
 def _line(fact_id, prompt, no_space, correct="gold", distractor="lead"):
     return {
-        "fact_id": fact_id, "source": "TEMPLATE", "language": "aa",
-        "relation_id": "R1", "prompt": prompt, "correct_forms": [correct],
-        "distractors": [["d1", distractor]], "salt": "s",
-        "subject_gender": None, "inflection_pair": None, "qe_score": None,
-        "no_space": no_space,
+        "fact_id": fact_id, "language": "aa", "relation_id": "R1",
+        "correct_forms": [correct], "distractors": [["d1", distractor]], "salt": "s",
+        "subject_gender": None, "inflection_pair": None, "no_space": no_space,
+        "sources": {"TEMPLATE": {"prompt": prompt, "qe_score": None}},
     }
 
 

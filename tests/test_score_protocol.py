@@ -255,18 +255,27 @@ def test_protocol_requests_arrive_in_sorted_order(tmp_path):
         bundle = cmd_build_dataset(config, replay=True)
         cmd_evaluate(config, bundle)
     lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
-    lines.sort(key=lambda line: (line["fact_id"], line["source"]))
+    lines.sort(key=lambda line: line["fact_id"])
+    # Each distinct prompt of a fact once, in the order of the first source
+    # (by name) that has it.
+    prompts = [
+        (line, prompt)
+        for line in lines
+        for prompt in dict.fromkeys(entry["prompt"] for _, entry in sorted(
+            line["sources"].items()))
+    ]
     expected = [
         (
-            line["prompt"],
+            prompt,
             [
-                join_continuation(line["prompt"], form, line["no_space"])
+                join_continuation(prompt, form, line["no_space"])
                 for form in line["correct_forms"] + [f for _, f in line["distractors"]]
             ],
         )
-        for line in lines
+        for line, prompt in prompts
     ]
     assert len(expected) > PIPELINE_WINDOW
+    assert len(expected) < sum(len(line["sources"]) for line in lines)
     assert server.received == expected
 
 
@@ -299,12 +308,19 @@ def test_lost_connection_fails_evaluate_and_rerun_resumes(tmp_path, capsys):
         assert "SCORER_CONNECTION_LOST" in capsys.readouterr().err
         assert not (records_dir / "manifest.json").exists()
         progress = (records_dir / "progress.jsonl").read_text(encoding="utf-8")
-        assert len(progress.splitlines()) == 1 + dropped_after
+        # The five requests answered: f-1-aa-00's one prompt for all three
+        # sources, f-1-aa-01's two (MT and LLM use the feminine marker,
+        # TEMPLATE does not), f-1-aa-02's one and f-1-aa-03's MT/LLM one.
+        assert len(progress.splitlines()) == 1 + 3 + (2 + 1) + 3 + 2
 
         # The server answers every request on a new connection.
         resumed = cmd_evaluate(config, bundle)
-    sets = len(read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets"))
-    assert len(server.received) == sets
+    # Every distinct request of a fact was answered once, over both connections.
+    requests = sum(
+        len({entry["prompt"] for entry in line["sources"].values()})
+        for line in read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    )
+    assert len(server.received) == requests
 
     with _serving(_threading_server()) as healthy:
         config_clean = load_config(

@@ -167,6 +167,31 @@ def test_mt_provenance_regenerates_request(cs_corpus, tmp_path):
     assert rebuilt.digest() == verb.provenance["cache_key"]
 
 
+def test_llm_provenance_regenerates_request(cs_corpus, cs_exemplars, tmp_path):
+    import json
+
+    fact = cs_corpus.facts["fact-p19-theodore"]
+    client = CountingClient(
+        "Theodoros Studijský se narodil v Konstantinopoli.", client_id="llm"
+    )
+    verb = make_llm_verbalization(
+        fact, cs_corpus, TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
+    )
+    fields = json.loads(verb.provenance["request"])
+    rebuilt = TextRequest(
+        client_id=fields["client_id"],
+        text=fields["text"],
+        source_language=fields["source_language"],
+        target_language=fields["target_language"],
+        extra=tuple(sorted(fields["extra"].items())),
+    )
+    assert rebuilt.digest() == verb.provenance["cache_key"]
+    # The few-shot prompt is kept once, as the text of the request.
+    assert "prompt" not in verb.provenance
+    relation = cs_corpus.relations[fact.relation_id]
+    assert rebuilt.text == build_fewshot_prompt(relation, "cs", cs_exemplars, fact, cs_corpus)
+
+
 def test_parse_exemplar_file_shipped_set(cs_exemplars):
     assert len(cs_exemplars) == 5
     assert cs_exemplars[0].subject_translation == "Kunhuta Lucemburská"
