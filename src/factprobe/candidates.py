@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Fact
 from .errors import EmptyPool, NoDistractorsRemain
@@ -34,7 +34,7 @@ class CandidateSet:
     fact_id: str
     prompt: str
     correct_forms: tuple[str, ...]
-    distractors: tuple[Distractor, ...]
+    distractors: Sequence[Sequence[str]]  # (entity id, form) pairs: Distractors or lists
     salt: str
 
     @property

@@ -1,6 +1,7 @@
 """The one line format of every JSONL file, and the fields of each kind read.
 
-A file is UTF-8, one compact JSON object per line, opened by a header line
+A file is UTF-8, one compact JSON object per line (never ``NaN`` or
+``Infinity``, which are not JSON), opened by a header line
 ``{"schema_version": 1, "kind": ...}`` (replay fixtures have none). ``SPECS``
 maps each field of a kind to a check of its value: ``?`` marks an optional
 field, a nested mapping an object, ``*`` every member of a map of objects,
@@ -10,6 +11,7 @@ naming file, line and field."""
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from pathlib import Path
 
@@ -26,7 +28,7 @@ def _check(name: str, test):
 STRING = _check("a string", lambda v: type(v) is str)
 TEXT = _check("a non-blank string", lambda v: type(v) is str and v.strip() != "")
 INT = _check("an integer", lambda v: type(v) is int)
-NUMBER = _check("a number", lambda v: type(v) in (int, float))
+NUMBER = _check("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v))
 BOOL = _check("a boolean", lambda v: type(v) is bool)
 
 
@@ -128,8 +130,24 @@ def check_line(kind: str, record, **where):
     return record
 
 
-# Built once: ``json.dumps`` with these arguments builds an encoder per call.
-_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+# Built once, since ``json.dumps`` and ``json.loads`` given arguments build one
+# per call. Neither lets NaN or Infinity through: they are not JSON.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def loads(raw):
+    """The value of one JSON text, given as UTF-8 bytes or as a string; the
+    ``NaN``, ``Infinity`` and ``-Infinity`` that ``json.loads`` accepts are a
+    ``ValueError`` like any other invalid JSON."""
+    return _DECODER.decode(raw if type(raw) is str else raw.decode("utf-8"))
 
 
 def dump(obj) -> str:
@@ -160,7 +178,7 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
                 continue
             where = {"file": str(path), "line": lineno}
             try:
-                record = json.loads(raw)
+                record = loads(raw)
             except ValueError as exc:
                 if torn_tail and not raw.endswith(b"\n"):
                     return

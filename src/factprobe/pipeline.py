@@ -13,17 +13,13 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import report as report_mod
-from .candidates import (
-    CandidateSet,
-    Distractor,
-    assemble_candidate_set,
-    keyed_pool,
-    sample_distractors,
-)
+from .candidates import CandidateSet, assemble_candidate_set, keyed_pool, sample_distractors
 from .clients import ResponseCache, TextRequest, TextService, make_service
 from .config import RunConfig, load_gender_patterns
 from .corpus import Corpus, Fact, filter_relations, load_corpus, unique_object_pool
@@ -160,11 +156,15 @@ def _qe_annotate(fact, corpus, sentence, qe: TextService) -> float:
     )
     response = qe.fetch(request)
     try:
-        return float(response.strip())
-    except ValueError as exc:
+        score = float(response.strip())
+    except ValueError:
+        score = math.nan
+    if not math.isfinite(score):
         raise ClientError(
-            f"QE client returned a non-numeric score {response!r}", fact_id=fact.id
-        ) from exc
+            f"QE client returned a score that is not a finite number: {response!r}",
+            fact_id=fact.id,
+        )
+    return score
 
 
 @dataclass(frozen=True)
@@ -415,9 +415,10 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
     return _run_stage(bundle_dir, "build_dataset", config, inputs, force, work)
 
 
-def make_scorer(config: RunConfig, lines: list[dict]):
-    """The configured scorer; the oracle takes its correct forms from
-    ``lines``, the candidate-set lines of the bundle being evaluated."""
+def make_scorer(config: RunConfig, lines: Iterable[dict]):
+    """The configured scorer. Only the oracle iterates ``lines``, the
+    candidate-set lines of the bundle being evaluated: it reads all of them
+    before it scores, since lines that share a prompt share its answers."""
     settings = config.scorer
     if settings.backend == "oracle":
         correct_by_prompt: dict[str, frozenset] = {}
@@ -463,11 +464,16 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
     return records
 
 
-def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
+def _bundle_lines(path: Path) -> Iterator[dict]:
+    """The candidate-set lines at ``path``, each parsed when it is reached."""
+    return (line for _, line in iter_lines(path, "candidate_sets"))
+
+
+def _pending_sets(lines: Iterable[dict], done: set[tuple[str, str]]):
     """``(line, sources, CandidateSet)`` for each distinct prompt among the
     sources of a bundle line not yet done; ``sources`` are those that share
     the prompt, in name order. Sets are built only when the caller reaches
-    them."""
+    them, and keep the line's ``[entity id, form]`` distractor pairs."""
     for line in lines:
         fact_id = line["fact_id"]
         by_prompt: dict[str, list[str]] = {}
@@ -477,23 +483,19 @@ def _pending_sets(lines: list[dict], done: set[tuple[str, str]]):
         if not by_prompt:
             continue
         correct_forms = tuple(line["correct_forms"])
-        distractors = tuple(map(Distractor._make, line["distractors"]))
         for prompt, sources in by_prompt.items():
-            yield line, sources, CandidateSet(
-                fact_id=fact_id,
-                prompt=prompt,
-                correct_forms=correct_forms,
-                distractors=distractors,
-                salt=line["salt"],
-            )
+            yield line, sources, CandidateSet(fact_id, prompt, correct_forms,
+                                              line["distractors"], line["salt"])
 
 
 def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False) -> Path:
     """Score and rank every candidate set, producing the record store.
 
-    The sources of a fact that share a prompt send the same request, so
-    each distinct prompt of a fact is scored and ranked once and gives one
-    record per source. Progress is appended per (fact, source); an
+    The bundle is read one line at a time as its sets are scored, so
+    evaluate holds its records and at most the scorer's pipeline window of
+    lines. The sources of a fact that share a prompt send the same request,
+    so each distinct prompt of a fact is scored and ranked once and gives
+    one record per source. Progress is appended per (fact, source); an
     interrupted run resumes where it stopped and the final sorted store is
     byte-identical to an uninterrupted one. Sets whose scoring failed with
     a ``BackendError`` are audited and leave the stage incomplete, with its
@@ -504,8 +506,6 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
     records_dir = config.output_dir / "records"
 
     def work(config_digest, input_digests):
-        lines = read_jsonl(candidate_sets, "candidate_sets")
-        lines.sort(key=lambda line: line["fact_id"])
         progress_path = records_dir / "progress.jsonl"
         record_lines = _load_progress(
             progress_path, {"config_digest": config_digest, "inputs": input_digests}
@@ -514,10 +514,12 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
         with contextlib.ExitStack() as stack:
             backend = scorer
             if backend is None:
-                backend = make_scorer(config, lines)
+                backend = make_scorer(config, _bundle_lines(candidate_sets))
                 if hasattr(backend, "close"):
                     stack.callback(backend.close)
-            sets = _pending_sets(lines, {(r["fact_id"], r["source"]) for r in record_lines})
+            sets = stack.enter_context(contextlib.closing(_pending_sets(
+                _bundle_lines(candidate_sets), {(r["fact_id"], r["source"]) for r in record_lines}
+            )))
             if hasattr(backend, "pipelined"):
                 # The scorer sends requests up to its window ahead of this
                 # loop and answers its score_batch calls in the same order.

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .candidates import CandidateSet
 from .errors import BackendError, FormNotPresent, NonFiniteScore, ScorerConnectionLost
+from .jsonl import loads
 
 PROTOCOL_VERSION = 1
 
@@ -41,11 +42,13 @@ class ScorerBackend(Protocol):
         """Log-probability sum and token count for each continuation."""
 
 
-class ScoredCandidate(NamedTuple):
-    form: str
-    entity_id: str | None  # None marks a correct form
-    score: float
-    token_count: int = 1
+class Scores(NamedTuple):
+    """The scored candidates of one set as columns, correct forms first."""
+
+    forms: list[str]
+    entity_ids: list[str]  # "" marks a correct form
+    scores: list[float]
+    token_counts: list[int]
 
 
 class RankedCandidate(NamedTuple):
@@ -94,7 +97,7 @@ def candidate_continuations(candidate_set: CandidateSet, no_space: bool = False)
 
 
 def _forms(candidate_set: CandidateSet) -> list[str]:
-    return list(candidate_set.correct_forms) + [d.form for d in candidate_set.distractors]
+    return [*candidate_set.correct_forms, *(form for _, form in candidate_set.distractors)]
 
 
 def score_candidates(
@@ -102,7 +105,7 @@ def score_candidates(
     candidate_set: CandidateSet,
     normalization: str = NORMALIZATION_SUM,
     no_space: bool = False,
-) -> list[ScoredCandidate]:
+) -> Scores:
     """Score every candidate continuation of the prompt.
 
     Only a ``BackendError`` from the scorer marks a set that a rerun may
@@ -113,41 +116,36 @@ def score_candidates(
     forms = _forms(candidate_set)
     if not forms:
         raise ValueError("candidate set is empty")
-    entity_ids = [None] * len(candidate_set.correct_forms)
-    entity_ids += [d.entity_id for d in candidate_set.distractors]
-    results = scorer.score_batch(
-        candidate_set.prompt, candidate_continuations(candidate_set, no_space)
-    )
+    entity_ids = [""] * len(candidate_set.correct_forms)
+    entity_ids += [entity_id for entity_id, _ in candidate_set.distractors]
+    joiner = join_continuation(candidate_set.prompt, "", no_space)
+    results = scorer.score_batch(candidate_set.prompt, [joiner + form for form in forms])
     if len(results) != len(forms):
         raise BackendError(
             f"scorer returned {len(results)} results for {len(forms)} continuations",
             fact_id=candidate_set.fact_id,
         )
-    if normalization == NORMALIZATION_SUM:
-        return [
-            ScoredCandidate(form, entity_id, float(logprob), int(count))
-            for form, entity_id, (logprob, count) in zip(forms, entity_ids, results)
-        ]
-    for form, (_, count) in zip(forms, results):
-        if count < 1:
-            raise BackendError(
-                f"token count {count} < 1 for form {form!r}", fact_id=candidate_set.fact_id
-            )
-    return [
-        ScoredCandidate(form, entity_id, float(logprob) / count, int(count))
-        for form, entity_id, (logprob, count) in zip(forms, entity_ids, results)
-    ]
+    scores = [float(logprob) for logprob, _ in results]
+    counts = [int(count) for _, count in results]
+    if normalization == NORMALIZATION_MEAN:
+        for form, count in zip(forms, counts):
+            if count < 1:
+                raise BackendError(
+                    f"token count {count} < 1 for form {form!r}", fact_id=candidate_set.fact_id
+                )
+        scores = [score / count for score, count in zip(scores, counts)]
+    return Scores(forms, entity_ids, scores, counts)
 
 
 def rank_candidates(
-    scored: Iterable,
+    scored: Scores | Iterable[tuple[str, float]],
     correct_forms,
     n_values=(1, 2, 3, 4, 5),
     fact_id: str = "",
 ) -> RankedResult:
     """Rank scored candidates: descending score, byte-order tie-break.
 
-    Accepts ScoredCandidate items or plain (form, score) pairs.
+    Accepts ``Scores`` or plain (form, score) pairs.
     Correctness is decided by byte-equality against ``correct_forms``;
     assembly guarantees no distractor shares a correct form. Python orders
     strings by code point, which is their UTF-8 byte order; correctness and
@@ -155,11 +153,9 @@ def rank_candidates(
     labels).
     """
     correct = set(correct_forms)
-    keys = [
-        (-c.score, c.form, c.form not in correct, c.entity_id or "")
-        if isinstance(c, ScoredCandidate) else (-c[1], c[0], c[0] not in correct, "")
-        for c in scored
-    ]
+    columns = (zip(scored.forms, scored.scores, scored.entity_ids) if isinstance(scored, Scores)
+               else ((form, score, "") for form, score in scored))
+    keys = [(-score, form, form not in correct, entity_id) for form, score, entity_id in columns]
     if not keys:
         raise ValueError("nothing to rank")
     for neg_score, form, _, _ in keys:
@@ -249,7 +245,7 @@ def _encode_request(prompt: str, continuations) -> bytes:
 
 def _decode_reply(line: bytearray, count: int) -> list[tuple[float, int]]:
     try:
-        response = json.loads(line)
+        response = loads(line)
     except ValueError as exc:
         raise BackendError(f"scorer reply is not JSON: {exc}") from exc
     if not isinstance(response, dict):
@@ -262,9 +258,12 @@ def _decode_reply(line: bytearray, count: int) -> list[tuple[float, int]]:
     if not isinstance(results, list) or len(results) != count:
         raise BackendError("malformed scorer response")
     try:
-        return [(float(lp), int(tc)) for lp, tc in results]
+        results = [(float(lp), int(tc)) for lp, tc in results]
     except (TypeError, ValueError) as exc:
         raise BackendError(f"malformed scorer response: {exc}") from exc
+    if not all(math.isfinite(lp) for lp, _ in results):
+        raise BackendError("scorer reply holds a score that is not a finite number")
+    return results
 
 
 class ProtocolScorerClient:

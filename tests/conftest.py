@@ -50,6 +50,28 @@ class CallableScorer:
         return [(self._fn(prompt, c), self._count(c)) for c in continuations]
 
 
+def count_parsed_lines(monkeypatch, kind: str) -> list[int]:
+    """The numbers of the ``kind`` lines parsed from here on, each noted as
+    it is parsed. ``iter_lines`` is wrapped under both names the package
+    reaches it by: ``pipeline.iter_lines`` and, inside ``read_jsonl``,
+    ``jsonl.iter_lines``."""
+    from factprobe import jsonl, pipeline
+
+    parsed: list[int] = []
+
+    def counting(iter_lines):
+        def wrapper(path, line_kind, *args, **kwargs):
+            for lineno, record in iter_lines(path, line_kind, *args, **kwargs):
+                if line_kind == kind:
+                    parsed.append(lineno)
+                yield lineno, record
+        return wrapper
+
+    for module in (pipeline, jsonl):
+        monkeypatch.setattr(module, "iter_lines", counting(module.iter_lines))
+    return parsed
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 

@@ -27,9 +27,10 @@ def test_every_trace_target_resolves():
         assert attr in owner.__dict__, (owner.__name__, attr, name)
 
 
-# The stages each traced layer must be seen in on a replay run.
+# The stages each traced layer must be seen in on a replay run. Evaluate
+# streams the bundle through ``iter_lines``, so it calls no ``read_jsonl``.
 LAYER_STAGES = {
-    "pipeline.read_jsonl": {"pipeline.evaluate", "pipeline.report"},
+    "pipeline.read_jsonl": {"pipeline.report"},
     "pipeline.write_jsonl": {"pipeline.build", "pipeline.evaluate"},
     "candidates.sample": {"pipeline.build"},
     "clients.fetch": {"pipeline.build"},

@@ -249,6 +249,47 @@ def test_cli_refuses_a_bundle_of_the_per_source_layout(built, tmp_path):
     _assert_coded(code, err, "MALFORMED_RECORD", file=str(path), line=2, field="sources")
 
 
+def test_a_malformed_bundle_line_fails_evaluate_where_it_is_reached(built, tmp_path):
+    # The table scorer does not read the bundle, so evaluate scores the sets
+    # before the bad line and keeps them in its progress.
+    ws = _copy(built, tmp_path)
+    shutil.rmtree(ws / "out" / "records")
+    path = ws / "out" / "bundle" / "candidate_sets.jsonl"
+    lineno = 5
+    _spoil(path, lineno, "distractors", "x")
+    code, err = _run(ws, KINDS["scores"][1])
+    _assert_coded(code, err, "MALFORMED_RECORD", file=str(path), line=lineno,
+                  field="distractors")
+    records = ws / "out" / "records"
+    assert not (records / "manifest.json").exists()
+    before = [json.loads(raw) for raw in path.read_text(encoding="utf-8").splitlines()[1:lineno - 1]]
+    progress = pipeline.read_jsonl(records / "progress.jsonl", "progress")
+    assert sorted((r["fact_id"], r["source"]) for r in progress) == sorted(
+        (line["fact_id"], source) for line in before for source in line["sources"])
+
+
+# Python's json writes a nan or infinite float as NaN or Infinity, and reads
+# them back, but they are not JSON; 1e999 is, and reads back as infinite.
+@pytest.mark.parametrize(
+    "name, field, text, argv",
+    [
+        ("out/bundle/candidate_sets.jsonl", "sources.LLM.qe_score", "NaN", EVALUATE),
+        ("out/records/records.jsonl", "qe_score", "Infinity", REPORT),
+        ("scores.jsonl", "logprob", "-Infinity", KINDS["scores"][1]),
+        ("scores.jsonl", "logprob", "1e999", KINDS["scores"][1]),
+    ],
+    ids=["bundle-nan", "records-infinity", "scores-minus-infinity", "scores-overflow"],
+)
+def test_cli_refuses_a_number_that_is_not_finite(built, tmp_path, name, field, text, argv):
+    ws = _copy(built, tmp_path)
+    _spoil(ws / name, 2, field, 0.123456789)
+    (ws / name).write_text((ws / name).read_text(encoding="utf-8").replace("0.123456789", text),
+                           encoding="utf-8")
+    code, err = _run(ws, argv)
+    named = {"field": field} if text == "1e999" else {}
+    _assert_coded(code, err, "MALFORMED_RECORD", file=str(ws / name), line=2, **named)
+
+
 @pytest.mark.parametrize(
     "argv, missing",
     [

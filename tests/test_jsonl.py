@@ -1,7 +1,7 @@
 import pytest
 
 from factprobe.errors import MalformedRecord
-from factprobe.jsonl import check_line, read_jsonl
+from factprobe.jsonl import check_line, dump, read_jsonl
 
 # A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
 # and three sources.
@@ -45,6 +45,8 @@ def test_optional_fields_may_be_absent_or_null_where_allowed():
     ({"prompt": "p", "qe_score": "high"}, "sources.MT.qe_score"),
     ("p", "sources.MT"),
     (None, "sources.MT"),
+    ({"prompt": "p", "qe_score": float("inf")}, "sources.MT.qe_score"),  # e.g. from 1e999
+    ({"prompt": "p", "qe_score": float("nan")}, "sources.MT.qe_score"),
 ])
 def test_a_bad_source_entry_is_named_by_path(mt, field):
     line = dict(_CANDIDATE_SET, sources=dict(_CANDIDATE_SET["sources"], MT=mt))
@@ -75,6 +77,19 @@ def test_a_line_that_is_not_utf8_names_its_line(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         read_jsonl(path, "scores")
     assert info.value.context == {"file": str(path), "line": 2}
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_constant_is_invalid_json(tmp_path, text):
+    # Python's json reads and writes these, but they are not JSON.
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"schema_version":1,"kind":"scores"}\n'
+                    f'{{"prompt":"a","continuation":"b","logprob":{text}}}\n', encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="invalid JSON") as info:
+        read_jsonl(path, "scores")
+    assert info.value.context == {"file": str(path), "line": 2}
+    with pytest.raises(ValueError):
+        dump({"logprob": float(text)})
 
 
 def test_benchmark_check_candidate_set_line(benchmark):

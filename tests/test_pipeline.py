@@ -20,7 +20,7 @@ from factprobe.pipeline import (
 )
 from factprobe.score import candidate_continuations
 
-from conftest import make_toy_workspace
+from conftest import count_parsed_lines, make_toy_workspace
 
 
 def _build(tmp_path, name="ws", **kwargs):
@@ -695,6 +695,23 @@ def test_cli_evaluate_fails_when_backend_errors_leave_it_incomplete(tmp_path, ca
     assert manifest["complete"] is False
 
 
+@pytest.mark.parametrize("response", ["high", "nan", "inf", "-Infinity", "1e999"])
+def test_a_qe_score_that_is_no_finite_number_is_a_qe_error(tmp_path, response):
+    config, _ = _build(tmp_path, "clean", facts_per_cell=3)
+    expected = _sets(cmd_build_dataset(config, replay=True))
+    assert expected
+    config, config_path = _build(tmp_path, "spoiled", facts_per_cell=3)
+    path = config_path.parent / "fixtures" / "qe.jsonl"
+    fixtures = [json.loads(raw) for raw in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps(dict(fixture, response=response)) + "\n"
+                            for fixture in fixtures), encoding="utf-8")
+    bundle = cmd_build_dataset(config, replay=True)
+    audit = read_jsonl(bundle / "audit.jsonl", "audit")
+    assert sorted((e["fact_id"], e["source"]) for e in audit if e["kind"] == "QE_ERROR") == \
+        sorted(expected)
+    assert _sets(bundle) == []
+
+
 def test_records_carry_qe_and_gender(tmp_path):
     config, _ = _build(tmp_path, facts_per_cell=4)
     bundle = cmd_build_dataset(config, replay=True)
@@ -793,3 +810,50 @@ def test_build_keys_each_pool_entity_once(tmp_path, monkeypatch):
         for relation_id in retained for language in config.languages
     ]
     assert len(calls) == sum(len(pool) for pool in pools) == 36
+
+
+class _ReadAheadScorer:
+    """Notes, as each request arrives, how many entries ``parsed`` holds."""
+
+    def __init__(self, inner, parsed):
+        self.inner, self.parsed, self.parsed_at = inner, parsed, []
+
+    def score_batch(self, prompt, continuations):
+        self.parsed_at.append(len(self.parsed))
+        return self.inner.score_batch(prompt, continuations)
+
+
+def test_evaluate_parses_each_bundle_line_when_its_sets_are_reached(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=5)
+    bundle = cmd_build_dataset(config, replay=True)
+    scorer = _ReadAheadScorer(_oracle(config, bundle),
+                              count_parsed_lines(monkeypatch, "candidate_sets"))
+    cmd_evaluate(config, bundle, scorer=scorer)
+    assert sorted(scorer.parsed) == list(range(2, 32))
+    for k, parsed in enumerate(scorer.parsed_at, 1):
+        assert parsed <= k + 1, k
+
+
+def test_the_oracle_answers_a_shared_prompt_with_the_correct_forms_of_every_line(tmp_path):
+    # Each distractor sorts before the correct form, so a tie would rank it first.
+    lines = [_line("f1", "Shared:", False, correct="one", distractor="a"),
+             _line("f2", "Shared:", False, correct="two", distractor="b")]
+    config, bundle = _manual_bundle(tmp_path, lines)
+    oracle = make_scorer(config, iter(lines))
+    assert oracle.score_batch("Shared:", [" one", " two", " a"]) == [
+        (0.0, 1), (0.0, 1), (-1.0, 1)]
+    records = load_records(cmd_evaluate(config, bundle))
+    assert [(r.fact_id, r.best_correct_rank) for r in records] == [("f1", 1), ("f2", 1)]
+
+
+def test_bundle_line_order_does_not_change_the_records(tmp_path):
+    stores = []
+    for name in ("in-order", "reversed"):
+        config, _ = _build(tmp_path, name, facts_per_cell=3)
+        bundle = cmd_build_dataset(config, replay=True)
+        if name == "reversed":
+            path = bundle / "candidate_sets.jsonl"
+            header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text(header + "".join(reversed(lines)), encoding="utf-8")
+        stores.append((cmd_evaluate(config, bundle) / "records.jsonl").read_bytes())
+    assert stores[0] == stores[1]

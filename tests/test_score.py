@@ -9,7 +9,7 @@ from factprobe.errors import BackendError, FormNotPresent, NonFiniteScore
 from factprobe.score import (
     OracleScorer,
     RankedCandidate,
-    ScoredCandidate,
+    Scores,
     TableScorer,
     join_continuation,
     rank_candidates,
@@ -59,7 +59,7 @@ def test_edit_distance_scorer_puts_truth_on_top():
     )
     cs = _candidate_set(["Praha"], ["Brno", "Plzeň"])
     scored = score_candidates(scorer, cs)
-    by_form = {s.form: s.score for s in scored}
+    by_form = dict(zip(scored.forms, scored.scores))
     assert by_form["Praha"] == 0.0
     assert all(score < 0 for form, score in by_form.items() if form != "Praha")
 
@@ -67,15 +67,13 @@ def test_edit_distance_scorer_puts_truth_on_top():
 def test_mean_equals_sum_for_single_token():
     scorer = CallableScorer(lambda p, c: -2.5, token_counter=lambda c: 1)
     cs = _candidate_set(["a"], ["b"])
-    assert [s.score for s in score_candidates(scorer, cs, "SUM")] == [
-        s.score for s in score_candidates(scorer, cs, "MEAN")
-    ]
+    assert score_candidates(scorer, cs, "SUM").scores == score_candidates(scorer, cs, "MEAN").scores
 
 
 def test_mean_divides_by_token_count():
     scorer = CallableScorer(lambda p, c: -6.0, token_counter=lambda c: 3)
     cs = _candidate_set(["a"], ["b"])
-    assert all(s.score == -2.0 for s in score_candidates(scorer, cs, "MEAN"))
+    assert all(score == -2.0 for score in score_candidates(scorer, cs, "MEAN").scores)
 
 
 def test_table_scorer_passthrough():
@@ -87,7 +85,7 @@ def test_table_scorer_passthrough():
         ("P ", "d3"): (-4.0, 1),
     }
     scored = score_candidates(TableScorer(table), cs)
-    assert [(s.form, s.score) for s in scored] == [
+    assert list(zip(scored.forms, scored.scores)) == [
         ("gold", -1.0), ("d1", -3.0), ("d2", -2.0), ("d3", -4.0)
     ]
     result = rank_candidates(scored, ["gold"])
@@ -227,12 +225,12 @@ def _byte_key_ranking(scored, correct_forms):
     """Reference ranking: a stable sort on UTF-8 bytes of the form, then
     one RankedCandidate per position."""
     correct = set(correct_forms)
-    ordered = sorted(scored, key=lambda c: (
-        -c.score, c.form.encode("utf-8"), 0 if c.form in correct else 1, c.entity_id or "",
+    ordered = sorted(zip(scored.forms, scored.entity_ids, scored.scores), key=lambda c: (
+        -c[2], c[0].encode("utf-8"), 0 if c[0] in correct else 1, c[1],
     ))
     return tuple(
-        RankedCandidate(c.form, c.entity_id, c.score, rank, c.form in correct)
-        for rank, c in enumerate(ordered, 1)
+        RankedCandidate(form, entity_id or None, score, rank, form in correct)
+        for rank, (form, entity_id, score) in enumerate(ordered, 1)
     )
 
 
@@ -254,10 +252,8 @@ def test_rank_matches_the_byte_key_ranking(data):
     # Correct forms carry no entity id; repeated distractor forms get
     # distinct ids, drawn out of order.
     ids = data.draw(st.permutations([f"Q{i}" for i in range(count)]), label="ids")
-    scored = [
-        ScoredCandidate(form, None if form in correct else entity_id, score)
-        for form, entity_id, score in zip(forms, ids, scores)
-    ]
+    entity_ids = ["" if form in correct else entity_id for form, entity_id in zip(forms, ids)]
+    scored = Scores(forms, entity_ids, scores, [1] * count)
     result = rank_candidates(scored, sorted(correct))
     expected = _byte_key_ranking(scored, correct)
     best = next(c for c in expected if c.correct)

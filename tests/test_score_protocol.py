@@ -9,7 +9,7 @@ import threading
 import pytest
 import yaml
 
-from factprobe import cli
+from factprobe import cli, pipeline
 from factprobe.config import load_config
 from factprobe.errors import BackendError, ScorerConnectionLost
 from factprobe.pipeline import cmd_build_dataset, cmd_evaluate, read_jsonl
@@ -19,7 +19,7 @@ from factprobe.score import (
     join_continuation,
 )
 
-from conftest import CallableScorer, make_toy_workspace
+from conftest import CallableScorer, count_parsed_lines, make_toy_workspace
 
 
 def _length_score(prompt, continuation):
@@ -33,7 +33,9 @@ def _token_count(continuation):
 class _LengthScorerHandler(socketserver.StreamRequestHandler):
     """Toy inference server: logprob = -len(continuation).
 
-    Records each request on ``server.received``. While
+    Records each request on ``server.received`` and, on
+    ``server.parsed_at``, how many entries ``server.parsed`` held when the
+    request arrived. While
     ``server.replies_before_drop`` is a number, the connection stops
     answering after that many replies: it sends EOF and reads on until the
     client hangs up. Later connections answer everything.
@@ -54,6 +56,7 @@ class _LengthScorerHandler(socketserver.StreamRequestHandler):
             if server.replies_before_drop:
                 server.replies_before_drop -= 1
             server.received.append((request["prompt"], request["continuations"]))
+            server.parsed_at.append(len(server.parsed))
             results = [
                 [_length_score(request["prompt"], c), _token_count(c)]
                 for c in request["continuations"]
@@ -79,6 +82,7 @@ def _threading_server(handler=_LengthScorerHandler):
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
     server.received = []
+    server.parsed, server.parsed_at = [], []
     server.replies_before_drop = None
     return server
 
@@ -135,9 +139,19 @@ def test_protocol_version_mismatch():
         client.close()
 
 
+# Python's json writes a nan or infinite float as NaN or Infinity, which are
+# not JSON; a number too large for a float reads back as infinite.
+_NON_FINITE_REPLIES = {
+    3: b'{"version": 1, "results": [[NaN, 1]]}\n',
+    4: b'{"version": 1, "results": [[Infinity, 1]]}\n',
+    5: b'{"version": 1, "results": [[-1e999, 1]]}\n',
+}
+
+
 class _MixedRepliesHandler(socketserver.StreamRequestHandler):
-    """Answers every line, but the second reply is not JSON and the third
-    has the wrong version."""
+    """Answers every line, but the second reply is not JSON, the third has
+    the wrong version and the next three hold a score that is no finite
+    number."""
 
     def handle(self):
         for index, raw in enumerate(self.rfile):
@@ -148,7 +162,7 @@ class _MixedRepliesHandler(socketserver.StreamRequestHandler):
             elif index == 2:
                 line = (json.dumps({**body, "version": 2}) + "\n").encode("utf-8")
             else:
-                line = (json.dumps(body) + "\n").encode("utf-8")
+                line = _NON_FINITE_REPLIES.get(index, (json.dumps(body) + "\n").encode("utf-8"))
             self.wfile.write(line)
             self.wfile.flush()
 
@@ -156,12 +170,12 @@ class _MixedRepliesHandler(socketserver.StreamRequestHandler):
 def test_protocol_stream_keeps_step_after_bad_replies():
     with _serving(_threading_server(_MixedRepliesHandler)) as server:
         client = ProtocolScorerClient(*server.server_address)
-        outcomes = list(client.score_stream([("p", ["a"])] * 4 + [("p", ["a", "b"])]))
+        outcomes = list(client.score_stream([("p", ["a"])] * 7 + [("p", ["a", "b"])]))
         assert outcomes[0] == [(-1.0, 1)]
-        assert isinstance(outcomes[1], BackendError)
-        assert isinstance(outcomes[2], BackendError)
-        assert outcomes[3] == [(-1.0, 1)]
-        assert outcomes[4] == [(-1.0, 1), (-1.0, 1)]
+        for bad in (1, 2, *_NON_FINITE_REPLIES):
+            assert isinstance(outcomes[bad], BackendError), bad
+        assert outcomes[6] == [(-1.0, 1)]
+        assert outcomes[7] == [(-1.0, 1), (-1.0, 1)]
         # Reply-level faults leave the connection usable.
         assert client.score_batch("p", ["a"]) == [(-1.0, 1)]
         client.close()
@@ -329,3 +343,52 @@ def test_lost_connection_fails_evaluate_and_rerun_resumes(tmp_path, capsys):
         clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
     assert (resumed / "records.jsonl").read_bytes() == (clean / "records.jsonl").read_bytes()
     assert read_jsonl(resumed / "audit.jsonl", "audit") == []
+
+
+class _NaNOnceHandler(socketserver.StreamRequestHandler):
+    """Answers like the toy inference server, but the first score of its
+    second reply is NaN, as Python's json writes a nan float."""
+
+    def handle(self):
+        for index, raw in enumerate(self.rfile):
+            request = json.loads(raw.decode("utf-8"))
+            results = [[_length_score(request["prompt"], c), _token_count(c)]
+                       for c in request["continuations"]]
+            if index == 1:
+                results[0][0] = float("nan")
+            self.wfile.write((json.dumps({"version": 1, "results": results}) + "\n").encode())
+            self.wfile.flush()
+
+
+def test_a_nan_reply_fails_only_its_own_set(tmp_path):
+    # A rerun retries an audited set; a fault instead would stop every rerun
+    # at the same set, so no later set would ever be scored.
+    with _serving(_threading_server(_NaNOnceHandler)) as server:
+        config = load_config(_protocol_workspace(tmp_path / "ws", server.server_address[1]))
+        bundle = cmd_build_dataset(config, replay=True)
+        records = cmd_evaluate(config, bundle)
+    lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    _, failed, second = list(pipeline._pending_sets(lines, set()))[1]
+    assert json.loads((records / "manifest.json").read_text())["complete"] is False
+    assert [(e["fact_id"], e["source"], e["kind"])
+            for e in read_jsonl(records / "audit.jsonl", "audit")] == [
+        (second.fact_id, source, "BACKEND_ERROR") for source in failed
+    ]
+    scored = {(r["fact_id"], r["source"]) for r in read_jsonl(records / "records.jsonl", "records")}
+    every_set = {(line["fact_id"], source) for line in lines for source in line["sources"]}
+    assert scored == every_set - {(second.fact_id, source) for source in failed}
+
+
+def test_protocol_evaluate_parses_at_most_the_window_ahead(tmp_path, monkeypatch):
+    server = _threading_server()
+    with _serving(server):
+        config = load_config(_protocol_workspace(tmp_path / "ws", server.server_address[1]))
+        bundle = cmd_build_dataset(config, replay=True)
+        lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+        server.parsed = count_parsed_lines(monkeypatch, "candidate_sets")
+        cmd_evaluate(config, bundle)
+    # Each line is parsed once: the protocol scorer never reads the bundle.
+    assert sorted(server.parsed) == list(range(2, len(lines) + 2))
+    assert len(lines) > PIPELINE_WINDOW + 2
+    for k, parsed in enumerate(server.parsed_at, 1):
+        assert parsed <= k + PIPELINE_WINDOW + 1, k
