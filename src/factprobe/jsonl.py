@@ -6,12 +6,16 @@ A file is UTF-8, one compact JSON object per line (never ``NaN`` or
 maps each field of a kind to a check of its value: ``?`` marks an optional
 field, a nested mapping an object, ``*`` every member of a map of objects,
 and unnamed fields are ignored. A line that fails is a ``MalformedRecord``
-naming file, line and field."""
+naming file, line and field. A file is written whole or not at all: its
+lines go to a temporary file beside it that replaces it only once the last
+line is written."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import reprlib
 from pathlib import Path
 
@@ -195,9 +199,31 @@ def read_jsonl(path, kind: str) -> list[dict]:
     return [record for _, record in iter_lines(path, kind)]
 
 
+@contextlib.contextmanager
+def writing(path: Path, kind: str, **header):
+    """Yield ``write(line)``, which adds one line to the ``kind`` file at
+    ``path`` under its header, extended by the ``header`` fields.
+
+    The lines go to ``<name>.tmp`` beside ``path``, which replaces ``path``
+    when the block ends without an error and is deleted when it raises. So
+    ``path`` holds either every line of one block or what it held before; a
+    killed process may leave the temporary file, which the next write of
+    ``path`` overwrites."""
+    path = Path(path)
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
+            yield lambda line: fh.write(dump(line) + "\n")
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    os.replace(temporary, path)
+
+
 def write_jsonl(path: Path, kind: str, lines, **header) -> None:
-    """``lines`` under the header of ``kind``, extended by the ``header`` fields."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
+    """``lines`` under the header of ``kind``, extended by the ``header``
+    fields, written whole or not at all (see ``writing``)."""
+    with writing(path, kind, **header) as write:
         for line in lines:
-            fh.write(dump(line) + "\n")
+            write(line)

@@ -36,7 +36,7 @@ from .errors import (
     ProbeError,
     ScorerConnectionLost,
 )
-from .jsonl import SCHEMA_VERSION, dump, iter_lines, read_jsonl, write_jsonl
+from .jsonl import SCHEMA_VERSION, dump, iter_lines, read_jsonl, write_jsonl, writing
 from .metrics import (
     FEMALE_GENDERS,
     FORM_INFLECTED,
@@ -316,7 +316,11 @@ def build_fact(fact: Fact, ctx: BuildContext):
 
 
 def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = False) -> Path:
-    """Verbalize, split and assemble candidate sets for every eligible fact."""
+    """Verbalize, split and assemble candidate sets for every eligible fact.
+
+    Each fact's lines are written as ``build_fact`` returns them, so build
+    holds its set-up and one fact's lines. A failed build replaces no
+    artifact and writes no manifest."""
     bundle_dir = config.output_dir / "bundle"
 
     def work(config_digest, input_digests):
@@ -373,35 +377,37 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
             exemplars=exemplars,
             services=services,
         )
-        candidate_lines: list[dict] = []
-        verbalization_lines: list[dict] = []
-        audit: list[dict] = []
-        for fact in facts:
-            candidates, verbalizations, entries = build_fact(fact, ctx)
-            candidate_lines += candidates
-            verbalization_lines += verbalizations
-            audit += entries
-
-        write_jsonl(bundle_dir / "candidate_sets.jsonl", "candidate_sets", candidate_lines)
-        write_jsonl(bundle_dir / "verbalizations.jsonl", "verbalizations", verbalization_lines)
-        write_jsonl(bundle_dir / "audit.jsonl", "audit", audit)
+        # Only the counts of the manifest outlive a fact's lines.
+        set_count = 0
+        blocking: dict[str, int] = {}
+        notes: dict[str, int] = {}
+        with (
+            writing(bundle_dir / "candidate_sets.jsonl", "candidate_sets") as write_set,
+            writing(bundle_dir / "verbalizations.jsonl", "verbalizations") as write_verb,
+            writing(bundle_dir / "audit.jsonl", "audit") as write_audit,
+        ):
+            for fact in facts:
+                candidates, verbalizations, entries = build_fact(fact, ctx)
+                for line in candidates:
+                    write_set(line)
+                    set_count += len(line["sources"])  # (fact, source) sets, not lines
+                for line in verbalizations:
+                    write_verb(line)
+                for entry in entries:
+                    write_audit(entry)
+                    bucket = blocking if entry["kind"] in BLOCKING_AUDIT_KINDS else notes
+                    bucket[entry["kind"]] = bucket.get(entry["kind"], 0) + 1
         _write_json(bundle_dir / "relation_filter.json", {
             "retained": list(filter_report.retained),
             "excluded": [list(pair) for pair in filter_report.excluded],
         })
 
-        blocking: dict[str, int] = {}
-        notes: dict[str, int] = {}
-        for entry in audit:
-            bucket = blocking if entry["kind"] in BLOCKING_AUDIT_KINDS else notes
-            bucket[entry["kind"]] = bucket.get(entry["kind"], 0) + 1
         names = ("candidate_sets.jsonl", "verbalizations.jsonl", "audit.jsonl",
                  "relation_filter.json")
         counts = {
             "facts_eligible": len(facts),
             "enabled_sources": len(config.sources),
-            # (fact, source) sets, not lines
-            "candidate_sets": sum(len(line["sources"]) for line in candidate_lines),
+            "candidate_sets": set_count,
             "audit_blocking": blocking,
             "audit_notes": notes,
         }
@@ -449,7 +455,8 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
     A file written under another header (another bundle or config, or an
     older format) is started afresh. A last line without its newline that
     does not decode is what a run killed mid-write leaves: it is dropped, so
-    its set is scored again. Any other bad line is an error.
+    its set is scored again. Any other bad line is an error. The file is
+    rewritten whole or not at all.
     """
     records: list[dict] = []
     try:
@@ -517,23 +524,26 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                 backend = make_scorer(config, _bundle_lines(candidate_sets))
                 if hasattr(backend, "close"):
                     stack.callback(backend.close)
-            sets = stack.enter_context(contextlib.closing(_pending_sets(
+            pending = stack.enter_context(contextlib.closing(_pending_sets(
                 _bundle_lines(candidate_sets), {(r["fact_id"], r["source"]) for r in record_lines}
             )))
+            sets = ((line, sources, cs, candidate_continuations(cs, bool(line.get("no_space"))))
+                    for line, sources, cs in pending)
             if hasattr(backend, "pipelined"):
                 # The scorer sends requests up to its window ahead of this
                 # loop and answers its score_batch calls in the same order.
+                # A bad bundle line ends this loop's branch of the tee; the
+                # scorer raises its error once the sets before it are scored.
                 sets, ahead = itertools.tee(sets)
                 stack.enter_context(backend.pipelined(
-                    (cs.prompt, candidate_continuations(cs, bool(line.get("no_space"))))
-                    for line, _, cs in ahead
+                    (cs.prompt, continuations) for _, _, cs, continuations in ahead
                 ))
             progress = stack.enter_context(open(progress_path, "a", encoding="utf-8"))
-            for line, sources, candidate_set in sets:
+            for line, sources, candidate_set, continuations in sets:
                 try:
                     scored = score_candidates(
                         backend, candidate_set, config.normalization,
-                        no_space=bool(line.get("no_space")),
+                        continuations=continuations,
                     )
                     result = rank_candidates(
                         scored, candidate_set.correct_forms, config.n_values,
@@ -589,23 +599,23 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
 
 
 def load_records(records_dir) -> list[EvalRecord]:
-    records = []
-    for line in read_jsonl(Path(records_dir) / "records.jsonl", "records"):
-        records.append(
-            EvalRecord(
-                fact_id=line["fact_id"],
-                language=line["language"],
-                relation_id=line["relation_id"],
-                source=line["source"],
-                best_correct_rank=line["best_correct_rank"],
-                hits={int(n): hit for n, hit in line["hits"].items()},
-                form_ranks=line.get("form_ranks") or None,
-                qe_score=line.get("qe_score"),
-                subject_gender=line.get("subject_gender"),
-                prompt=line.get("prompt"),
-            )
+    """The records of the store, each turned into an ``EvalRecord`` as its
+    line is read."""
+    return [
+        EvalRecord(
+            fact_id=line["fact_id"],
+            language=line["language"],
+            relation_id=line["relation_id"],
+            source=line["source"],
+            best_correct_rank=line["best_correct_rank"],
+            hits={int(n): hit for n, hit in line["hits"].items()},
+            form_ranks=line.get("form_ranks") or None,
+            qe_score=line.get("qe_score"),
+            subject_gender=line.get("subject_gender"),
+            prompt=line.get("prompt"),
         )
-    return records
+        for _, line in iter_lines(Path(records_dir) / "records.jsonl", "records")
+    ]
 
 
 def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:

@@ -104,12 +104,14 @@ def score_candidates(
     scorer: ScorerBackend,
     candidate_set: CandidateSet,
     normalization: str = NORMALIZATION_SUM,
-    no_space: bool = False,
+    continuations: list[str] | None = None,
 ) -> Scores:
     """Score every candidate continuation of the prompt.
 
-    Only a ``BackendError`` from the scorer marks a set that a rerun may
-    score; any other exception is a fault and propagates unchanged.
+    ``continuations`` are the set's ``candidate_continuations``, built here
+    with the joining space when not given. Only a ``BackendError`` from the
+    scorer marks a set that a rerun may score; any other exception is a
+    fault and propagates unchanged.
     """
     if normalization not in (NORMALIZATION_SUM, NORMALIZATION_MEAN):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -118,8 +120,9 @@ def score_candidates(
         raise ValueError("candidate set is empty")
     entity_ids = [""] * len(candidate_set.correct_forms)
     entity_ids += [entity_id for entity_id, _ in candidate_set.distractors]
-    joiner = join_continuation(candidate_set.prompt, "", no_space)
-    results = scorer.score_batch(candidate_set.prompt, [joiner + form for form in forms])
+    if continuations is None:
+        continuations = candidate_continuations(candidate_set)
+    results = scorer.score_batch(candidate_set.prompt, continuations)
     if len(results) != len(forms):
         raise BackendError(
             f"scorer returned {len(results)} results for {len(forms)} continuations",
@@ -322,10 +325,17 @@ class ProtocolScorerClient:
     @contextlib.contextmanager
     def pipelined(self, requests: Iterable[tuple[str, list[str]]]):
         """While open, ``score_batch`` calls take the outcomes of
-        ``score_stream(requests)``, one per call in request order."""
+        ``score_stream(requests)``, one per call in request order.
+
+        A block that ends without an error must have taken every outcome.
+        If drawing ``requests`` failed, the requests before the failure
+        still have their outcomes, and the error is raised as the block
+        ends: a caller that shares ``requests`` through ``itertools.tee``
+        sees its branch simply end there."""
         self._pipeline = self.score_stream(requests)
         try:
             yield
+            next(self._pipeline, None)
         finally:
             self._pipeline.close()
             self._pipeline = None
@@ -338,21 +348,29 @@ class ProtocolScorerClient:
         the ``BackendError`` that rejected its reply (a reply that is not
         JSON, has another version or the wrong number of results), which
         leaves the connection in step. Requests are drawn lazily, at most
-        the window ahead of the outcomes taken. Leaving the stream before
-        its end loses the connection.
+        the window ahead of the outcomes taken. An error from drawing a
+        request stops the drawing; it is raised after the outcomes of the
+        requests already sent. Leaving the stream before its end loses the
+        connection.
         """
         if self._lost is not None:
             raise ScorerConnectionLost(self._lost)
         requests = iter(requests)
         expected: deque[int] = deque()  # result count of each request in flight
+        failure: Exception | None = None
         try:
             while True:
-                for prompt, continuations in itertools.islice(
-                    requests, PIPELINE_WINDOW - len(expected)
-                ):
-                    self._outgoing += _encode_request(prompt, continuations)
-                    expected.append(len(continuations))
+                try:
+                    for prompt, continuations in itertools.islice(
+                        requests, 0 if failure else PIPELINE_WINDOW - len(expected)
+                    ):
+                        self._outgoing += _encode_request(prompt, continuations)
+                        expected.append(len(continuations))
+                except Exception as exc:
+                    failure = exc
                 if not expected:
+                    if failure:
+                        raise failure
                     return
                 self._send()
                 line = self._read_line()

@@ -28,10 +28,11 @@ def test_every_trace_target_resolves():
 
 
 # The stages each traced layer must be seen in on a replay run. Evaluate
-# streams the bundle through ``iter_lines``, so it calls no ``read_jsonl``.
+# and report read through ``iter_lines``, so no stage calls ``read_jsonl``,
+# and build writes its lines through ``writing``, not ``write_jsonl``.
 LAYER_STAGES = {
-    "pipeline.read_jsonl": {"pipeline.report"},
-    "pipeline.write_jsonl": {"pipeline.build", "pipeline.evaluate"},
+    "pipeline.read_jsonl": set(),
+    "pipeline.write_jsonl": {"pipeline.evaluate"},
     "candidates.sample": {"pipeline.build"},
     "clients.fetch": {"pipeline.build"},
     "score.round_trip": {"pipeline.evaluate"},
@@ -57,5 +58,5 @@ def test_tracer_sees_each_layer_of_a_replay_run(tmp_path):
             seen[layer].add(tracer.spans[parent][0] if parent >= 0 else None)
     assert seen == LAYER_STAGES
     layers = tracer.layer_metrics()
-    for name in ("pipeline.read_jsonl_lines", "candidates.keys_hashed", "clients.cache_gets"):
+    for name in ("pipeline.write_jsonl_s", "candidates.keys_hashed", "clients.cache_gets"):
         assert layers[name] > 0, name

@@ -1,7 +1,7 @@
 import pytest
 
 from factprobe.errors import MalformedRecord
-from factprobe.jsonl import check_line, dump, read_jsonl
+from factprobe.jsonl import check_line, dump, read_jsonl, write_jsonl, writing
 
 # A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
 # and three sources.
@@ -90,6 +90,48 @@ def test_a_non_finite_constant_is_invalid_json(tmp_path, text):
     assert info.value.context == {"file": str(path), "line": 2}
     with pytest.raises(ValueError):
         dump({"logprob": float(text)})
+
+
+def test_a_written_file_appears_only_when_its_block_ends(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    line = {"prompt": "a", "continuation": " b", "logprob": -1.5}
+    with writing(path, "scores") as write:
+        write(line)
+        assert not path.exists()
+    assert read_jsonl(path, "scores") == [line]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.jsonl"]
+
+
+class _Failed(Exception):
+    pass
+
+
+def _failing_lines(count):
+    for index in range(count):
+        yield {"prompt": "p", "continuation": str(index), "logprob": -1.0}
+    raise _Failed("the lines stopped")
+
+
+@pytest.mark.parametrize("existing", [None, b"kept as it was\n"], ids=["new", "existing"])
+def test_a_failed_write_leaves_the_file_as_it_was(tmp_path, existing):
+    # Enough lines to spill the file buffer, so some reached the disk.
+    path = tmp_path / "scores.jsonl"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(_Failed):
+        write_jsonl(path, "scores", _failing_lines(2000))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else [path.name])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+def test_the_temporary_file_a_killed_write_left_is_overwritten(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    (tmp_path / "scores.jsonl.tmp").write_text("torn", encoding="utf-8")
+    write_jsonl(path, "scores", [{"prompt": "p", "continuation": "c", "logprob": 0}])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.jsonl"]
+    assert path.read_text(encoding="utf-8") == (
+        '{"kind":"scores","schema_version":1}\n{"continuation":"c","logprob":0,"prompt":"p"}\n')
 
 
 def test_benchmark_check_candidate_set_line(benchmark):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from factprobe import candidates, cli, pipeline
+from factprobe import candidates, cli, jsonl, pipeline
 from factprobe.clients import ResponseCache, parse_record
 from factprobe.config import load_config
 from factprobe.corpus import load_corpus, unique_object_pool
@@ -237,6 +238,25 @@ def test_undecodable_progress_line_before_the_last_is_an_error(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         cmd_evaluate(config, bundle, scorer=oracle)
     assert info.value.context == {"file": str(progress), "line": 4}
+
+
+def test_a_failed_progress_rewrite_leaves_progress_as_it_was(tmp_path, monkeypatch):
+    config, bundle, oracle, progress = _interrupted_progress(tmp_path, "ws")
+    before = progress.read_bytes()
+    assert len(before.splitlines()) > 5
+    dump, dumped = jsonl.dump, []
+
+    def failing_dump(obj):
+        dumped.append(obj)
+        if len(dumped) == 5:  # the header and three records
+            raise RuntimeError("disk full")
+        return dump(obj)
+
+    monkeypatch.setattr(jsonl, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="disk full"):
+        cmd_evaluate(config, bundle, scorer=oracle)
+    assert progress.read_bytes() == before
+    assert [path.name for path in progress.parent.iterdir()] == [progress.name]
 
 
 _MISSING = object()
@@ -602,6 +622,83 @@ def test_stage_reuse_skips_completed_build(tmp_path):
     assert again == bundle
     assert (bundle / "manifest.json").read_bytes() == manifest_before
     assert (bundle / "candidate_sets.jsonl").stat().st_mtime_ns == mtime_before
+
+
+def test_build_writes_each_fact_before_building_the_next(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    events = []
+    build_fact, writing = pipeline.build_fact, pipeline.writing
+
+    def noting_build(fact, ctx):
+        events.append(("build", fact.id))
+        lines = build_fact(fact, ctx)
+        events.append(("built", dict(zip(("candidate_sets", "verbalizations", "audit"), lines))))
+        return lines
+
+    @contextlib.contextmanager
+    def noting_writing(path, kind, **header):
+        with writing(path, kind, **header) as write:
+            def noting_write(line):
+                events.append(("write", kind, line))
+                write(line)
+            yield noting_write
+
+    monkeypatch.setattr(pipeline, "build_fact", noting_build)
+    monkeypatch.setattr(pipeline, "writing", noting_writing)
+    bundle = cmd_build_dataset(config, replay=True)
+
+    # Between a fact's return and the next fact's build, exactly the lines
+    # that fact returned are written, each to its own file.
+    starts = [i for i, event in enumerate(events) if event[0] == "build"]
+    assert len(starts) == 18
+    for start, end in zip(starts, starts[1:] + [len(events)]):
+        (_, expected), *writes = events[start + 1:end]
+        written = {kind: [] for kind in expected}
+        for _, kind, line in writes:
+            written[kind].append(line)
+        assert written == expected
+
+    # The manifest counts what the files hold.
+    counts = json.loads((bundle / "manifest.json").read_text())["counts"]
+    assert counts["candidate_sets"] == len(_sets(bundle))
+    kinds = Counter(entry["kind"] for entry in read_jsonl(bundle / "audit.jsonl", "audit"))
+    assert counts["audit_blocking"] == {k: n for k, n in kinds.items() if not k.startswith("NOTE_")}
+    assert counts["audit_notes"] == {k: n for k, n in kinds.items() if k.startswith("NOTE_")}
+
+
+def _fail_build_at(monkeypatch, index):
+    """Make ``build_fact`` raise on the ``index``-th fact."""
+    build_fact, built = pipeline.build_fact, []
+
+    def failing(fact, ctx):
+        built.append(fact.id)
+        if len(built) == index:
+            raise RuntimeError("build failed mid-run")
+        return build_fact(fact, ctx)
+
+    monkeypatch.setattr(pipeline, "build_fact", failing)
+
+
+def test_a_failed_first_build_leaves_an_empty_bundle(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    _fail_build_at(monkeypatch, 5)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        cmd_build_dataset(config, replay=True)
+    # No artifact, temporary file or manifest.
+    assert list((config.output_dir / "bundle").iterdir()) == []
+
+
+def test_a_failed_forced_rebuild_leaves_the_bundle_as_it_was(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    bundle = cmd_build_dataset(config, replay=True)
+    before = {path.name: path.read_bytes() for path in bundle.iterdir()}
+    _fail_build_at(monkeypatch, 5)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        cmd_build_dataset(config, replay=True, force=True)
+    assert {path.name: path.read_bytes() for path in bundle.iterdir()} == before
+    # A plain rerun finds the stage current and builds nothing.
+    _fail_build_at(monkeypatch, 1)
+    assert cmd_build_dataset(config, replay=True) == bundle
 
 
 def test_cli_end_to_end(tmp_path):

@@ -9,9 +9,9 @@ import threading
 import pytest
 import yaml
 
-from factprobe import cli, pipeline
+from factprobe import cli, pipeline, score
 from factprobe.config import load_config
-from factprobe.errors import BackendError, ScorerConnectionLost
+from factprobe.errors import BackendError, MalformedRecord, ScorerConnectionLost
 from factprobe.pipeline import cmd_build_dataset, cmd_evaluate, read_jsonl
 from factprobe.score import (
     PIPELINE_WINDOW,
@@ -190,6 +190,39 @@ def test_protocol_lost_connection_is_never_reused(score_server):
     outcomes.close()
     with pytest.raises(ScorerConnectionLost):
         client.score_batch("p", ["a"])
+    client.close()
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+def _requests_failing_after(count):
+    for index in range(1, count + 1):
+        yield "p", ["a" * index]
+    raise _DrawFailed("the next request could not be read")
+
+
+def test_protocol_stream_answers_the_requests_sent_before_a_failed_draw(score_server):
+    client = ProtocolScorerClient(*score_server)
+    outcomes = client.score_stream(_requests_failing_after(5))
+    # All five requests were sent before the first reply was read.
+    assert [next(outcomes) for _ in range(5)] == [[(-float(n), 1)] for n in range(1, 6)]
+    with pytest.raises(_DrawFailed):
+        next(outcomes)
+    # The connection is still in step.
+    assert client.score_batch("p", ["a"]) == [(-1.0, 1)]
+    client.close()
+
+
+def test_pipelined_raises_a_failed_draw_when_its_block_ends(score_server):
+    client = ProtocolScorerClient(*score_server)
+    outcomes = []
+    with pytest.raises(_DrawFailed):
+        with client.pipelined(_requests_failing_after(3)):
+            # A caller sharing the requests through a tee sees them end here.
+            outcomes += [client.score_batch("p", ["a" * n]) for n in (1, 2, 3)]
+    assert outcomes == [[(-1.0, 1)], [(-2.0, 1)], [(-3.0, 1)]]
     client.close()
 
 
@@ -392,3 +425,46 @@ def test_protocol_evaluate_parses_at_most_the_window_ahead(tmp_path, monkeypatch
     assert len(lines) > PIPELINE_WINDOW + 2
     for k, parsed in enumerate(server.parsed_at, 1):
         assert parsed <= k + PIPELINE_WINDOW + 1, k
+
+
+def test_a_malformed_bundle_line_keeps_every_set_the_protocol_scorer_sent_before_it(tmp_path):
+    # The scorer reads the bundle up to a window ahead of the records, so it
+    # reaches the bad line while the sets before it are still in flight.
+    with _serving(_threading_server()) as server:
+        config = load_config(_protocol_workspace(tmp_path / "ws", server.server_address[1],
+                                                 facts_per_cell=6))
+        bundle = cmd_build_dataset(config, replay=True)
+        path = bundle / "candidate_sets.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = 20
+        spoiled = json.loads(lines[lineno - 1])
+        spoiled["distractors"] = "x"
+        lines[lineno - 1] = json.dumps(spoiled) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(MalformedRecord) as info:
+            cmd_evaluate(config, bundle)
+    assert info.value.context == {"file": str(path), "line": lineno, "field": "distractors"}
+    records = config.output_dir / "records"
+    assert not (records / "manifest.json").exists()
+    before = [json.loads(raw) for raw in lines[1:lineno - 1]]
+    kept = [(r["fact_id"], r["source"]) for r in read_jsonl(records / "progress.jsonl", "progress")]
+    assert sorted(kept) == sorted(
+        (line["fact_id"], source) for line in before for source in line["sources"])
+    assert len(kept) == 53
+
+
+def test_protocol_evaluate_joins_each_request_once(tmp_path, monkeypatch):
+    joins = []
+    join_continuation = score.join_continuation
+
+    def counting(*args, **kwargs):
+        joins.append(args)
+        return join_continuation(*args, **kwargs)
+
+    with _serving(_threading_server()) as server:
+        config = load_config(_protocol_workspace(tmp_path / "ws", server.server_address[1]))
+        bundle = cmd_build_dataset(config, replay=True)
+        monkeypatch.setattr(score, "join_continuation", counting)
+        cmd_evaluate(config, bundle)
+    # One join per request: for the continuations sent, none for scoring.
+    assert len(joins) == len(server.received) > PIPELINE_WINDOW
