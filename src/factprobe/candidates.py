@@ -5,9 +5,14 @@ salt): every eligible entity id is keyed by a SHA-256 digest and the k
 smallest keys win. Reruns, machine changes and pool permutations cannot
 change the sample; changing the salt almost surely does.
 
-A key does not depend on the fact, so the keys of a (relation, language)
-pool are computed and sorted once (``keyed_pool``), and each fact takes the
-first k eligible entries of that sorted pool (``sample_distractors``).
+A key and an entity's label in the cell's language do not depend on the
+fact, so each (relation, language) pool is keyed, sorted and labelled once
+(``keyed_pool``): it is the cell's ``Distractor``s in key order. Each fact
+then takes the first k of them that are neither its own object nor one of
+its correct forms (``sample_distractors``), with no lookup and no new tuple.
+A fact's candidate set depends only on its correct forms and distractors,
+so it is assembled once per fact (``assemble_candidate_set``), whatever
+the number of its verbalizations.
 """
 
 from __future__ import annotations
@@ -48,44 +53,48 @@ def distractor_key(salt: str, relation_id: str, language: str, entity_id: str) -
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def keyed_pool(object_pool, relation_id: str, language: str, salt: str) -> list[tuple[str, str]]:
-    """``(key, entity_id)`` for every pool entity, sorted by key.
+def keyed_pool(
+    corpus: Corpus, object_pool, relation_id: str, language: str, salt: str
+) -> list[Distractor]:
+    """The cell's distractors in key order: a ``Distractor`` of its label
+    for every pool entity with a default label in ``language``.
 
-    Keys are digests of distinct ids, so sorting by key alone is the
-    order of the k-smallest-keys rule.
+    Every pool entity is keyed once. Keys are digests of distinct ids, so
+    sorting by key alone is the order of the k-smallest-keys rule.
     """
-    return sorted(
+    entities = corpus.entities
+    pool = []
+    for _, entity_id in sorted(
         (distractor_key(salt, relation_id, language, entity_id), entity_id)
         for entity_id in object_pool
-    )
+    ):
+        label = entities[entity_id].label(language)
+        if label is not None:
+            pool.append(Distractor(entity_id, label))
+    return pool
 
 
 def sample_distractors(
-    corpus: Corpus,
-    keyed,
-    fact: Fact,
+    pool: Sequence[Distractor],
     correct_forms,
+    fact: Fact,
     k: int,
 ) -> list[Distractor]:
-    """Pick up to k distractors from the fact's keyed pool (``keyed_pool``).
+    """Pick up to k distractors for ``fact`` from its cell's ``keyed_pool``.
 
-    Eligible are all pool entities except the fact's own object, entities
-    without a default label in the fact's language, and entities whose
-    default label byte-equals a correct form. The first k eligible entries
-    in key order are returned; when fewer than k are eligible, all of them.
+    Eligible are all pool entries except the fact's own object and those
+    whose label byte-equals a correct form. The first k eligible entries in
+    key order are returned; when fewer than k are eligible, all of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     correct = set(correct_forms)
-    entities = corpus.entities
+    object_id = fact.object_id
     picked: list[Distractor] = []
-    for _, entity_id in keyed:
-        if entity_id == fact.object_id:
+    for distractor in pool:
+        if distractor.form in correct or distractor.entity_id == object_id:
             continue
-        label = entities[entity_id].label(fact.language)
-        if label is None or label in correct:
-            continue
-        picked.append(Distractor(entity_id, label))
+        picked.append(distractor)
         if len(picked) == k:
             break
     if not picked:
@@ -95,6 +104,13 @@ def sample_distractors(
             language=fact.language,
         )
     return picked
+
+
+def check_prompt(prompt: str) -> str:
+    """``prompt`` if it is non-empty, which every candidate set's must be."""
+    if not prompt:
+        raise ValueError("prompt must be non-empty")
+    return prompt
 
 
 def assemble_candidate_set(
@@ -111,8 +127,7 @@ def assemble_candidate_set(
     list is returned for the audit file. Distinct entities sharing a
     surface form among themselves are both kept.
     """
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
+    check_prompt(prompt)
     correct = list(correct_forms)
     if not correct:
         raise ValueError("correct_forms must be non-empty")

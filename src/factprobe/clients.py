@@ -52,7 +52,7 @@ class TextRequest:
         # Computed once per request: the fetch path and the provenance of a
         # verbalization both read the digest and the canonical form.
         canonical = dump(self.fields())
-        return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical, _sha256(canonical)
 
     def canonical(self) -> str:
         return self._serialized[0]
@@ -61,9 +61,17 @@ class TextRequest:
         return self._serialized[1]
 
 
+def _sha256(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def record_line(request: TextRequest, response: str) -> str:
     """The line a fixture file and a cache entry hold for one response."""
     return dump({"request": request.fields(), "response": response}) + "\n"
+
+
+# The string fields of a request, in ``TextRequest`` order; ``extra`` follows.
+_TEXT_FIELDS = ("client_id", "text", "source_language", "target_language")
 
 
 def parse_record(record: dict) -> tuple[TextRequest, str]:
@@ -71,8 +79,7 @@ def parse_record(record: dict) -> tuple[TextRequest, str]:
     passed ``check_line("fixture", ...)``."""
     req = record["request"]
     extra = tuple(sorted(req.get("extra", {}).items()))
-    fields = (req[name] for name in ("client_id", "text", "source_language", "target_language"))
-    return TextRequest(*fields, extra), record["response"]
+    return TextRequest(*(req[name] for name in _TEXT_FIELDS), extra), record["response"]
 
 
 class ResponseCache:
@@ -192,10 +199,19 @@ def _close_logs(logs: dict[str, int]) -> None:
 
 def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
     """Load replay fixtures (headerless JSONL of request+response) into a
-    digest map; ``torn_tail`` skips a torn last line, as ``iter_lines`` does."""
-    records = (parse_record(record) for path in paths
-               for _, record in iter_lines(path, "fixture", torn_tail=torn_tail))
-    return {request.digest(): response for request, response in records}
+    digest map; ``torn_tail`` skips a torn last line, as ``iter_lines`` does.
+
+    Each line's digest is that of its ``parse_record`` request, taken
+    straight from the line's fields: ``dump`` sorts the keys, so the order
+    of ``extra`` does not matter."""
+    responses = {}
+    for path in paths:
+        for _, record in iter_lines(path, "fixture", torn_tail=torn_tail):
+            req = record["request"]
+            fields = {name: req[name] for name in _TEXT_FIELDS}
+            fields["extra"] = req.get("extra", {})
+            responses[_sha256(dump(fields))] = record["response"]
+    return responses
 
 
 def append_fixture(path, request: TextRequest, response: str) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DanglingReference, DuplicateId, MalformedRecord, ProbeError, UnknownRelation
@@ -106,6 +107,15 @@ class Corpus:
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.entities), len(self.relations), len(self.facts)
+
+    @cached_property
+    def _object_pools(self) -> dict[tuple[str, str], list[str]]:
+        """Deduplicated, id-sorted object ids per (relation, language) cell,
+        from one pass over the facts on first use."""
+        pools: dict[tuple[str, str], set[str]] = {}
+        for fact in self.facts.values():
+            pools.setdefault((fact.relation_id, fact.language), set()).add(fact.object_id)
+        return {cell: sorted(ids) for cell, ids in pools.items()}
 
 
 @dataclass(frozen=True)
@@ -237,15 +247,13 @@ def save_corpus(corpus: Corpus, directory) -> dict[str, Path]:
 
 
 def unique_object_pool(corpus: Corpus, relation_id: str, language: str) -> list[str]:
-    """Deduplicated, id-sorted object entity ids for one relation+language."""
+    """Deduplicated, id-sorted object entity ids for one relation+language.
+
+    The facts are indexed by cell once per corpus, so a call costs the size
+    of its pool, not a pass over the facts."""
     if relation_id not in corpus.relations:
         raise UnknownRelation(f"unknown relation {relation_id!r}")
-    pool = {
-        fact.object_id
-        for fact in corpus.facts.values()
-        if fact.relation_id == relation_id and fact.language == language
-    }
-    return sorted(pool)
+    return list(corpus._object_pools.get((relation_id, language), ()))
 
 
 def filter_relations(

@@ -19,7 +19,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import report as report_mod
-from .candidates import CandidateSet, assemble_candidate_set, keyed_pool, sample_distractors
+from .candidates import (
+    CandidateSet,
+    Distractor,
+    assemble_candidate_set,
+    check_prompt,
+    keyed_pool,
+    sample_distractors,
+)
 from .clients import ResponseCache, TextRequest, TextService, make_service
 from .config import RunConfig, load_gender_patterns
 from .corpus import Corpus, Fact, filter_relations, load_corpus, unique_object_pool
@@ -145,8 +152,8 @@ def _run_stage(directory: Path, stage: str, config: RunConfig, inputs: dict[str,
     return directory
 
 
-def _qe_annotate(fact, corpus, sentence, qe: TextService) -> float:
-    source = english_sentence(fact, corpus)
+def _qe_annotate(fact, source: str, sentence: str, qe: TextService) -> float:
+    """The QE score of ``sentence`` as a translation of the English ``source``."""
     request = TextRequest(
         client_id=qe.client.client_id,
         text=sentence,
@@ -174,8 +181,8 @@ class BuildContext:
     config: RunConfig
     corpus: Corpus
     # Per (relation, language) cell: the object pool as ``keyed_pool``
-    # returns it, keyed and sorted once for all of the cell's facts.
-    pools: dict[tuple[str, str], list[tuple[str, str]]]
+    # returns it, keyed, sorted and labelled once for all of the cell's facts.
+    pools: dict[tuple[str, str], list[Distractor]]
     exemplars: dict[tuple[str, str], list]
     # One service per enabled client role ("MT", "LLM", "QE").
     services: dict[str, TextService]
@@ -262,27 +269,31 @@ def build_fact(fact: Fact, ctx: BuildContext):
 
     try:
         distractors = sample_distractors(
-            corpus, ctx.pools[(fact.relation_id, fact.language)], fact,
-            correct_forms, config.k_distractors,
+            ctx.pools[(fact.relation_id, fact.language)], correct_forms, fact,
+            config.k_distractors,
         )
     except ProbeError as exc:
         audit.extend(_audit(fact, source.value, "SAMPLING_ERROR", exc.code) for source in splits)
         return candidate_lines, verbalization_lines, audit
 
+    # Assembly depends only on the correct forms and the distractors, so the
+    # sets of every source share one assembly; each source keeps its prompt.
+    surviving = [source for source in VerbalizationSource if source in splits]
+    try:
+        candidate_set, dropped = assemble_candidate_set(
+            fact.id, splits[surviving[0]].prompt_prefix, correct_forms,
+            distractors, config.salt,
+        )
+    except ProbeError as exc:
+        audit.extend(_audit(fact, source.value, "ASSEMBLY_ERROR", exc.code)
+                     for source in surviving)
+        return candidate_lines, verbalization_lines, audit
+
     qe = ctx.services.get("QE")
+    english = None  # the QE source sentence, built when first needed
     sources: dict[str, dict] = {}
-    for source in VerbalizationSource:
-        split_result = splits.get(source)
-        if split_result is None:
-            continue
-        try:
-            candidate_set, dropped = assemble_candidate_set(
-                fact.id, split_result.prompt_prefix, correct_forms,
-                distractors, config.salt,
-            )
-        except ProbeError as exc:
-            audit.append(_audit(fact, source.value, "ASSEMBLY_ERROR", exc.code))
-            continue
+    for source in surviving:
+        prompt = check_prompt(splits[source].prompt_prefix)
         audit.extend(
             _audit(fact, source.value, "NOTE_DISTRACTOR_DROPPED", f"{d.entity_id}:{d.form}")
             for d in dropped
@@ -290,14 +301,14 @@ def build_fact(fact: Fact, ctx: BuildContext):
         qe_value = None
         if qe is not None:
             try:
-                qe_value = _qe_annotate(fact, corpus, verbalizations[source].sentence, qe)
+                if english is None:
+                    english = english_sentence(fact, corpus)
+                qe_value = _qe_annotate(fact, english, verbalizations[source].sentence, qe)
             except ProbeError as exc:
                 audit.append(_audit(fact, source.value, "QE_ERROR", exc.code))
                 continue
-        sources[source.value] = {"prompt": candidate_set.prompt, "qe_score": qe_value}
+        sources[source.value] = {"prompt": prompt, "qe_score": qe_value}
     if sources:
-        # Assembly depends only on the correct forms and the distractors,
-        # so every source's set has those of the last one assembled.
         candidate_lines.append(
             {
                 "fact_id": fact.id,
@@ -369,7 +380,7 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
             corpus=corpus,
             pools={
                 (relation_id, language): keyed_pool(
-                    unique_object_pool(corpus, relation_id, language),
+                    corpus, unique_object_pool(corpus, relation_id, language),
                     relation_id, language, config.salt,
                 )
                 for relation_id, language in cells

@@ -110,18 +110,55 @@ def _common_prefix_len(a: str, b: str) -> int:
     return i
 
 
-def _stem_word_ratio(label_word: str, sentence_word: str, config: MatchConfig) -> float | None:
-    """Prefix ratio if the word pair passes the stem rule, else None."""
-    prefix = _common_prefix_len(label_word, sentence_word)
-    need = min(
+def _required_prefix(label_word: str, config: MatchConfig) -> int:
+    """Characters of ``label_word`` a sentence word must share as a prefix."""
+    return min(
         len(label_word),
         max(config.min_prefix_chars, math.ceil(config.min_prefix_ratio * len(label_word))),
     )
-    if prefix < need:
+
+
+def _stem_word_ratio(label_word: str, sentence_word: str, config: MatchConfig) -> float | None:
+    """Prefix ratio if the word pair passes the stem rule, else None."""
+    prefix = _common_prefix_len(label_word, sentence_word)
+    if prefix < _required_prefix(label_word, config):
         return None
     if max(len(label_word) - prefix, len(sentence_word) - prefix) > config.max_suffix_delta:
         return None
     return prefix / len(label_word)
+
+
+def _rightmost(tokens, label_words, fit):
+    """``(span, confidence)`` of the rightmost window that some label fits,
+    or None; among equal spans the earlier label wins.
+
+    ``fit(label_index, start)`` is the confidence of the window of label
+    ``label_index`` that starts at token ``start``, or None. Each label's
+    windows are tried from the right, and only while their span beats the
+    best one found so far, so a label stops at its first fitting window.
+    """
+    best = None
+    for index, words in enumerate(label_words):
+        n = len(words)
+        if not n:
+            continue
+        for start in range(len(tokens) - n, -1, -1):
+            span = (tokens[start][0], tokens[start + n - 1][1])
+            if best is not None and span <= best[0]:
+                break
+            confidence = fit(index, start)
+            if confidence is not None:
+                best = (span, confidence)
+                break
+    return best
+
+
+def _equal_fit(sequence, label_sequences):
+    """A ``_rightmost`` fit: 1.0 where the window of ``sequence`` equals the
+    label's sequence, else None."""
+    return lambda i, start: (
+        1.0 if sequence[start : start + len(label_sequences[i])] == label_sequences[i] else None
+    )
 
 
 def match_object_form(
@@ -130,77 +167,58 @@ def match_object_form(
     """Find the rightmost occurrence of any candidate label in the sentence.
 
     An EXACT whole-word match of any label wins over any STEM match; a
-    configured lemmatizer is a last resort. Returns None when nothing
+    configured lemmatizer is a last resort. Within a pass the rightmost
+    span wins, and the earlier label wins a tie. Returns None when nothing
     matches (absence is a value, not an error).
     """
     if not labels:
         raise ValueError("labels must be non-empty")
     config = config or MatchConfig()
     tokens = _tokenize(sentence)
+    words = [token[2] for token in tokens]
+    label_words = [_WORD_RE.findall(label) for label in labels]
 
-    label_words = []
-    for label in labels:
-        words = [w for _, _, w in _tokenize(label)]
-        label_words.append(words)
-
-    def windows(n_words: int):
-        for start in range(len(tokens) - n_words + 1):
-            yield start
-
-    best: tuple[tuple[int, int], int, float] | None = None  # (span, -label_idx, conf)
-
-    def consider(span: tuple[int, int], label_idx: int, conf: float):
-        nonlocal best
-        key = (span, -label_idx, conf)
-        if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] > best[1]):
-            best = key
+    def found(best, via: MatchVia) -> ObjectMatch | None:
+        if best is None:
+            return None
+        span, confidence = best
+        return ObjectMatch(span, sentence[span[0] : span[1]], via, confidence)
 
     # Pass 1: exact whole-word matches.
-    for idx, words in enumerate(label_words):
-        if not words:
-            continue
-        for start in windows(len(words)):
-            window = tokens[start : start + len(words)]
-            if all(w == t[2] for w, t in zip(words, window)):
-                consider((window[0][0], window[-1][1]), idx, 1.0)
-    if best is not None:
-        span = best[0]
-        return ObjectMatch(span, sentence[span[0] : span[1]], MatchVia.EXACT, 1.0)
+    match = found(_rightmost(tokens, label_words, _equal_fit(words, label_words)),
+                  MatchVia.EXACT)
+    if match is not None:
+        return match
 
-    # Pass 2: stem matches.
-    for idx, words in enumerate(label_words):
-        if not words:
-            continue
-        for start in windows(len(words)):
-            window = tokens[start : start + len(words)]
-            ratios = []
-            for w, t in zip(words, window):
-                ratio = _stem_word_ratio(w, t[2], config)
-                if ratio is None:
-                    break
-                ratios.append(ratio)
-            else:
-                consider((window[0][0], window[-1][1]), idx, min(ratios))
-    if best is not None:
-        span, _, conf = best
-        return ObjectMatch(span, sentence[span[0] : span[1]], MatchVia.STEM, conf)
+    # Pass 2: stem matches. A word pair that lacks the label word's required
+    # prefix is rejected before its ratio is computed.
+    prefixes = [[w[: _required_prefix(w, config)] for w in lw] for lw in label_words]
+
+    def stem_fit(i: int, start: int) -> float | None:
+        confidence = 1.0  # no ratio exceeds 1
+        window = words[start : start + len(prefixes[i])]
+        for label_word, prefix, word in zip(label_words[i], prefixes[i], window):
+            if not word.startswith(prefix):
+                return None
+            ratio = _stem_word_ratio(label_word, word, config)
+            if ratio is None:
+                return None
+            if ratio < confidence:
+                confidence = ratio
+        return confidence
+
+    match = found(_rightmost(tokens, label_words, stem_fit), MatchVia.STEM)
+    if match is not None:
+        return match
 
     # Pass 3: lemma equality, when a lemmatizer is configured.
     lemmatize = get_lemmatizer(config.lemmatizer) if config.lemmatizer else None
-    if lemmatize is not None:
-        for idx, words in enumerate(label_words):
-            if not words:
-                continue
-            lemmas = [lemmatize(w) for w in words]
-            for start in windows(len(words)):
-                window = tokens[start : start + len(words)]
-                if all(lm == lemmatize(t[2]) for lm, t in zip(lemmas, window)):
-                    consider((window[0][0], window[-1][1]), idx, 1.0)
-        if best is not None:
-            span = best[0]
-            return ObjectMatch(span, sentence[span[0] : span[1]], MatchVia.LEMMA, 1.0)
-
-    return None
+    if lemmatize is None:
+        return None
+    lemmas = [lemmatize(w) for w in words]
+    label_lemmas = [[lemmatize(w) for w in lw] for lw in label_words]
+    return found(_rightmost(tokens, label_lemmas, _equal_fit(lemmas, label_lemmas)),
+                 MatchVia.LEMMA)
 
 
 def _finalize_split(sentence: str, match: ObjectMatch) -> SplitResult | Rejection:

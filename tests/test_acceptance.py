@@ -163,16 +163,16 @@ def test_criterion_distractor_sampling_oracle():
     rng = random.Random(5)
     for k in (1, 50, 99):
         picked = sample_distractors(
-            corpus, keyed_pool(ids, relation_id, language, salt), fact,
-            ["label-Q000"], k=k,
+            keyed_pool(corpus, ids, relation_id, language, salt), ["label-Q000"], fact,
+            k=k,
         )
         expected = oracle_sample(salt, relation_id, language, eligible, k)
         assert [d.entity_id for d in picked] == expected, k
         shuffled = ids[:]
         rng.shuffle(shuffled)
         permuted = sample_distractors(
-            corpus, keyed_pool(shuffled, relation_id, language, salt), fact,
-            ["label-Q000"], k=k,
+            keyed_pool(corpus, shuffled, relation_id, language, salt), ["label-Q000"], fact,
+            k=k,
         )
         assert permuted == picked, k
         assert "Q000" not in {d.entity_id for d in picked}

@@ -14,7 +14,7 @@ from factprobe.candidates import (
 from factprobe.corpus import Corpus, Entity, Fact, Relation
 from factprobe.errors import EmptyPool, NoDistractorsRemain
 
-from oracle_distractors import oracle_sample
+from oracle_distractors import oracle_keys, oracle_sample
 
 
 def _corpus(entity_ids, language="aa", label=None):
@@ -43,8 +43,8 @@ def _fact(object_id, relation_id="P1", language="aa"):
     )
 
 
-def _keyed(entity_ids, salt, relation_id="P1", language="aa"):
-    return keyed_pool(entity_ids, relation_id, language, salt)
+def _keyed(corpus, entity_ids, salt, relation_id="P1", language="aa"):
+    return keyed_pool(corpus, entity_ids, relation_id, language, salt)
 
 
 def test_sample_matches_frozen_oracle_case():
@@ -52,7 +52,7 @@ def test_sample_matches_frozen_oracle_case():
     # oracle_sample("s1", "P1", "aa", ["e1", "e3"], 2) == ["e3", "e1"]
     corpus = _corpus(["e1", "e2", "e3"])
     picked = sample_distractors(
-        corpus, _keyed(["e1", "e2", "e3"], "s1"), _fact("e2"), ["e2-label"], k=2
+        _keyed(corpus, ["e1", "e2", "e3"], "s1"), ["e2-label"], _fact("e2"), k=2
     )
     assert [d.entity_id for d in picked] == ["e3", "e1"]
 
@@ -61,8 +61,7 @@ def test_sample_matches_oracle_dynamic():
     ids = [f"entity{i:03d}" for i in range(40)]
     corpus = _corpus(ids)
     fact = _fact("entity000")
-    picked = sample_distractors(corpus, _keyed(ids, "dyn"), fact,
-                                ["entity000-label"], k=10)
+    picked = sample_distractors(_keyed(corpus, ids, "dyn"), ["entity000-label"], fact, k=10)
     eligible = [e for e in ids if e != "entity000"]
     assert [d.entity_id for d in picked] == oracle_sample("dyn", "P1", "aa",
                                                           eligible, 10)
@@ -71,16 +70,15 @@ def test_sample_matches_oracle_dynamic():
 def test_sample_returns_all_when_pool_small():
     ids = [f"e{i}" for i in range(19)]
     corpus = _corpus(ids)
-    picked = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"],
-                                k=50)
+    picked = sample_distractors(_keyed(corpus, ids, "s"), ["e0-label"], _fact("e0"), k=50)
     assert len(picked) == 18
 
 
 def test_sample_is_deterministic():
     ids = [f"e{i}" for i in range(30)]
     corpus = _corpus(ids)
-    a = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"], 5)
-    b = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"], 5)
+    a = sample_distractors(_keyed(corpus, ids, "s"), ["e0-label"], _fact("e0"), 5)
+    b = sample_distractors(_keyed(corpus, ids, "s"), ["e0-label"], _fact("e0"), 5)
     assert a == b
 
 
@@ -91,16 +89,16 @@ def test_sample_pool_permutation_invariance(seed):
     corpus = _corpus(ids)
     shuffled = ids[:]
     random.Random(seed).shuffle(shuffled)
-    base = sample_distractors(corpus, _keyed(ids, "s"), _fact("e0"), ["e0-label"], 7)
-    other = sample_distractors(corpus, _keyed(shuffled, "s"), _fact("e0"), ["e0-label"], 7)
+    base = sample_distractors(_keyed(corpus, ids, "s"), ["e0-label"], _fact("e0"), 7)
+    other = sample_distractors(_keyed(corpus, shuffled, "s"), ["e0-label"], _fact("e0"), 7)
     assert base == other
 
 
 def test_salt_changes_sample_not_size():
     ids = [f"e{i}" for i in range(40)]
     corpus = _corpus(ids)
-    a = sample_distractors(corpus, _keyed(ids, "salt-a"), _fact("e0"), ["e0-label"], 10)
-    b = sample_distractors(corpus, _keyed(ids, "salt-b"), _fact("e0"), ["e0-label"], 10)
+    a = sample_distractors(_keyed(corpus, ids, "salt-a"), ["e0-label"], _fact("e0"), 10)
+    b = sample_distractors(_keyed(corpus, ids, "salt-b"), ["e0-label"], _fact("e0"), 10)
     assert len(a) == len(b) == 10
     assert [d.entity_id for d in a] != [d.entity_id for d in b]
 
@@ -108,7 +106,7 @@ def test_salt_changes_sample_not_size():
 def test_own_object_never_sampled():
     ids = [f"e{i}" for i in range(10)]
     corpus = _corpus(ids)
-    picked = sample_distractors(corpus, _keyed(ids, "s"), _fact("e3"), ["e3-label"], 50)
+    picked = sample_distractors(_keyed(corpus, ids, "s"), ["e3-label"], _fact("e3"), 50)
     assert "e3" not in {d.entity_id for d in picked}
 
 
@@ -116,7 +114,7 @@ def test_label_collision_with_correct_form_excluded():
     ids = ["e1", "e2", "e3"]
     corpus = _corpus(ids)
     picked = sample_distractors(
-        corpus, _keyed(ids, "s"), _fact("e1"), ["e1-label", "e2-label"], 50
+        _keyed(corpus, ids, "s"), ["e1-label", "e2-label"], _fact("e1"), 50
     )
     assert {d.entity_id for d in picked} == {"e3"}
 
@@ -125,7 +123,7 @@ def test_entity_without_target_label_skipped():
     corpus = _corpus(["e1", "e2"])
     corpus.entities["e9"] = Entity(id="e9", labels={"en": "only-english"})
     picked = sample_distractors(
-        corpus, _keyed(["e1", "e2", "e9"], "s"), _fact("e1"), ["e1-label"], 50
+        _keyed(corpus, ["e1", "e2", "e9"], "s"), ["e1-label"], _fact("e1"), 50
     )
     assert {d.entity_id for d in picked} == {"e2"}
 
@@ -133,7 +131,18 @@ def test_entity_without_target_label_skipped():
 def test_empty_pool_raises():
     corpus = _corpus(["e1"])
     with pytest.raises(EmptyPool):
-        sample_distractors(corpus, _keyed(["e1"], "s"), _fact("e1"), ["e1-label"], 5)
+        sample_distractors(_keyed(corpus, ["e1"], "s"), ["e1-label"], _fact("e1"), 5)
+
+
+def test_keyed_pool_is_the_labelled_cell_in_key_order():
+    ids = [f"e{i}" for i in range(12)]
+    corpus = _corpus(ids)
+    corpus.entities["e5"] = Entity(id="e5", labels={"en": "only-english"})
+    pool = keyed_pool(corpus, ids, "P1", "aa", "s")
+    assert pool == [
+        Distractor(entity_id, f"{entity_id}-label")
+        for _, entity_id in oracle_keys("s", "P1", "aa", ids) if entity_id != "e5"
+    ]
 
 
 def test_distractor_key_shape():
@@ -202,9 +211,9 @@ def test_sample_matches_oracle_over_eligible_ids(flags, object_index, k, salt):
     fact = _fact(object_id)
     if not eligible:
         with pytest.raises(EmptyPool):
-            sample_distractors(corpus, _keyed(ids, salt), fact, correct, k)
+            sample_distractors(_keyed(corpus, ids, salt), correct, fact, k)
         return
-    picked = sample_distractors(corpus, _keyed(ids, salt), fact, correct, k)
+    picked = sample_distractors(_keyed(corpus, ids, salt), correct, fact, k)
     assert [d.entity_id for d in picked] == oracle_sample(salt, "P1", "aa", eligible, k)
     assert all(d.form == f"{d.entity_id}-label" for d in picked)
 
@@ -216,19 +225,20 @@ _CELL_IDS = [f"Q{i:04d}" for i in range(600)]
 
 def test_benchmark_keyed_pool(benchmark):
     keyed = benchmark.pedantic(
-        keyed_pool, args=(_CELL_IDS, "P1", "aa", "bench"), rounds=5, iterations=1
+        keyed_pool, args=(_corpus(_CELL_IDS), _CELL_IDS, "P1", "aa", "bench"),
+        rounds=5, iterations=1,
     )
     assert len(keyed) == 600
 
 
 def test_benchmark_sample_each_fact_of_a_cell(benchmark):
     corpus = _corpus(_CELL_IDS)
-    keyed = keyed_pool(_CELL_IDS, "P1", "aa", "bench")
+    keyed = keyed_pool(corpus, _CELL_IDS, "P1", "aa", "bench")
     facts = [_fact(entity_id) for entity_id in _CELL_IDS]
 
     def sample_cell():
         return [
-            sample_distractors(corpus, keyed, fact, [f"{fact.object_id}-label"], 50)
+            sample_distractors(keyed, [f"{fact.object_id}-label"], fact, 50)
             for fact in facts
         ]
 

@@ -81,6 +81,24 @@ def test_recording_client_appends_fixture(tmp_path):
     assert service.fetch(_request()) == "živě"
 
 
+def test_fixture_lines_are_keyed_by_the_digest_of_their_request(tmp_path):
+    # A hand-written line: keys in any order, ``extra`` unsorted or left
+    # out, and a request field the format does not name.
+    path = tmp_path / "fixtures.jsonl"
+    with_extra = _request("s extra", extra=(("a", "1"), ("b", "2")))
+    without = _request("bez extra")
+    lines = [
+        {"response": "první", "request": {
+            "text": "s extra", "target_language": "cs", "extra": {"b": "2", "a": "1"},
+            "source_language": "en", "client_id": "mt", "model": "ignored"}},
+        {"request": {"client_id": "mt", "text": "bez extra", "source_language": "en",
+                     "target_language": "cs"}, "response": "druhá"},
+    ]
+    path.write_text("".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+                    encoding="utf-8")
+    assert load_fixtures([path]) == {with_extra.digest(): "první", without.digest(): "druhá"}
+
+
 def test_append_fixture_repairs_a_torn_last_line(tmp_path):
     # A record run killed mid-write leaves its last line cut short.
     path = tmp_path / "recorded.jsonl"

@@ -7,6 +7,10 @@ from factprobe.config import load_config
 
 from factprobe.corpus import (
     EXCLUDE_EXPLICIT,
+    Corpus,
+    Entity,
+    Fact,
+    Relation,
     EXCLUDE_NOT_OBJECT_FINAL,
     EXCLUDE_TOO_FEW_OBJECTS,
     filter_relations,
@@ -236,6 +240,51 @@ def test_unique_object_pool_p36_hand_count(cs_corpus):
     # Hand enumeration over tests/data/corpus_cs/facts.jsonl: P36 facts in
     # cs point at Prague (Q1085), Vienna (Q1741) and Vienna again.
     assert unique_object_pool(cs_corpus, "P36", "cs") == ["Q1085", "Q1741"]
+
+
+class _CountingFacts(dict):
+    """A facts table that counts the passes made over it."""
+
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_object_pools_take_one_pass_over_the_facts():
+    # 4 relations x 3 languages x 5 objects: filtering and pooling every cell,
+    # as a build does, reads the facts once, not once per cell and call.
+    languages = ("aa", "bb", "cc")
+    relations, facts = {}, _CountingFacts()
+    for r in range(4):
+        relations[f"P{r}"] = Relation(
+            id=f"P{r}", english_template="[X] r [Y] .",
+            templates={lang: "[X] r [Y] ." for lang in languages},
+            object_final={lang: True for lang in languages},
+        )
+        for lang in languages:
+            for o in range(6):
+                fact_id = f"f{r}{lang}{o}"
+                facts[fact_id] = Fact(fact_id, f"S{o}", f"P{r}", f"O{o % 5}", lang)
+    entities = {eid: Entity(eid, {lang: eid for lang in languages})
+                for eid in [f"S{o}" for o in range(6)] + [f"O{o}" for o in range(5)]}
+    corpus = Corpus(entities, relations, facts)
+    report = filter_relations(corpus, languages, min_unique_objects=5)
+    assert report.retained == ("P0", "P1", "P2", "P3")
+    for rid in report.retained:
+        for lang in languages:
+            assert unique_object_pool(corpus, rid, lang) == [f"O{o}" for o in range(5)]
+    assert unique_object_pool(corpus, "P0", "dd") == []
+    assert facts.passes == 1
 
 
 def test_filter_too_few_objects(tmp_path):

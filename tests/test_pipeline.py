@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,13 @@ from factprobe import candidates, cli, jsonl, pipeline
 from factprobe.clients import ResponseCache, parse_record
 from factprobe.config import load_config
 from factprobe.corpus import load_corpus, unique_object_pool
-from factprobe.errors import BackendError, ConfigError, MalformedRecord, NoExemplars
+from factprobe.errors import (
+    BackendError,
+    ConfigError,
+    MalformedRecord,
+    NoDistractorsRemain,
+    NoExemplars,
+)
 from factprobe.pipeline import (
     cmd_build_dataset,
     cmd_evaluate,
@@ -909,6 +916,85 @@ def test_build_keys_each_pool_entity_once(tmp_path, monkeypatch):
     assert len(calls) == sum(len(pool) for pool in pools) == 36
 
 
+def _audit_of(bundle, fact_id):
+    return [(entry["source"], entry["kind"], entry["detail"])
+            for entry in read_jsonl(bundle / "audit.jsonl", "audit")
+            if entry["fact_id"] == fact_id]
+
+
+def _line_ids(bundle):
+    return [line["fact_id"]
+            for line in read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")]
+
+
+def test_an_object_without_an_english_label_fails_only_its_qe(tmp_path, monkeypatch):
+    # The MT and LLM verbalizations are made from a corpus that still has the
+    # object's English label, so all three sources reach QE, whose English
+    # source sentence then cannot be built.
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    full = load_corpus(config.entities_path, config.relations_path, config.facts_path)
+    path = config.entities_path
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        if record["id"] == "o1aa1":
+            del record["labels"]["en"]
+    path.write_text(header + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    mt, llm = pipeline.make_mt_verbalization, pipeline.make_llm_verbalization
+    monkeypatch.setattr(pipeline, "make_mt_verbalization",
+                        lambda fact, corpus, *rest: mt(fact, full, *rest))
+    monkeypatch.setattr(pipeline, "make_llm_verbalization",
+                        lambda fact, corpus, *rest: llm(fact, full, *rest))
+
+    bundle = cmd_build_dataset(config, replay=True)
+    assert json.loads((bundle / "manifest.json").read_text())["complete"]
+    assert _audit_of(bundle, "f-1-aa-01") == [
+        (source, "QE_ERROR", "MISSING_LABEL") for source in ("TEMPLATE", "MT", "LLM")]
+    assert "f-1-aa-01" not in _line_ids(bundle)
+    assert len(_line_ids(bundle)) == 17
+
+
+def test_a_failed_assembly_audits_each_surviving_source(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    assemble = pipeline.assemble_candidate_set
+
+    def failing(fact_id, *args):
+        if fact_id in ("f-1-aa-01", "f-2-bb-00"):
+            raise NoDistractorsRemain("every distractor collides")
+        return assemble(fact_id, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_candidate_set", failing)
+    bundle = cmd_build_dataset(config, replay=True)
+    assert [a for a in _audit_of(bundle, "f-1-aa-01") if a[1] == "ASSEMBLY_ERROR"] == [
+        (source, "ASSEMBLY_ERROR", "NO_DISTRACTORS_REMAIN")
+        for source in ("TEMPLATE", "MT", "LLM")]
+    # The object-initial MT sentence of "bb" fact 0 is rejected before assembly.
+    audit = _audit_of(bundle, "f-2-bb-00")
+    assert [a for a in audit if a[1] != "NOTE_CONSTRAINT_VIOLATION"] == [
+        ("MT", "REJECTION", "NOT_SENTENCE_FINAL"),
+        ("TEMPLATE", "ASSEMBLY_ERROR", "NO_DISTRACTORS_REMAIN"),
+        ("LLM", "ASSEMBLY_ERROR", "NO_DISTRACTORS_REMAIN"),
+    ]
+    ids = _line_ids(bundle)
+    assert "f-1-aa-01" not in ids and "f-2-bb-00" not in ids
+    assert len(ids) == 16
+
+
+def test_build_assembles_each_fact_once(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    assembled = Counter()
+    assemble = pipeline.assemble_candidate_set
+
+    def counting(fact_id, *args):
+        assembled[fact_id] += 1
+        return assemble(fact_id, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_candidate_set", counting)
+    bundle = cmd_build_dataset(config, replay=True)
+    assert sorted(assembled) == _line_ids(bundle)
+    assert set(assembled.values()) == {1}
+
+
 class _ReadAheadScorer:
     """Notes, as each request arrives, how many entries ``parsed`` holds."""
 
@@ -954,3 +1040,22 @@ def test_bundle_line_order_does_not_change_the_records(tmp_path):
             path.write_text(header + "".join(reversed(lines)), encoding="utf-8")
         stores.append((cmd_evaluate(config, bundle) / "records.jsonl").read_bytes())
     assert stores[0] == stores[1]
+
+
+# Micro-benchmark of build's per-fact work over the toy workspace (18 facts,
+# three sources, QE), in the context of a real build. Run alone with
+# ``pytest tests --benchmark-only``.
+def test_benchmark_build_fact(tmp_path, monkeypatch, benchmark):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    seen = []
+    build_fact = pipeline.build_fact
+    monkeypatch.setattr(pipeline, "build_fact",
+                        lambda fact, ctx: seen.append((fact, ctx)) or build_fact(fact, ctx))
+    cmd_build_dataset(config, replay=True)
+    # One fact per round, each fact of the build in turn, so a round's time
+    # is the cost of one fact.
+    rounds = itertools.cycle(seen)
+    lines = benchmark.pedantic(build_fact, setup=lambda: (next(rounds), {}),
+                               rounds=5 * len(seen), iterations=1)
+    assert len(seen) == 18
+    assert len(lines[0]) == 1

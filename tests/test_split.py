@@ -164,6 +164,59 @@ def test_accepted_split_roundtrips_byte_exact(words, label, suffix, tail):
         assert is_punctuation_or_space(remainder)
 
 
+# Words over a small alphabet, so that exact, stem and lemma matches and
+# ties between labels are all common.
+_WORDS = st.text(alphabet="abcdé", min_size=1, max_size=7)
+_JOINERS = st.sampled_from([" ", " ", "-", ", ", ". ", " (", ") "])
+register_lemmatizer("oracle-toy", lambda word: word[:2])
+
+
+@st.composite
+def _matcher_cases(draw):
+    words = draw(st.lists(_WORDS, min_size=0, max_size=9))
+    sentence = draw(st.sampled_from(["", "Z "]))
+    for word in words:
+        sentence += word + draw(_JOINERS)
+    labels = []
+    # Labels drawn from one window often match the same span, which the
+    # earlier label must win.
+    focus = draw(st.integers(min_value=0, max_value=max(len(words) - 1, 0)))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if words and draw(st.booleans()):
+            # A window of the sentence, each word maybe cut or extended, so
+            # that the stem pass has something to find.
+            start = draw(st.sampled_from(
+                [focus, draw(st.integers(min_value=0, max_value=len(words) - 1))]))
+            n = draw(st.integers(min_value=1, max_value=3))
+            label_words = [
+                draw(st.sampled_from([w, w[:-1] or w, w + "a", w[:-2] + "éé"]))
+                for w in words[start:start + n]
+            ]
+        else:
+            label_words = draw(st.lists(_WORDS, min_size=0, max_size=3))
+        labels.append(draw(st.sampled_from([" ", "-"])).join(label_words) or "-")
+    config = MatchConfig(
+        min_prefix_ratio=draw(st.floats(min_value=0.05, max_value=1.0)),
+        min_prefix_chars=draw(st.integers(min_value=1, max_value=6)),
+        max_suffix_delta=draw(st.integers(min_value=0, max_value=5)),
+        lemmatizer=draw(st.sampled_from([None, "oracle-toy"])),
+    )
+    return sentence, labels, config
+
+
+@given(case=_matcher_cases())
+@settings(max_examples=500, deadline=None)
+def test_matcher_agrees_with_the_windowed_reference(case):
+    from oracle_matcher import oracle_match
+
+    sentence, labels, config = case
+    match = match_object_form(sentence, labels, config)
+    expected = oracle_match(sentence, labels, config)
+    got = None if match is None else (match.span, match.form, match.matched_via,
+                                      match.confidence)
+    assert got == expected
+
+
 def _finalize(sentence, match):
     from factprobe.split import _finalize_split  # noqa: SLF001
 
