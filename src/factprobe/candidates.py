@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Fact
@@ -45,6 +46,13 @@ class CandidateSet:
     @property
     def size(self) -> int:
         return len(self.correct_forms) + len(self.distractors)
+
+    @cached_property
+    def forms(self) -> list[str]:
+        """The surface forms, correct forms first, then the distractors'.
+        Built on first read and shared by every later reader: the
+        continuations, the scores and the ranking of the set."""
+        return list(self.correct_forms) + [form for _, form in self.distractors]
 
 
 def distractor_key(salt: str, relation_id: str, language: str, entity_id: str) -> str:

@@ -80,6 +80,9 @@ class RunConfig:
     scorer: ScorerSettings = field(default_factory=ScorerSettings)
     gender_patterns_path: Path | None = None
     report_max_rank_bucket: int = 50
+    # The config file's directory: relative paths resolve against it, and
+    # stage inputs are named by their paths relative to it.
+    config_dir: Path
     raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def digest(self) -> str:
@@ -211,7 +214,7 @@ def load_config(path) -> RunConfig:
 
     paths = ("output_dir", "entities", "relations", "facts", "exemplars_dir", "cache_dir",
              "gender_patterns")
-    config = RunConfig(raw=data, **_given(
+    config = RunConfig(raw=data, config_dir=base.resolve(), **_given(
         data, _SETTINGS, **dict.fromkeys(paths, resolve),
         sources=lambda names: tuple(s for s in SOURCE_ORDER if s in names),
         match=lambda block: MatchConfig(**_given(block, _MATCH)),

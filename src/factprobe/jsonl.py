@@ -48,8 +48,6 @@ def _or_null(check):
     return _check(f"null or {check.__name__}", lambda v: v is None or check(v))
 
 
-_PAIR = _check("", lambda v: type(v) is list and len(v) == 2
-               and type(v[0]) is str and type(v[1]) is str)
 _INFLECTION_PAIR = _check("an object of string noninflected and inflected forms", lambda v: (
     type(v) is dict and type(v.get("noninflected")) is str and type(v.get("inflected")) is str))
 _RECORD = {
@@ -76,7 +74,10 @@ SPECS = {
     "candidate_sets": {  # one line per fact; its sets differ only in prompt and QE score
         "fact_id": STRING, "language": STRING, "relation_id": STRING,
         "correct_forms": _list_of(STRING, "a list of strings"),
-        "distractors": _list_of(_PAIR, "a list of [entity id, form] string pairs"),
+        # One comprehension over the pairs: a bundle line holds k of them.
+        "distractors": _check("a list of [entity id, form] string pairs", lambda v: (
+            type(v) is list and all([type(p) is list and len(p) == 2 and type(p[0]) is str
+                                     and type(p[1]) is str for p in v]))),
         "salt": STRING, "no_space?": BOOL, "inflection_pair?": _or_null(_INFLECTION_PAIR),
         "subject_gender?": _or_null(STRING),
         "sources": {"*": {"prompt": STRING, "qe_score?": _or_null(NUMBER)}},
@@ -202,7 +203,9 @@ def read_jsonl(path, kind: str) -> list[dict]:
 @contextlib.contextmanager
 def writing(path: Path, kind: str, **header):
     """Yield ``write(line)``, which adds one line to the ``kind`` file at
-    ``path`` under its header, extended by the ``header`` fields.
+    ``path`` under its header, extended by the ``header`` fields, and
+    returns the line's text. A line is a value, encoded by ``dump``, or a
+    string: the ``dump`` text of a value, written as it is.
 
     The lines go to ``<name>.tmp`` beside ``path``, which replaces ``path``
     when the block ends without an error and is deleted when it raises. So
@@ -214,7 +217,13 @@ def writing(path: Path, kind: str, **header):
     try:
         with open(temporary, "w", encoding="utf-8") as fh:
             fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
-            yield lambda line: fh.write(dump(line) + "\n")
+
+            def write(line) -> str:
+                text = line if type(line) is str else dump(line)
+                fh.write(text + "\n")
+                return text
+
+            yield write
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
@@ -223,7 +232,8 @@ def writing(path: Path, kind: str, **header):
 
 def write_jsonl(path: Path, kind: str, lines, **header) -> None:
     """``lines`` under the header of ``kind``, extended by the ``header``
-    fields, written whole or not at all (see ``writing``)."""
+    fields, written whole or not at all (see ``writing``, which also says
+    what a line may be)."""
     with writing(path, kind, **header) as write:
         for line in lines:
             write(line)

@@ -14,7 +14,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -93,7 +95,52 @@ STEM_CONFIDENCE_FLOOR = 0.75
 
 
 def file_digest(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of the file at ``path``, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _client_roles(config: RunConfig):
+    """``(role, settings)`` of each client role a build uses: MT and LLM when
+    they are sources, QE always; ``settings`` is None for a role left out."""
+    for role, settings in (("MT", config.mt), ("LLM", config.llm), ("QE", config.qe)):
+        if role == "QE" or role in config.sources:
+            yield role, settings
+
+
+def _stage_inputs(config: RunConfig, stage: str, upstream: Path | None = None,
+                  replay: bool = False) -> dict[str, Path]:
+    """Every file ``stage`` reads, named by its path relative to the config's
+    directory, so that copies of a workspace give the same manifest.
+
+    Build reads the corpus files, with LLM the exemplar files of the
+    configured languages, and the fixture files of each client in replay
+    mode. Evaluate reads the bundle's candidate sets (``upstream`` is the
+    bundle directory) and a ``table`` scorer's fixtures; report reads the
+    record store (``upstream`` is the records directory) and the gender
+    patterns. The response cache is a memo of what the clients would
+    return, not an input."""
+    if stage == "build_dataset":
+        files = [config.entities_path, config.relations_path, config.facts_path]
+        if "LLM" in config.sources and config.exemplars_dir is not None:
+            files += sorted(path for language in config.languages
+                            for path in config.exemplars_dir.glob(f"*.{language}.txt"))
+        for _, settings in _client_roles(config):
+            if settings is not None and (replay or settings.mode == "replay"):
+                files += settings.fixtures
+    elif stage == "evaluate":
+        files = [upstream / "candidate_sets.jsonl"]
+        if config.scorer.backend == "table" and config.scorer.fixtures:
+            files.append(config.scorer.fixtures)
+    else:
+        files = [upstream / "records.jsonl"]
+        if config.gender_patterns_path is not None:
+            files.append(config.gender_patterns_path)
+    return {Path(os.path.relpath(Path(path).resolve(), config.config_dir)).as_posix(): Path(path)
+            for path in files}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -127,13 +174,16 @@ def _run_stage(directory: Path, stage: str, config: RunConfig, inputs: dict[str,
     """Run one stage into ``directory`` unless its manifest shows it current.
 
     ``inputs`` maps the names recorded in the manifest to the files the
-    stage reads. ``work(config_digest, input_digests)`` writes the
-    artifacts and returns their names, the manifest counts, and whether the
-    stage is complete; an incomplete stage is run again on the next call.
+    stage reads (see ``_stage_inputs``). ``work(config_digest,
+    input_digests)`` writes the artifacts and returns their names, the
+    manifest counts, and whether the stage is complete; an incomplete stage
+    is run again on the next call.
     """
     config_digest = config.digest()
     for name, path in inputs.items():
         if not Path(path).is_file():
+            if Path(path).exists():
+                raise ConfigError(f"input {name} is not a file", file=str(path))
             raise MissingInput(f"input {name} is missing", path=str(path))
     input_digests = {name: file_digest(path) for name, path in inputs.items()}
     if not force and _stage_is_current(directory, stage, config_digest, input_digests):
@@ -207,17 +257,26 @@ def build_fact(fact: Fact, ctx: BuildContext):
     audit: list[dict] = []
     relation = corpus.relations[fact.relation_id]
     entity = corpus.entities[fact.object_id]
+    # The English source sentence of MT, LLM and QE, built once when a
+    # client role needs it. If it cannot be built, each of them builds it
+    # again and fails as it would alone.
+    english = None
+    if ctx.services:
+        try:
+            english = english_sentence(fact, corpus)
+        except ProbeError:
+            pass
     verbalizations = {}
     for source in config.sources:
         try:
             if source == "TEMPLATE":
                 verb = make_template_verbalization(fact, corpus)
             elif source == "MT":
-                verb = make_mt_verbalization(fact, corpus, ctx.services["MT"])
+                verb = make_mt_verbalization(fact, corpus, ctx.services["MT"], english)
             else:
                 verb = make_llm_verbalization(
                     fact, corpus, ctx.services["LLM"],
-                    ctx.exemplars[(fact.relation_id, fact.language)], config.match,
+                    ctx.exemplars[(fact.relation_id, fact.language)], config.match, english,
                 )
         except ProbeError as exc:
             audit.append(_audit(fact, source, "VERBALIZATION_ERROR", exc.code))
@@ -290,7 +349,6 @@ def build_fact(fact: Fact, ctx: BuildContext):
         return candidate_lines, verbalization_lines, audit
 
     qe = ctx.services.get("QE")
-    english = None  # the QE source sentence, built when first needed
     sources: dict[str, dict] = {}
     for source in surviving:
         prompt = check_prompt(splits[source].prompt_prefix)
@@ -364,9 +422,7 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
 
         cache = ResponseCache(config.cache_dir) if config.cache_dir else None
         services = {}
-        for role, settings in (("MT", config.mt), ("LLM", config.llm), ("QE", config.qe)):
-            if role != "QE" and role not in config.sources:
-                continue
+        for role, settings in _client_roles(config):
             service = make_service(settings, cache, replay)
             if service is not None:
                 services[role] = service
@@ -424,12 +480,8 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
         }
         return names, counts, True
 
-    inputs = {
-        "entities.jsonl": config.entities_path,
-        "relations.jsonl": config.relations_path,
-        "facts.jsonl": config.facts_path,
-    }
-    return _run_stage(bundle_dir, "build_dataset", config, inputs, force, work)
+    return _run_stage(bundle_dir, "build_dataset", config,
+                      _stage_inputs(config, "build_dataset", replay=replay), force, work)
 
 
 def make_scorer(config: RunConfig, lines: Iterable[dict]):
@@ -459,9 +511,11 @@ def make_scorer(config: RunConfig, lines: Iterable[dict]):
     raise ConfigError(f"unknown scorer backend {settings.backend!r}")
 
 
-def _load_progress(path: Path, header: dict) -> list[dict]:
-    """The records of the progress file, which is left holding ``header``
-    and those records.
+def _load_progress(path: Path, header: dict) -> list[tuple[tuple[str, str], str]]:
+    """``((fact id, source), text)`` of each record of the progress file,
+    which is left holding ``header`` and those records. Each record is
+    encoded once more, by the rewrite, so its text is canonical whatever
+    the line held.
 
     A file written under another header (another bundle or config, or an
     older format) is started afresh. A last line without its newline that
@@ -478,8 +532,8 @@ def _load_progress(path: Path, header: dict) -> list[dict]:
         if exc.context["line"] != 1:
             raise
         records = []
-    write_jsonl(path, "progress", records, **header)
-    return records
+    with writing(path, "progress", **header) as write:
+        return [((record["fact_id"], record["source"]), write(record)) for record in records]
 
 
 def _bundle_lines(path: Path) -> Iterator[dict]:
@@ -506,16 +560,44 @@ def _pending_sets(lines: Iterable[dict], done: set[tuple[str, str]]):
                                               line["distractors"], line["salt"])
 
 
+def _record_texts(line: dict, sources: list[str], prompt: str, result):
+    """``((fact id, source), text)`` of the record of each of ``sources``,
+    the sources of bundle ``line`` whose ``prompt`` was ranked as
+    ``result``: the ``dump`` text of the record, which is encoded once."""
+    form_ranks = None
+    pair = line.get("inflection_pair")
+    if pair:
+        form_ranks = {
+            FORM_NONINFLECTED: rank_of_form(result, pair["noninflected"]),
+            FORM_INFLECTED: rank_of_form(result, pair["inflected"]),
+        }
+    hits = {str(n): hit for n, hit in sorted(result.hits.items())}
+    return [((line["fact_id"], source), dump({
+        "fact_id": line["fact_id"],
+        "language": line["language"],
+        "relation_id": line["relation_id"],
+        "source": source,
+        "best_correct_rank": result.best_correct_rank,
+        "best_correct_form": result.best_correct_form,
+        "hits": hits,
+        "form_ranks": form_ranks,
+        "qe_score": line["sources"][source].get("qe_score"),
+        "subject_gender": line.get("subject_gender"),
+        "prompt": prompt,
+    })) for source in sources]
+
+
 def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False) -> Path:
     """Score and rank every candidate set, producing the record store.
 
     The bundle is read one line at a time as its sets are scored, so
-    evaluate holds its records and at most the scorer's pipeline window of
-    lines. The sources of a fact that share a prompt send the same request,
+    evaluate holds its records, each as the text of its progress line, and
+    at most the scorer's pipeline window of lines. The sources of a fact that share a prompt send the same request,
     so each distinct prompt of a fact is scored and ranked once and gives
     one record per source. Progress is appended per (fact, source); an
-    interrupted run resumes where it stopped and the final sorted store is
-    byte-identical to an uninterrupted one. Sets whose scoring failed with
+    interrupted run resumes where it stopped, and the final store, the
+    progress texts sorted by (fact, source), is byte-identical to that of
+    an uninterrupted one. Sets whose scoring failed with
     a ``BackendError`` are audited and leave the stage incomplete, with its
     progress kept, so the next run scores only those sets again. Any other
     exception fails the stage with its progress kept.
@@ -525,7 +607,8 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
 
     def work(config_digest, input_digests):
         progress_path = records_dir / "progress.jsonl"
-        record_lines = _load_progress(
+        # Each record as the text of its progress line, keyed by (fact, source).
+        entries = _load_progress(
             progress_path, {"config_digest": config_digest, "inputs": input_digests}
         )
         audit: list[dict] = []
@@ -536,7 +619,7 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                 if hasattr(backend, "close"):
                     stack.callback(backend.close)
             pending = stack.enter_context(contextlib.closing(_pending_sets(
-                _bundle_lines(candidate_sets), {(r["fact_id"], r["source"]) for r in record_lines}
+                _bundle_lines(candidate_sets), {key for key, _ in entries}
             )))
             sets = ((line, sources, cs, candidate_continuations(cs, bool(line.get("no_space"))))
                     for line, sources, cs in pending)
@@ -570,43 +653,22 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                         "detail": exc.code,
                     } for source in sources)
                     continue
-                form_ranks = None
-                pair = line.get("inflection_pair")
-                if pair:
-                    form_ranks = {
-                        FORM_NONINFLECTED: rank_of_form(result, pair["noninflected"]),
-                        FORM_INFLECTED: rank_of_form(result, pair["inflected"]),
-                    }
-                hits = {str(n): hit for n, hit in sorted(result.hits.items())}
-                for source in sources:
-                    record = {
-                        "fact_id": line["fact_id"],
-                        "language": line["language"],
-                        "relation_id": line["relation_id"],
-                        "source": source,
-                        "best_correct_rank": result.best_correct_rank,
-                        "best_correct_form": result.best_correct_form,
-                        "hits": hits,
-                        "form_ranks": form_ranks,
-                        "qe_score": line["sources"][source].get("qe_score"),
-                        "subject_gender": line.get("subject_gender"),
-                        "prompt": candidate_set.prompt,
-                    }
-                    record_lines.append(record)
-                    progress.write(dump(record) + "\n")
+                for key, text in _record_texts(line, sources, candidate_set.prompt, result):
+                    entries.append((key, text))
+                    progress.write(text + "\n")
                 progress.flush()
 
-        record_lines.sort(key=lambda r: (r["fact_id"], r["source"]))
+        entries.sort(key=itemgetter(0))
         audit.sort(key=lambda entry: (entry["fact_id"], entry["source"]))
-        write_jsonl(records_dir / "records.jsonl", "records", record_lines)
+        write_jsonl(records_dir / "records.jsonl", "records", (text for _, text in entries))
         write_jsonl(records_dir / "audit.jsonl", "audit", audit)
         if not audit:
             progress_path.unlink()
-        counts = {"records": len(record_lines), "backend_errors": len(audit)}
+        counts = {"records": len(entries), "backend_errors": len(audit)}
         return ("records.jsonl", "audit.jsonl"), counts, not audit
 
     return _run_stage(records_dir, "evaluate", config,
-                      {"candidate_sets.jsonl": candidate_sets}, force, work)
+                      _stage_inputs(config, "evaluate", Path(bundle_dir)), force, work)
 
 
 def load_records(records_dir) -> list[EvalRecord]:
@@ -688,7 +750,7 @@ def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
         return list(artifacts), {"records": len(records)}, True
 
     return _run_stage(report_dir, "report", config,
-                      {"records.jsonl": Path(records_dir) / "records.jsonl"}, force, work)
+                      _stage_inputs(config, "report", Path(records_dir)), force, work)
 
 
 def _gender_tables(config, records, languages, sources, n_values) -> str:

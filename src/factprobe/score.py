@@ -90,14 +90,10 @@ def join_continuation(prompt: str, form: str, no_space: bool = False) -> str:
 
 
 def candidate_continuations(candidate_set: CandidateSet, no_space: bool = False) -> list[str]:
-    """The continuations scored for a candidate set: correct forms first,
-    then distractors, each joined to the prompt."""
+    """The continuations scored for a candidate set: its ``forms``, each
+    joined to the prompt."""
     joiner = join_continuation(candidate_set.prompt, "", no_space)
-    return [joiner + form for form in _forms(candidate_set)]
-
-
-def _forms(candidate_set: CandidateSet) -> list[str]:
-    return [*candidate_set.correct_forms, *(form for _, form in candidate_set.distractors)]
+    return [joiner + form for form in candidate_set.forms]
 
 
 def score_candidates(
@@ -115,7 +111,7 @@ def score_candidates(
     """
     if normalization not in (NORMALIZATION_SUM, NORMALIZATION_MEAN):
         raise ValueError(f"unknown normalization {normalization!r}")
-    forms = _forms(candidate_set)
+    forms = candidate_set.forms
     if not forms:
         raise ValueError("candidate set is empty")
     entity_ids = [""] * len(candidate_set.correct_forms)
@@ -128,8 +124,9 @@ def score_candidates(
             f"scorer returned {len(results)} results for {len(forms)} continuations",
             fact_id=candidate_set.fact_id,
         )
-    scores = [float(logprob) for logprob, _ in results]
-    counts = [int(count) for _, count in results]
+    logprobs, counts = zip(*results)
+    scores = list(map(float, logprobs))
+    counts = list(map(int, counts))
     if normalization == NORMALIZATION_MEAN:
         for form, count in zip(forms, counts):
             if count < 1:
@@ -155,15 +152,21 @@ def rank_candidates(
     entity id only break ties between byte-identical forms (duplicate
     labels).
     """
-    correct = set(correct_forms)
-    columns = (zip(scored.forms, scored.scores, scored.entity_ids) if isinstance(scored, Scores)
-               else ((form, score, "") for form, score in scored))
-    keys = [(-score, form, form not in correct, entity_id) for form, score, entity_id in columns]
-    if not keys:
+    if isinstance(scored, Scores):
+        forms, scores, entity_ids = scored.forms, scored.scores, scored.entity_ids
+    else:
+        pairs = list(scored)
+        forms = [form for form, _ in pairs]
+        scores = [score for _, score in pairs]
+        entity_ids = [""] * len(pairs)
+    if not forms:
         raise ValueError("nothing to rank")
-    for neg_score, form, _, _ in keys:
-        if not math.isfinite(neg_score):
-            raise NonFiniteScore(f"score for form {form!r} is not finite", fact_id=fact_id)
+    if not all(map(math.isfinite, scores)):
+        form = next(form for form, score in zip(forms, scores) if not math.isfinite(score))
+        raise NonFiniteScore(f"score for form {form!r} is not finite", fact_id=fact_id)
+    correct = set(correct_forms)
+    keys = [(-score, form, form not in correct, entity_id)
+            for form, score, entity_id in zip(forms, scores, entity_ids)]
     keys.sort()
     best = next((rank for rank, key in enumerate(keys, 1) if not key[2]), 0)
     if not best:
@@ -197,15 +200,13 @@ class TableScorer:
         self._table = dict(table)
 
     def score_batch(self, prompt, continuations):
-        results = []
-        for continuation in continuations:
-            entry = self._table.get((prompt, continuation))
-            if entry is None:
-                raise BackendError(
-                    f"no fixture score for continuation {continuation!r}"
-                )
-            results.append(entry)
-        return results
+        table = self._table
+        try:
+            return [table[(prompt, continuation)] for continuation in continuations]
+        except KeyError as exc:
+            raise BackendError(
+                f"no fixture score for continuation {exc.args[0][1]!r}"
+            ) from None
 
 
 class OracleScorer:
@@ -225,16 +226,16 @@ class OracleScorer:
 
     def score_batch(self, prompt, continuations):
         correct = self._correct.get(prompt, frozenset())
-        results = []
-        for continuation in continuations:
-            form = continuation[1:] if continuation.startswith(" ") else continuation
-            is_correct = form in correct
-            if self.mode == "perfect":
-                score = 0.0 if is_correct else -1.0
-            else:
-                score = -1.0 if is_correct else 0.0
-            results.append((score, default_token_count(continuation)))
-        return results
+        hit, miss = (0.0, -1.0) if self.mode == "perfect" else (-1.0, 0.0)
+        # The token count is ``default_token_count``, inlined.
+        return [(hit if continuation.removeprefix(" ") in correct else miss,
+                 len(continuation.split()) or 1)
+                for continuation in continuations]
+
+
+# Built once: ``json.dumps`` given an option builds an encoder per call.
+# The options are those of ``json.dumps(request, ensure_ascii=False)``.
+_REQUEST_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def _encode_request(prompt: str, continuations) -> bytes:
@@ -243,7 +244,7 @@ def _encode_request(prompt: str, continuations) -> bytes:
         "prompt": prompt,
         "continuations": list(continuations),
     }
-    return (json.dumps(request, ensure_ascii=False) + "\n").encode("utf-8")
+    return (_REQUEST_ENCODER.encode(request) + "\n").encode("utf-8")
 
 
 def _decode_reply(line: bytearray, count: int) -> list[tuple[float, int]]:

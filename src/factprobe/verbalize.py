@@ -134,9 +134,11 @@ def english_sentence(fact: Fact, corpus: Corpus) -> str:
     return fill_template(relation.english_template, subject, obj)
 
 
-def make_mt_verbalization(fact: Fact, corpus: Corpus, service: TextService) -> Verbalization:
-    """Whole-sentence machine translation of the filled English template."""
-    source = english_sentence(fact, corpus)
+def make_mt_verbalization(fact: Fact, corpus: Corpus, service: TextService,
+                          english: str | None = None) -> Verbalization:
+    """Whole-sentence machine translation of the filled English template.
+    ``english`` is the fact's ``english_sentence``, built here when not given."""
+    source = english_sentence(fact, corpus) if english is None else english
     request = TextRequest(
         client_id=service.client.client_id,
         text=source,
@@ -249,19 +251,21 @@ def build_fewshot_prompt(
     exemplars: list[FewShotExemplar],
     fact: Fact,
     corpus: Corpus,
+    english: str | None = None,
 ) -> str:
     """Assemble the translation prompt: instruction, exemplars, open query.
 
     The output format is frozen; tests pin it byte-for-byte against a
     committed golden file. The query block ends with ``Translation: `` so
-    the completion starts right after the trailing space.
+    the completion starts right after the trailing space. ``english`` is the
+    fact's ``english_sentence``, built here when not given.
     """
     if not exemplars:
         raise NoExemplars(
             f"no exemplars for relation {relation.id!r} in {language!r}"
         )
     subject, obj = _labels_for(corpus, fact, language)
-    source = english_sentence(fact, corpus)
+    source = english_sentence(fact, corpus) if english is None else english
     name = LANGUAGE_NAMES.get(language, language)
     parts = [_FEWSHOT_INSTRUCTION.format(language=name)]
     for ex in exemplars:
@@ -298,15 +302,17 @@ def make_llm_verbalization(
     service: TextService,
     exemplars: list[FewShotExemplar],
     match_config: MatchConfig | None = None,
+    english: str | None = None,
 ) -> Verbalization:
     """Few-shot LLM translation with enforced entity translations.
 
     If the completion contains neither the enforced object translation's
     stem nor any alias stem, the verbalization is still recorded but
-    flagged with a CONSTRAINT_VIOLATION warning.
+    flagged with a CONSTRAINT_VIOLATION warning. ``english`` is the fact's
+    ``english_sentence``, built here when not given.
     """
     relation = corpus.relations[fact.relation_id]
-    prompt = build_fewshot_prompt(relation, fact.language, exemplars, fact, corpus)
+    prompt = build_fewshot_prompt(relation, fact.language, exemplars, fact, corpus, english)
     request = TextRequest(
         client_id=service.client.client_id,
         text=prompt,

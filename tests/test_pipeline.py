@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from factprobe import candidates, cli, jsonl, pipeline
+from factprobe import candidates, cli, jsonl, pipeline, verbalize
 from factprobe.clients import ResponseCache, parse_record
 from factprobe.config import load_config
 from factprobe.corpus import load_corpus, unique_object_pool
@@ -111,7 +111,7 @@ def test_template_only_run_touches_no_clients(tmp_path, sources, with_qe, set_co
 
 def test_replay_build_from_a_prefilled_cache_matches_fixture_build(tmp_path):
     config, _ = _build(tmp_path, "fixtures", facts_per_cell=4)
-    expected = (cmd_build_dataset(config, replay=True) / "manifest.json").read_bytes()
+    expected = json.loads((cmd_build_dataset(config, replay=True) / "manifest.json").read_text())
 
     config, config_path = _build(tmp_path, "cache", facts_per_cell=4)
     cache = ResponseCache(config.cache_dir)
@@ -121,7 +121,14 @@ def test_replay_build_from_a_prefilled_cache_matches_fixture_build(tmp_path):
             cache.put(request.digest(), request, response)
         path.write_text("", encoding="utf-8")
     bundle = cmd_build_dataset(config, replay=True)
-    assert (bundle / "manifest.json").read_bytes() == expected
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    # The fixture files are inputs of a replay build, so the emptied ones
+    # are the only difference.
+    assert {name for name, digest in manifest.pop("inputs").items()
+            if expected["inputs"][name] != digest} == {
+        "fixtures/mt.jsonl", "fixtures/llm.jsonl", "fixtures/qe.jsonl"}
+    del expected["inputs"]
+    assert manifest == expected
 
 
 def test_unregistered_lemmatizer_fails_build(tmp_path, capsys):
@@ -228,6 +235,22 @@ def test_torn_last_progress_line_resumes(tmp_path, tear):
     # Entries appended after the repaired tail must read back on a later resume.
     with pytest.raises(_Interrupted):
         cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=5))
+    records = cmd_evaluate(config, bundle, scorer=oracle)
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=4)
+    records_clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    assert (records / "records.jsonl").read_bytes() == (
+        records_clean / "records.jsonl"
+    ).read_bytes()
+
+
+def test_resume_from_progress_lines_that_are_not_canonical(tmp_path):
+    config, bundle, oracle, progress = _interrupted_progress(tmp_path, "a")
+    header, *lines = progress.read_text(encoding="utf-8").splitlines(keepends=True)
+    # Valid lines in another key order, with spaces and escaped non-ASCII.
+    progress.write_text(header + "".join(
+        json.dumps(dict(reversed(json.loads(line).items()))) + "\n" for line in lines),
+        encoding="utf-8")
     records = cmd_evaluate(config, bundle, scorer=oracle)
 
     config_clean, _ = _build(tmp_path, "clean", facts_per_cell=4)
@@ -631,6 +654,88 @@ def test_stage_reuse_skips_completed_build(tmp_path):
     assert (bundle / "candidate_sets.jsonl").stat().st_mtime_ns == mtime_before
 
 
+def _outputs(config) -> dict[str, tuple[bytes, int]]:
+    """Bytes and modification time of every file the stages wrote."""
+    out = config.output_dir
+    return {path.relative_to(out).as_posix(): (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def _run_stages(config, force=False):
+    bundle = cmd_build_dataset(config, replay=True, force=force)
+    cmd_report(config, cmd_evaluate(config, bundle, force=force), force=force)
+
+
+def _replace_in(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+# Each case edits one file a stage reads but the config does not name as
+# a corpus file; the artifact is one the edit must change.
+EDITED_INPUTS = {
+    "exemplar": ("exemplars/R1.aa.txt", "Exsource", "Othersource",
+                 "bundle/candidate_sets.jsonl"),
+    "replay-fixture": ("fixtures/mt.jsonl", "o1aa1aazu.", "o1aa1aaku.",
+                       "bundle/verbalizations.jsonl"),
+    "gender-patterns": ("gender_patterns.yaml", "la", "lx", "report/report.md"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITED_INPUTS))
+def test_a_stage_reruns_when_a_file_it_reads_changes(tmp_path, case):
+    name, old, new, artifact = EDITED_INPUTS[case]
+    config, config_path = _build(tmp_path, facts_per_cell=3)
+    _run_stages(config)
+    complete = _outputs(config)
+    _run_stages(config)
+    assert _outputs(config) == complete  # a no-op: nothing rewritten
+
+    _replace_in(config_path.parent / name, old, new)
+    _run_stages(config)
+    rerun = _outputs(config)
+    assert rerun[artifact][0] != complete[artifact][0]
+    _run_stages(config, force=True)
+    assert {path: data for path, (data, _) in _outputs(config).items()} == {
+        path: data for path, (data, _) in rerun.items()}
+
+
+def test_stage_inputs_are_named_relative_to_the_config(tmp_path):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    _run_stages(config)
+    inputs = {stage: sorted(json.loads((config.output_dir / stage / "manifest.json")
+                                       .read_text())["inputs"])
+              for stage in ("bundle", "records", "report")}
+    assert inputs == {
+        "bundle": ["corpus/entities.jsonl", "corpus/facts.jsonl", "corpus/relations.jsonl",
+                   *(f"exemplars/R{r}.{lang}.txt" for r in (1, 2, 3) for lang in ("aa", "bb")),
+                   "fixtures/llm.jsonl", "fixtures/mt.jsonl", "fixtures/qe.jsonl"],
+        "records": ["out/bundle/candidate_sets.jsonl"],
+        "report": ["gender_patterns.yaml", "out/records/records.jsonl"],
+    }
+
+
+def test_evaluate_reruns_when_the_table_scores_change(tmp_path):
+    config, bundle = _manual_bundle(tmp_path, [_line("f1", "P:", False)])
+    config_path = bundle.parent / "config.yaml"
+    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    data["scorer"] = {"backend": "table", "fixtures": "scores.jsonl"}
+    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    config = load_config(config_path)
+    scores = bundle.parent / "scores.jsonl"
+    jsonl.write_jsonl(scores, "scores", [
+        {"prompt": "P:", "continuation": " gold", "logprob": -1.0},
+        {"prompt": "P:", "continuation": " lead", "logprob": -2.0},
+    ])
+    assert [r.best_correct_rank for r in load_records(cmd_evaluate(config, bundle))] == [1]
+    _replace_in(scores, "-2.0", "-0.5")
+    records = cmd_evaluate(config, bundle)
+    assert [r.best_correct_rank for r in load_records(records)] == [2]
+    rerun = (records / "records.jsonl").read_bytes()
+    assert (cmd_evaluate(config, bundle, force=True) / "records.jsonl").read_bytes() == rerun
+
+
 def test_build_writes_each_fact_before_building_the_next(tmp_path, monkeypatch):
     config, _ = _build(tmp_path, facts_per_cell=3)
     events = []
@@ -952,6 +1057,17 @@ def test_an_object_without_an_english_label_fails_only_its_qe(tmp_path, monkeypa
         (source, "QE_ERROR", "MISSING_LABEL") for source in ("TEMPLATE", "MT", "LLM")]
     assert "f-1-aa-01" not in _line_ids(bundle)
     assert len(_line_ids(bundle)) == 17
+
+
+def test_build_makes_each_fact_english_sentence_once(tmp_path, monkeypatch):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    made = Counter()
+    for module in (pipeline, verbalize):
+        monkeypatch.setattr(module, "english_sentence", lambda fact, corpus, make=(
+            module.english_sentence): made.update([fact.id]) or make(fact, corpus))
+    cmd_build_dataset(config, replay=True)
+    assert len(made) == 18
+    assert set(made.values()) == {1}
 
 
 def test_a_failed_assembly_audits_each_surviving_source(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factprobe import pipeline
 from factprobe.candidates import CandidateSet, Distractor
 from factprobe.errors import BackendError, FormNotPresent, NonFiniteScore
 from factprobe.score import (
@@ -11,6 +13,8 @@ from factprobe.score import (
     RankedCandidate,
     Scores,
     TableScorer,
+    _encode_request,
+    candidate_continuations,
     join_continuation,
     rank_candidates,
     rank_of_form,
@@ -18,6 +22,13 @@ from factprobe.score import (
 )
 
 from conftest import CallableScorer
+from oracle_rank import (
+    reference_oracle_batch,
+    reference_rank,
+    reference_rank_of_form,
+    reference_score,
+    reference_table_batch,
+)
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -265,6 +276,83 @@ def test_rank_matches_the_byte_key_ranking(data):
         assert rank_of_form(result, form) == min(c.rank for c in expected if c.form == form)
 
 
+def test_table_scorer_names_the_first_missing_continuation():
+    table = {("P ", "gold"): (-1.0, 1), ("P ", "d2"): (-2.0, 1)}
+    with pytest.raises(BackendError, match="continuation 'd1'"):
+        TableScorer(table).score_batch("P ", ["gold", "d1", "d2", "d3"])
+
+
+def test_a_request_line_has_the_bytes_of_json_dumps():
+    assert _encode_request("Praha je v", [" Česku", " \"Brno\""]) == (
+        b'{"version": 1, "prompt": "Praha je v", "continuations": '
+        b'[" \xc4\x8cesku", " \\"Brno\\""]}\n')
+
+
+# Forms mix a space (more than one token), duplicates and code-point order;
+# scores are few, so ties are common, and may be non-finite.
+_SET_FORMS = st.text(alphabet=st.sampled_from("ab é中"), min_size=1, max_size=3)
+_LOGPROBS = st.sampled_from([-3.0, -1.5, -1.0, 0.0, -1.0, float("nan"), float("-inf")])
+
+
+def _outcome(path):
+    """What ``path()`` returns, or the type and message of the error it raises."""
+    try:
+        return path()
+    except (BackendError, NonFiniteScore, ValueError) as exc:
+        return type(exc), exc.args[0]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_one_pass_path_ranks_as_the_reference(data):
+    forms = data.draw(st.lists(_SET_FORMS, min_size=1, max_size=30), label="forms")
+    n_correct = data.draw(st.integers(1, len(forms)), label="correct")
+    ids = data.draw(st.permutations([f"Q{i}" for i in range(len(forms))]), label="ids")
+    prompt = data.draw(st.sampled_from(["P:", "P ", ""]), label="prompt")
+    cs = CandidateSet("f1", prompt, tuple(forms[:n_correct]),
+                      [[entity_id, form] for entity_id, form in
+                       zip(ids, forms[n_correct:])], "s")
+    no_space = data.draw(st.booleans(), label="no_space")
+    normalization = data.draw(st.sampled_from(["SUM", "MEAN"]), label="normalization")
+    backend = data.draw(st.sampled_from(["perfect", "adversarial", "table"]), label="backend")
+    if backend == "table":
+        continuations = sorted(set(candidate_continuations(cs, no_space)))
+        entries = data.draw(st.lists(st.tuples(_LOGPROBS, st.integers(1, 3)),
+                                     min_size=len(continuations),
+                                     max_size=len(continuations)), label="table")
+        table = {(prompt, c): entry for c, entry in zip(continuations, entries)}
+        scorer = TableScorer(table)
+        batch = functools.partial(reference_table_batch, table)
+    else:
+        answers = data.draw(st.sets(st.sampled_from(forms)), label="oracle answers")
+        correct_by_prompt = {prompt: frozenset(answers)}
+        scorer = OracleScorer(correct_by_prompt, backend)
+        batch = functools.partial(reference_oracle_batch, correct_by_prompt, backend)
+    pair = data.draw(st.lists(st.sampled_from(forms), min_size=2, max_size=2), label="pair")
+
+    def one_pass():
+        continuations = candidate_continuations(cs, no_space)
+        assert scorer.score_batch(prompt, continuations) == batch(prompt, continuations)
+        result = rank_candidates(score_candidates(scorer, cs, normalization, continuations),
+                                 cs.correct_forms, fact_id="f1")
+        return (result.best_correct_rank, result.best_correct_form, result.hits,
+                [rank_of_form(result, form) for form in pair])
+
+    def reference():
+        keys, best, best_form, hits = reference_rank(
+            *reference_score(batch, cs, normalization, no_space), cs.correct_forms)
+        return best, best_form, hits, [reference_rank_of_form(keys, form) for form in pair]
+
+    assert _outcome(one_pass) == _outcome(reference)
+
+
+def test_a_non_finite_score_names_the_first_such_form():
+    scored = Scores(["a", "b", "c", "d"], ["", "Q1", "Q2", "Q3"],
+                    [0.0, float("inf"), -1.0, float("nan")], [1, 1, 1, 1])
+    with pytest.raises(NonFiniteScore, match="form 'b'"):
+        rank_candidates(scored, ["a"])
+
+
 # Micro-benchmarks of one evaluate set: 2 correct forms and 50 distractors.
 # Run alone with ``pytest tests --benchmark-only``.
 _BENCH_SET = _candidate_set(["Praha", "Praze"], [f"město{i}" for i in range(50)])
@@ -290,3 +378,36 @@ def test_benchmark_score_and_rank_with_the_oracle(benchmark):
     result = benchmark.pedantic(score_and_rank, rounds=200, iterations=10)
     assert result.best_correct_rank == 1
     assert result.best_correct_form == "Praha"
+
+
+# One bundle line of three sources, two of which share a prompt, so two
+# sets: each round times the line through pending sets, score, rank and
+# the text of its records, as evaluate takes it.
+_BENCH_LINE = {
+    "fact_id": "f1", "language": "cs", "relation_id": "P19",
+    "correct_forms": ["Praha", "Praze"],
+    "distractors": [[f"Q{i}", f"město{i}"] for i in range(50)], "salt": "s",
+    "subject_gender": None, "no_space": False,
+    "inflection_pair": {"noninflected": "Praha", "inflected": "Praze"},
+    "sources": {"TEMPLATE": {"prompt": "Narodil se v", "qe_score": 0.5},
+                "MT": {"prompt": "Narodil se v", "qe_score": 0.7},
+                "LLM": {"prompt": "Jeho rodiště je", "qe_score": 0.6}},
+}
+
+
+def test_benchmark_evaluate_one_bundle_line(benchmark):
+    correct = frozenset(_BENCH_LINE["correct_forms"])
+    oracle = OracleScorer({"Narodil se v": correct, "Jeho rodiště je": correct})
+
+    def evaluate_line():
+        texts = []
+        for line, sources, cs in pipeline._pending_sets([_BENCH_LINE], set()):
+            continuations = candidate_continuations(cs, line["no_space"])
+            scored = score_candidates(oracle, cs, continuations=continuations)
+            result = rank_candidates(scored, cs.correct_forms, fact_id=cs.fact_id)
+            texts += pipeline._record_texts(line, sources, cs.prompt, result)
+        return texts
+
+    texts = benchmark.pedantic(evaluate_line, rounds=200, iterations=10)
+    assert [key for key, _ in texts] == [("f1", "LLM"), ("f1", "MT"), ("f1", "TEMPLATE")]
+    assert all('"best_correct_rank":1,' in text for _, text in texts)
