@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ClientError, ConfigError, MalformedRecord, ReplayMiss
-from .jsonl import check_line, dump, iter_lines
+from .errors import ClientError, ConfigError, ReplayMiss
+from .jsonl import dump, iter_lines
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ _TEXT_FIELDS = ("client_id", "text", "source_language", "target_language")
 
 
 def parse_record(record: dict) -> tuple[TextRequest, str]:
-    """The request and response of a fixture line or cache entry that has
-    passed ``check_line("fixture", ...)``."""
+    """The request and response of a fixture line or cache log line that
+    has passed ``check_line("fixture", ...)``."""
     req = record["request"]
     extra = tuple(sorted(req.get("extra", {}).items()))
     return TextRequest(*(req[name] for name in _TEXT_FIELDS), extra), record["response"]
@@ -91,8 +91,6 @@ class ResponseCache:
     and line; ``get`` is then a dict lookup. ``put`` appends one line with a
     single ``os.write`` on an ``O_APPEND`` descriptor, opened at the first
     ``put`` for its client, so a run that only reads creates no file.
-    Entries of the older layout, one ``<digest>.json`` file each, are moved
-    into their client's log on construction.
 
     A last line without its newline that does not decode is what a killed
     write leaves: it is skipped on load and cut off before this process
@@ -114,8 +112,6 @@ class ResponseCache:
         self._lock = threading.Lock()
         # The descriptors are closed when the cache is collected.
         weakref.finalize(self, _close_logs, self._logs)
-        for path in sorted(self.directory.glob("*.json")):
-            self._import(path)
 
     def get(self, key: str) -> str | None:
         return self._responses.get(key)
@@ -142,17 +138,6 @@ class ResponseCache:
                 raise ClientError("client id cannot name a cache log", client_id=client_id)
             self._logs[client_id] = _open_log(self.directory / f"{client_id}.jsonl")
         return self._logs[client_id]
-
-    def _import(self, path: Path) -> None:
-        """Move the older-layout entry at ``path`` into its client's log."""
-        try:
-            record = json.loads(path.read_bytes())
-        except ValueError as exc:
-            raise MalformedRecord(f"corrupt cache entry: {exc}", file=str(path)) from exc
-        request, response = parse_record(check_line("fixture", record, file=str(path)))
-        if request.digest() not in self._responses:
-            self.put(request.digest(), request, response)
-        path.unlink()
 
 
 def is_plain_name(name) -> bool:

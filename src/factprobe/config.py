@@ -18,8 +18,8 @@ import yaml
 from .clients import is_plain_name
 from .corpus import is_language_code
 from .errors import ConfigError, MissingInput
-from .jsonl import (BOOL, INT, NUMBER, STRING, _check, _check_object, _compile, _list_of,
-                    _map_of, _or_null, dump)
+from .jsonl import (BOOL, INT, NUMBER, STRING, TEXT, _check, _check_object, _compile,
+                    _list_of, _map_of, _or_null, dump)
 from .metrics import DEFAULT_N_VALUES
 from .split import MatchConfig
 
@@ -155,11 +155,11 @@ _COMPILED = _compile(SPEC)
 _FIELDS = {"entities": "entities_path", "relations": "relations_path", "facts": "facts_path",
            "gender_patterns": "gender_patterns_path"}
 
-_MARKERS = _list_of(STRING, "")
+_MARKERS = _list_of(TEXT, "")
 _GENDER_PATTERNS = _map_of(_map_of(_check("", lambda v: type(v) is dict and all(
     _MARKERS(v[gender]) for gender in ("feminine", "masculine") if gender in v)), ""),
     "a mapping language -> relation -> {feminine: [markers], masculine: [markers]}"
-    " of strings")
+    " of non-blank strings")
 
 
 def _read_yaml(path: Path, what: str, /, **where) -> dict:

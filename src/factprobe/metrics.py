@@ -1,8 +1,9 @@
 """Aggregate ranking outcomes into the full metric family.
 
-All reductions are pure functions over immutable record lists and
-accumulate in canonical (fact id, source) order, so results never depend
-on input permutation.
+All reductions are pure functions over record lists, and none depends
+on the order of its records: every sum is a count or a ``math.fsum``,
+which is correctly rounded and so the same in any order, ranks are sorted
+before quartiles are read, and grouped results come out in key order.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ class QECorrelationCell:
     note: str | None = None  # reason code when r is unavailable
 
 
-def _canonical(records: Sequence[EvalRecord]) -> list[EvalRecord]:
-    return sorted(records, key=lambda r: (r.fact_id, r.source))
-
-
 def recall_at_n(records: Sequence[EvalRecord], n: int) -> float:
     """Fraction of records whose best correct rank is within the top n."""
     if not records:
@@ -108,8 +105,7 @@ def recall_at_n(records: Sequence[EvalRecord], n: int) -> float:
 def mean_best_rank(records: Sequence[EvalRecord]) -> float:
     if not records:
         raise EmptyGroup("no records")
-    ordered = _canonical(records)
-    return math.fsum(r.best_correct_rank for r in ordered) / len(ordered)
+    return math.fsum(r.best_correct_rank for r in records) / len(records)
 
 
 def _lower_quartile(sorted_values: list[int], q: float) -> int:
@@ -198,7 +194,7 @@ def inflection_delta(
     """
     eligible = [
         r
-        for r in _canonical(records)
+        for r in records
         if r.form_ranks is not None
         and FORM_NONINFLECTED in r.form_ranks
         and FORM_INFLECTED in r.form_ranks
@@ -315,7 +311,7 @@ def qe_delta_correlation(
     Cells with fewer than ``min_relations`` points or degenerate variance
     carry a reason code instead of a correlation.
     """
-    with_qe = [r for r in _canonical(records) if r.qe_score is not None]
+    with_qe = [r for r in records if r.qe_score is not None]
     if not with_qe:
         raise EmptyGroup("no records carry QE scores")
 

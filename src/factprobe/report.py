@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .metrics import (
     AggregateCell,
@@ -39,6 +40,9 @@ def format_fixed(value: float, decimals: int) -> str:
     return f"{value:.{decimals}f}"
 
 
+_STRIPPED_3 = partial(format_stripped, decimals=3)
+
+
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = ["| " + " | ".join(headers) + " |"]
     lines.append("|" + "|".join("---" for _ in headers) + "|")
@@ -51,6 +55,14 @@ def source_label(source: str) -> str:
     return SOURCE_LABELS.get(source, source)
 
 
+def _cell(cells: Mapping, key: tuple[str, str], value: Callable, fmt: Callable) -> str:
+    """``fmt`` of ``value(cell)`` for the cell at ``key``, or ``n/a`` when
+    there is no cell there or ``value`` gives None."""
+    cell = cells.get(key)
+    found = None if cell is None else value(cell)
+    return NOT_AVAILABLE if found is None else fmt(found)
+
+
 def render_main_table(
     cells: Mapping[tuple[str, str], AggregateCell],
     languages: Sequence[str],
@@ -61,19 +73,15 @@ def render_main_table(
     headers = ["Verbalization"]
     headers.extend(f"R@{n} {lang}" for lang in languages)
     headers.extend(f"Mean Rank {lang}" for lang in languages)
-    rows = []
-    for source in sources:
-        row = [source_label(source)]
-        for lang in languages:
-            cell = cells.get((lang, source))
-            row.append(
-                format_stripped(cell.r_at_n[n], 3) if cell and n in cell.r_at_n
-                else NOT_AVAILABLE
-            )
-        for lang in languages:
-            cell = cells.get((lang, source))
-            row.append(format_stripped(cell.mean_rank, 2) if cell else NOT_AVAILABLE)
-        rows.append(row)
+    mean_rank = partial(format_stripped, decimals=2)
+    rows = [
+        [source_label(source)]
+        + [_cell(cells, (lang, source), lambda c: c.r_at_n.get(n), _STRIPPED_3)
+           for lang in languages]
+        + [_cell(cells, (lang, source), lambda c: c.mean_rank, mean_rank)
+           for lang in languages]
+        for source in sources
+    ]
     return render_table(headers, rows)
 
 
@@ -84,14 +92,19 @@ def render_delta_table(
 ) -> str:
     """Average inflected-vs-non-inflected rank delta, two decimals."""
     headers = ["Verbalization"] + list(languages)
-    rows = []
-    for source in sources:
-        row = [source_label(source)]
-        for lang in languages:
-            cell = cells.get((lang, source))
-            row.append(format_fixed(cell.mean_delta, 2) if cell else NOT_AVAILABLE)
-        rows.append(row)
+    fixed = partial(format_fixed, decimals=2)
+    rows = [
+        [source_label(source)]
+        + [_cell(cells, (lang, source), lambda c: c.mean_delta, fixed) for lang in languages]
+        for source in sources
+    ]
     return render_table(headers, rows)
+
+
+def _marked_r(cell: QECorrelationCell) -> str:
+    """The cell's r with an asterisk when it is significant; the mark needs
+    the whole cell, so the r row's value is the cell when it has an r."""
+    return format_stripped(cell.r, 3) + ("*" if cell.significant else "")
 
 
 def render_qe_table(
@@ -101,23 +114,15 @@ def render_qe_table(
 ) -> str:
     """QE delta rows then correlation rows; significant r gets an asterisk."""
     headers = ["Metric", "Verbalization"] + list(languages)
-    rows = []
-    for source in sources:
-        row = ["Delta QE", source_label(source)]
-        for lang in languages:
-            cell = cells.get((lang, source))
-            row.append(format_stripped(cell.delta_qe, 3) if cell else NOT_AVAILABLE)
-        rows.append(row)
-    for source in sources:
-        row = ["r", source_label(source)]
-        for lang in languages:
-            cell = cells.get((lang, source))
-            if cell is None or cell.r is None:
-                row.append(NOT_AVAILABLE)
-            else:
-                mark = "*" if cell.significant else ""
-                row.append(format_stripped(cell.r, 3) + mark)
-        rows.append(row)
+    rows = [
+        [metric, source_label(source)]
+        + [_cell(cells, (lang, source), value, fmt) for lang in languages]
+        for metric, value, fmt in (
+            ("Delta QE", lambda c: c.delta_qe, _STRIPPED_3),
+            ("r", lambda c: None if c.r is None else c, _marked_r),
+        )
+        for source in sources
+    ]
     return render_table(headers, rows)
 
 
@@ -132,91 +137,69 @@ def render_gender_table(
     for lang in languages:
         headers.append(f"%(F) {lang}")
         headers.append(f"R@1(F) {lang}")
-    rows = []
-    for source in sources:
-        row = [source_label(source)]
-        for lang in languages:
-            rate = rate_cells.get((lang, source))
-            if rate is None or rate.rate is None:
-                row.append(NOT_AVAILABLE)
-            else:
-                row.append(format_fixed(rate.rate * 100.0, 1))
-            cell = subset_cells.get((lang, source))
-            row.append(
-                format_stripped(cell.r_at_n[1], 3) if cell and 1 in cell.r_at_n
-                else NOT_AVAILABLE
-            )
-        rows.append(row)
+    rows = [
+        [source_label(source)]
+        + [text for lang in languages for text in (
+            _cell(rate_cells, (lang, source), lambda c: c.rate,
+                  lambda rate: format_fixed(rate * 100.0, 1)),
+            _cell(subset_cells, (lang, source), lambda c: c.r_at_n.get(1), _STRIPPED_3),
+        )]
+        for source in sources
+    ]
     return render_table(headers, rows)
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``header`` and then ``rows`` as CSV lines ending in ``\\n``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def cells_csv(cells: Mapping[tuple[str, str], AggregateCell], n_values) -> str:
     """Machine-readable dump of every aggregate cell."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["language", "source"]
-    header.extend(f"r_at_{n}" for n in n_values)
-    header.extend(["mean_rank", "count"])
-    writer.writerow(header)
-    for (lang, source), cell in sorted(cells.items()):
-        row = [lang, source]
-        row.extend(repr(cell.r_at_n[n]) for n in n_values)
-        row.append(repr(cell.mean_rank))
-        row.append(cell.count)
-        writer.writerow(row)
-    return out.getvalue()
+    return _csv(
+        ["language", "source", *(f"r_at_{n}" for n in n_values), "mean_rank", "count"],
+        ([lang, source, *(repr(cell.r_at_n[n]) for n in n_values), repr(cell.mean_rank),
+          cell.count]
+         for (lang, source), cell in sorted(cells.items())),
+    )
 
 
 def curves_csv(cells: Mapping[tuple[str, str], AggregateCell], n_values) -> str:
     """R@n against n, one row per (language, source, n) point."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["language", "source", "n", "recall"])
-    for (lang, source), cell in sorted(cells.items()):
-        for n in n_values:
-            writer.writerow([lang, source, n, repr(cell.r_at_n[n])])
-    return out.getvalue()
+    return _csv(
+        ["language", "source", "n", "recall"],
+        ([lang, source, n, repr(cell.r_at_n[n])]
+         for (lang, source), cell in sorted(cells.items()) for n in n_values),
+    )
 
 
 def histogram_csv(histograms: Mapping[tuple[str, str], RankHistogram]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["language", "source", "bucket", "count"])
-    for (lang, source), hist in sorted(histograms.items()):
-        for bucket in sorted(hist.counts):
-            writer.writerow([lang, source, bucket, hist.counts[bucket]])
-        writer.writerow([lang, source, "overflow", hist.overflow])
-    return out.getvalue()
+    return _csv(
+        ["language", "source", "bucket", "count"],
+        ([lang, source, bucket, count]
+         for (lang, source), hist in sorted(histograms.items())
+         for bucket, count in [*sorted(hist.counts.items()), ("overflow", hist.overflow)]),
+    )
 
 
 def quartiles_csv(histograms: Mapping[tuple[str, str], RankHistogram]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["language", "source", "q1", "median", "q3"])
-    for (lang, source), hist in sorted(histograms.items()):
-        writer.writerow([lang, source, hist.q1, hist.median, hist.q3])
-    return out.getvalue()
+    return _csv(
+        ["language", "source", "q1", "median", "q3"],
+        ([lang, source, hist.q1, hist.median, hist.q3]
+         for (lang, source), hist in sorted(histograms.items())),
+    )
 
 
 def qe_csv(cells: Mapping[tuple[str, str], QECorrelationCell]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    return _csv(
         ["language", "source", "delta_qe", "delta_r1", "r", "p", "significant",
-         "n_relations", "note"]
+         "n_relations", "note"],
+        ([lang, source, repr(cell.delta_qe), repr(cell.delta_r1),
+          "" if cell.r is None else repr(cell.r), "" if cell.p is None else repr(cell.p),
+          int(cell.significant), cell.n_relations, cell.note or ""]
+         for (lang, source), cell in sorted(cells.items())),
     )
-    for (lang, source), cell in sorted(cells.items()):
-        writer.writerow(
-            [
-                lang,
-                source,
-                repr(cell.delta_qe),
-                repr(cell.delta_r1),
-                "" if cell.r is None else repr(cell.r),
-                "" if cell.p is None else repr(cell.p),
-                int(cell.significant),
-                cell.n_relations,
-                cell.note or "",
-            ]
-        )
-    return out.getvalue()

@@ -259,43 +259,36 @@ def split_template_sentence(
 def split_verbalization(
     verbalization,
     object_entity: Entity,
-    corpus: Corpus,
     config: MatchConfig | None = None,
-    english_label: bool = True,
 ) -> SplitResult | Rejection:
     """Split one verbalization into prompt prefix and object form.
 
     TEMPLATE verbalizations split positionally at the [Y] placeholder
     (the template, subject and object labels ride in the provenance).
-    MT/LLM verbalizations are searched for the default target label, the
-    target aliases, and the English label. The split is accepted only if
-    the text after the match is punctuation/whitespace.
+    MT/LLM verbalizations are searched for the default label in their
+    ``target_language``, its aliases, and the English label. The split is
+    accepted only if the text after the match is punctuation/whitespace.
     """
     from .verbalize import VerbalizationSource  # local import, avoids cycle
 
     sentence = verbalization.sentence
     if not sentence:
         raise ValueError("verbalization sentence is empty")
+    prov = verbalization.provenance
     if verbalization.source == VerbalizationSource.TEMPLATE:
-        prov = verbalization.provenance
         return split_template_sentence(
             sentence, prov["template"], prov["subject_label"], prov["object_label"]
         )
 
-    fact = corpus.facts.get(verbalization.fact_id)
-    language = (
-        fact.language if fact is not None
-        else verbalization.provenance.get("target_language", "")
-    )
+    language = prov["target_language"]
     labels: list[str] = []
     default = object_entity.label(language)
     if default:
         labels.append(default)
     labels.extend(object_entity.alias_list(language))
-    if english_label:
-        en = object_entity.label("en")
-        if en and en not in labels:
-            labels.append(en)
+    en = object_entity.label("en")
+    if en and en not in labels:
+        labels.append(en)
     if not labels:
         raise MissingLabel(
             f"entity {object_entity.id!r} has no usable labels for {language!r}"

@@ -443,9 +443,12 @@ def test_cli_reports_an_unreadable_config(built, tmp_path, spoil):
         "aa: {R1: {feminine: [1]}}\n",
         b"aa: {R1: {feminine: [\xff]}}\n",
         None,
+        "aa: {R1: {feminine: ['']}}\n",
+        "aa: {R1: {masculine: [wqr1, ' ']}}\n",
     ],
     ids=["bad-yaml", "list-of-languages", "list-of-relations", "list-for-markers",
-         "marker-string", "marker-number", "not-utf8", "a-directory"],
+         "marker-string", "marker-number", "not-utf8", "a-directory", "marker-empty",
+         "marker-blank"],
 )
 def test_report_checks_the_gender_patterns_file(built, tmp_path, text):
     ws = _copy(built, tmp_path)

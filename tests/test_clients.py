@@ -120,39 +120,6 @@ def test_cache_entry_is_a_fixture_line(tmp_path):
     assert entry == (tmp_path / "fixtures.jsonl").read_bytes()
 
 
-def test_cache_reads_indented_entries_with_key_and_timestamp(tmp_path):
-    request = _request()
-    old = tmp_path / f"{request.digest()}.json"
-    old.write_text(json.dumps({
-        "key": request.digest(),
-        "request": request.fields(),
-        "response": "starý záznam",
-        "timestamp": "2025-01-01T00:00:00Z",
-    }, ensure_ascii=False, sort_keys=True, indent=1), encoding="utf-8")
-    assert ResponseCache(tmp_path).get(request.digest()) == "starý záznam"
-    # The entry was moved into the client's log, once.
-    assert not old.exists()
-    log = (tmp_path / "mt.jsonl").read_text(encoding="utf-8")
-    assert log == record_line(request, "starý záznam")
-    assert ResponseCache(tmp_path).get(request.digest()) == "starý záznam"
-    assert (tmp_path / "mt.jsonl").read_text(encoding="utf-8") == log
-
-
-def test_cache_imports_compact_entries_once(tmp_path):
-    logged, moved = _request("v logu"), _request("jen soubor")
-    ResponseCache(tmp_path).put(logged.digest(), logged, "z logu")
-    for request, response in ((logged, "ze souboru"), (moved, "přesunuto")):
-        (tmp_path / f"{request.digest()}.json").write_text(
-            record_line(request, response), encoding="utf-8")
-    cache = ResponseCache(tmp_path)
-    # An entry already in the log keeps the logged response and is not logged again.
-    assert cache.get(logged.digest()) == "z logu"
-    assert cache.get(moved.digest()) == "přesunuto"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["mt.jsonl"]
-    assert (tmp_path / "mt.jsonl").read_text(encoding="utf-8") == (
-        record_line(logged, "z logu") + record_line(moved, "přesunuto"))
-
-
 @pytest.mark.parametrize("tear", [
     lambda raw: raw[: len(raw) // 2],
     lambda raw: raw[: raw.index("ř".encode("utf-8")) + 1],  # inside a character
@@ -288,11 +255,13 @@ def test_wrong_shape_fixture_line_is_malformed(tmp_path, shape):
 @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES) + ["not-an-object"])
 def test_wrong_shape_cache_entry_is_malformed(tmp_path, shape):
     request = _request()
-    path = tmp_path / f"{request.digest()}.json"
-    path.write_text(json.dumps(WRONG_SHAPES.get(shape, [1, 2])), encoding="utf-8")
+    ResponseCache(tmp_path).put(request.digest(), request, "dobře")
+    path = tmp_path / "mt.jsonl"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(WRONG_SHAPES.get(shape, [1, 2])) + "\n")
     with pytest.raises(MalformedRecord) as info:
-        ResponseCache(tmp_path).get(request.digest())
-    expected = {"file": str(path)}
+        ResponseCache(tmp_path)
+    expected = {"file": str(path), "line": 2}
     if shape in WRONG_FIELDS:
         expected["field"] = WRONG_FIELDS[shape]
     assert info.value.context == expected

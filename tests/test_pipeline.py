@@ -643,6 +643,50 @@ def test_report_artifacts_written(tmp_path):
     assert "%(F) aa" in text
 
 
+def _report_files(report_dir) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(report_dir.iterdir())}
+
+
+def test_report_holds_only_the_artifacts_its_manifest_lists(tmp_path):
+    config, config_path = _build(tmp_path, facts_per_cell=3)
+    _run_stages(config)
+    report_dir = config.output_dir / "report"
+    assert (report_dir / "qe_correlation.csv").exists()
+    # A run without the QE client writes no QE cells, so it leaves no QE CSV.
+    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    del data["qe"]
+    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    _run_stages(load_config(config_path))
+    manifest = json.loads((report_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert "qe_correlation.csv" not in manifest["artifacts"]
+    assert sorted(_report_files(report_dir)) == sorted([*manifest["artifacts"], "manifest.json"])
+
+
+def test_report_bytes_do_not_depend_on_record_order(tmp_path):
+    config, _ = _build(tmp_path, facts_per_cell=4)
+    records_dir = cmd_evaluate(config, cmd_build_dataset(config, replay=True))
+    path = records_dir / "records.jsonl"
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    # One (language, relation, source) group gets QE scores whose
+    # left-to-right float sum differs between the two orders: 0.0 forwards,
+    # 1.0 backwards; ``math.fsum`` gives 1.0 both ways.
+    group = [r for r in records
+             if (r["language"], r["relation_id"], r["source"]) == ("aa", "R2", "MT")]
+    assert len(group) == 4
+    for record, score in zip(group, (1.0, 1e16, -1e16, 0.0)):
+        record["qe_score"] = score
+    path.write_text(header + "".join(jsonl.dump(r) + "\n" for r in records), encoding="utf-8")
+    forwards = _report_files(cmd_report(config, records_dir, force=True))
+    path.write_text(header + "".join(jsonl.dump(r) + "\n" for r in reversed(records)),
+                    encoding="utf-8")
+    backwards = _report_files(cmd_report(config, records_dir, force=True))
+    # The manifests differ only in the digest of the reordered records.
+    del forwards["manifest.json"], backwards["manifest.json"]
+    assert "qe_correlation.csv" in forwards
+    assert backwards == forwards
+
+
 def test_stage_reuse_skips_completed_build(tmp_path):
     config, _ = _build(tmp_path, facts_per_cell=3)
     bundle = cmd_build_dataset(config, replay=True)
@@ -864,9 +908,9 @@ def test_cli_reports_wrong_shape_record(tmp_path, capsys, store):
             fh.write(json.dumps({"response": "x"}) + "\n")
     else:
         record = _first_fixture(tmp_path / "ws")
-        path = tmp_path / "ws" / "cache" / f"{parse_record(record)[0].digest()}.json"
+        path = tmp_path / "ws" / "cache" / "mt.jsonl"
         path.parent.mkdir()
-        path.write_text(json.dumps({"request": record["request"], "response": 5}))
+        path.write_text(json.dumps({"request": record["request"], "response": 5}) + "\n")
     assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [MALFORMED_RECORD]")

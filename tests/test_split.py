@@ -254,21 +254,21 @@ def test_split_mt_object_initial_rejected(cs_corpus):
     verb = _mt_verbalization(
         "fact-p19-karel", "V Praze se narodil Karel Schwarzenberg."
     )
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], cs_corpus, CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_NOT_SENTENCE_FINAL
 
 
 def test_split_mt_object_missing_rejected(cs_corpus):
     verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg bydlí jinde.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], cs_corpus, CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_OBJECT_NOT_FOUND
 
 
 def test_split_mt_inflected_sentence(cs_corpus):
     verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Praze.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], cs_corpus, CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
     assert isinstance(result, SplitResult)
     assert result.prompt_prefix == "Karel Schwarzenberg se narodil v "
     assert result.object_form == "Praze"
@@ -280,7 +280,7 @@ def test_split_mt_inflected_sentence(cs_corpus):
 def test_split_template_source_uses_provenance(cs_corpus):
     fact = cs_corpus.facts["fact-p19-karel"]
     verb = make_template_verbalization(fact, cs_corpus)
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], cs_corpus, CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
     assert isinstance(result, SplitResult)
     assert result.object_form == "Praha"
     assert result.prompt_prefix == "Karel Schwarzenberg se narodil v "
@@ -289,7 +289,7 @@ def test_split_template_source_uses_provenance(cs_corpus):
 def test_split_finds_english_label(cs_corpus):
     # MT kept the English name; the English label is part of the search pool.
     verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Prague.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], cs_corpus, CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
     assert isinstance(result, SplitResult)
     assert result.object_form == "Prague"
 
