@@ -70,16 +70,8 @@ def record_line(request: TextRequest, response: str) -> str:
     return dump({"request": request.fields(), "response": response}) + "\n"
 
 
-# The string fields of a request, in ``TextRequest`` order; ``extra`` follows.
+# The string fields of a request; ``extra`` is its one other field.
 _TEXT_FIELDS = ("client_id", "text", "source_language", "target_language")
-
-
-def parse_record(record: dict) -> tuple[TextRequest, str]:
-    """The request and response of a fixture line or cache log line that
-    has passed ``check_line("fixture", ...)``."""
-    req = record["request"]
-    extra = tuple(sorted(req.get("extra", {}).items()))
-    return TextRequest(*(req[name] for name in _TEXT_FIELDS), extra), record["response"]
 
 
 class ResponseCache:
@@ -186,7 +178,7 @@ def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
     """Load replay fixtures (headerless JSONL of request+response) into a
     digest map; ``torn_tail`` skips a torn last line, as ``iter_lines`` does.
 
-    Each line's digest is that of its ``parse_record`` request, taken
+    Each line's digest is that of the ``TextRequest`` the line holds, taken
     straight from the line's fields: ``dump`` sorts the keys, so the order
     of ``extra`` does not matter."""
     responses = {}

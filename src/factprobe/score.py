@@ -28,8 +28,12 @@ PROTOCOL_VERSION = 1
 # Requests the protocol client keeps in flight on its connection. Each
 # request the window admits is sent at once (Nagle's algorithm is off), so a
 # server that answers one line at a time finds its next request already
-# buffered, and one that overlaps requests sees up to this many of them.
-PIPELINE_WINDOW = 8
+# buffered, and one that overlaps requests sees up to this many of them. At 8,
+# a server with a fixed latency per request wakes for about one request at a
+# time; at 32, each wakeup serves many, and a batching server can form batches
+# that large. The window also bounds the sets that evaluate buffers, and the
+# replies that a dropped connection loses, to this many.
+PIPELINE_WINDOW = 32
 
 NORMALIZATION_SUM = "SUM"
 NORMALIZATION_MEAN = "MEAN"
@@ -124,9 +128,11 @@ def score_candidates(
             f"scorer returned {len(results)} results for {len(forms)} continuations",
             fact_id=candidate_set.fact_id,
         )
+    # The one conversion of the scores (a protocol reply's are checked, not
+    # converted). Every backend returns integer token counts.
     logprobs, counts = zip(*results)
     scores = list(map(float, logprobs))
-    counts = list(map(int, counts))
+    counts = list(counts)
     if normalization == NORMALIZATION_MEAN:
         for form, count in zip(forms, counts):
             if count < 1:
@@ -247,7 +253,17 @@ def _encode_request(prompt: str, continuations) -> bytes:
     return (_REQUEST_ENCODER.encode(request) + "\n").encode("utf-8")
 
 
-def _decode_reply(line: bytearray, count: int) -> list[tuple[float, int]]:
+# The Python types a JSON score or token count reads as. ``type`` tells a
+# JSON ``true`` (a bool) from a number, where ``isinstance`` would not.
+_SCORE_TYPES = frozenset((float, int))
+_COUNT_TYPES = frozenset((int,))
+
+
+def _decode_reply(line: bytearray, count: int) -> list[tuple[float | int, int]]:
+    """The ``(logprob, token count)`` pairs of the reply to a request of
+    ``count`` continuations. Each value is checked once, by one C-level pass
+    over its column: a score is a finite JSON number, a token count a JSON
+    integer. ``score_candidates`` converts the scores to floats."""
     try:
         response = loads(line)
     except ValueError as exc:
@@ -262,12 +278,24 @@ def _decode_reply(line: bytearray, count: int) -> list[tuple[float, int]]:
     if not isinstance(results, list) or len(results) != count:
         raise BackendError("malformed scorer response")
     try:
-        results = [(float(lp), int(tc)) for lp, tc in results]
+        # ``strict`` refuses entries of unequal length, the unpacking any
+        # other length than two.
+        logprobs, counts = zip(*results, strict=True) if results else ((), ())
     except (TypeError, ValueError) as exc:
-        raise BackendError(f"malformed scorer response: {exc}") from exc
-    if not all(math.isfinite(lp) for lp, _ in results):
+        raise BackendError(
+            "malformed scorer response: a result is not a [logprob, token count] pair"
+        ) from exc
+    if not _SCORE_TYPES.issuperset(map(type, logprobs)):
+        raise BackendError("scorer reply holds a score that is not a number")
+    if not _COUNT_TYPES.issuperset(map(type, counts)):
+        raise BackendError("scorer reply holds a token count that is not an integer")
+    try:
+        finite = all(map(math.isfinite, logprobs))
+    except OverflowError:  # an integer score too large for a float
+        finite = False
+    if not finite:
         raise BackendError("scorer reply holds a score that is not a finite number")
-    return results
+    return list(zip(logprobs, counts))
 
 
 class ProtocolScorerClient:
@@ -347,7 +375,8 @@ class ProtocolScorerClient:
 
         Yields one outcome per request, in request order: its results, or
         the ``BackendError`` that rejected its reply (a reply that is not
-        JSON, has another version or the wrong number of results), which
+        JSON, has another version or the wrong number of results, or holds
+        a value of the wrong type or a score that is not finite), which
         leaves the connection in step. Requests are drawn lazily, at most
         the window ahead of the outcomes taken. An error from drawing a
         request stops the drawing; it is raised after the outcomes of the

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from factprobe import candidates, cli, jsonl, pipeline, verbalize
-from factprobe.clients import ResponseCache, parse_record
+from factprobe.clients import ResponseCache, TextRequest
 from factprobe.config import load_config
 from factprobe.corpus import load_corpus, unique_object_pool
 from factprobe.errors import (
@@ -44,6 +44,16 @@ def _sets(bundle):
     """The (fact, source) candidate sets of a bundle, one line per fact."""
     lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
     return [(line["fact_id"], source) for line in lines for source in line["sources"]]
+
+
+def _parse_fixture_line(raw):
+    """The request and response of a replay fixture line."""
+    record = json.loads(raw)
+    req = record["request"]
+    extra = tuple(sorted(req.get("extra", {}).items()))
+    request = TextRequest(req["client_id"], req["text"], req["source_language"],
+                          req["target_language"], extra)
+    return request, record["response"]
 
 
 def _records_by_source(records):
@@ -117,7 +127,7 @@ def test_replay_build_from_a_prefilled_cache_matches_fixture_build(tmp_path):
     cache = ResponseCache(config.cache_dir)
     for path in sorted((config_path.parent / "fixtures").glob("*.jsonl")):
         for raw in path.read_text(encoding="utf-8").splitlines():
-            request, response = parse_record(json.loads(raw))
+            request, response = _parse_fixture_line(raw)
             cache.put(request.digest(), request, response)
         path.write_text("", encoding="utf-8")
     bundle = cmd_build_dataset(config, replay=True)
@@ -886,7 +896,7 @@ def test_cli_reports_corrupt_cache_entry(tmp_path, capsys):
     cache = ResponseCache(tmp_path / "ws" / "cache")
     fixtures = (tmp_path / "ws" / "fixtures" / "mt.jsonl").read_text(encoding="utf-8")
     for raw in fixtures.splitlines()[:2]:
-        request, response = parse_record(json.loads(raw))
+        request, response = _parse_fixture_line(raw)
         cache.put(request.digest(), request, response)
     # A cut line before the last is corruption, not a torn tail.
     log = tmp_path / "ws" / "cache" / "mt.jsonl"

@@ -2,14 +2,17 @@
 
 import contextlib
 import json
+import queue
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 import yaml
 
 from factprobe import cli, pipeline, score
+from factprobe.candidates import CandidateSet
 from factprobe.config import load_config
 from factprobe.errors import BackendError, MalformedRecord, ScorerConnectionLost
 from factprobe.pipeline import cmd_build_dataset, cmd_evaluate, read_jsonl
@@ -124,19 +127,67 @@ def test_protocol_unreachable_backend_fails_fast():
         ProtocolScorerClient("127.0.0.1", 1, timeout=0.2)
 
 
-class _GarbageHandler(socketserver.StreamRequestHandler):
+class _CannedReplyHandler(socketserver.StreamRequestHandler):
+    """Answers every request line with ``server.reply``."""
+
     def handle(self):
-        self.rfile.readline()
-        self.wfile.write(b'{"version": 99, "results": []}\n')
-        self.wfile.flush()
+        for _ in self.rfile:
+            self.wfile.write(self.server.reply)
+            self.wfile.flush()
+
+
+def _canned_reply_server(reply: bytes):
+    server = _threading_server(_CannedReplyHandler)
+    server.reply = reply
+    return server
 
 
 def test_protocol_version_mismatch():
-    with _serving(_threading_server(_GarbageHandler)) as server:
+    with _serving(_canned_reply_server(b'{"version": 99, "results": []}\n')) as server:
         client = ProtocolScorerClient(*server.server_address)
         with pytest.raises(BackendError):
             client.score_batch("p", ["a"])
         client.close()
+
+
+def _reply_with(results: str) -> bytes:
+    return b'{"version": 1, "results": ' + results.encode() + b"}\n"
+
+
+# A score is a JSON number and a token count a JSON integer; none of these
+# is coerced into one. An integer score too large for a float is not finite.
+@pytest.mark.parametrize("results", [
+    pytest.param('[["-1.5", true]]', id="string-score"),
+    pytest.param("[[true, 2.9]]", id="boolean-score-and-fractional-count"),
+    pytest.param('[[-1.0, "3"]]', id="string-count"),
+    pytest.param("[[-1.0, true]]", id="boolean-count"),
+    pytest.param("[[-1.0, 1.0]]", id="float-count"),
+    pytest.param("[[null, 1]]", id="null-score"),
+    pytest.param("[[-1" + "0" * 400 + ", 1]]", id="integer-score-beyond-float"),
+    pytest.param("[[-1.0, 1], [-2.0, 1, 7]]", id="entry-of-three"),
+    pytest.param("[[-1.0, 1], [-2.0]]", id="entry-of-one"),
+    pytest.param('[[-1.0, 1], {"a": 1, "b": 2}]', id="object-entry"),
+    pytest.param("[[-1.0, 1], 5]", id="number-entry"),
+])
+def test_protocol_refuses_reply_values_of_the_wrong_type(results):
+    count = len(json.loads(results))
+    with (_serving(_canned_reply_server(_reply_with(results))) as server,
+          contextlib.closing(ProtocolScorerClient(*server.server_address)) as client):
+        with pytest.raises(BackendError):
+            client.score_batch("p", ["a"] * count)
+        # A rejected reply leaves the connection in step.
+        with pytest.raises(BackendError):
+            client.score_batch("p", ["a"] * count)
+
+
+def test_protocol_takes_an_integer_score_as_a_number():
+    reply = _reply_with("[[-2, 1], [0, 3]]")
+    cs = CandidateSet("f", "p", ("a",), [["e", "b"]], "salt")
+    with (_serving(_canned_reply_server(reply)) as server,
+          contextlib.closing(ProtocolScorerClient(*server.server_address)) as client):
+        scored = score.score_candidates(client, cs, score.NORMALIZATION_MEAN)
+    assert scored.scores == [-2.0, 0.0]
+    assert scored.token_counts == [1, 3]
 
 
 # Python's json writes a nan or infinite float as NaN or Infinity, which are
@@ -268,10 +319,11 @@ class _SequentialHandler(socketserver.StreamRequestHandler):
 
 
 def test_protocol_sequential_server_with_large_replies_does_not_deadlock():
-    # A full window is ~20 MB of requests and ~1 MB of replies, well past
-    # the socket buffers: a client that blocked on writing its next request
-    # while the server blocked on writing a reply would never finish.
-    continuations = ["x" * 256] * 8000
+    # A full window is ~20 MB of requests and ~1.5 MB of replies, whatever
+    # the window's size, well past the socket buffers: a client that blocked
+    # on writing its next request while the server blocked on writing a
+    # reply would never finish.
+    continuations = ["x" * 256] * (80_000 // PIPELINE_WINDOW)
     requests = [("p", continuations)] * (PIPELINE_WINDOW + 2)
     outcomes = []
     server = socketserver.TCPServer(("127.0.0.1", 0), _SequentialHandler)
@@ -286,6 +338,56 @@ def test_protocol_sequential_server_with_large_replies_does_not_deadlock():
         assert not worker.is_alive()
     assert len(outcomes) == len(requests)
     assert all(len(o) == len(continuations) for o in outcomes)
+
+
+class _DelayedRepliesHandler(socketserver.StreamRequestHandler):
+    """Answers each request ``delay`` seconds after the previous answer, from
+    a writer thread, while the handler reads on. ``server.max_in_flight`` is
+    the largest number of requests received and not yet answered. The reply
+    to prompt ``"i"`` scores each continuation ``-i``."""
+
+    delay = 0.004
+
+    def handle(self):
+        server = self.server
+        pending = queue.Queue()
+        lock = threading.Lock()
+        in_flight = 0
+
+        def answer():
+            nonlocal in_flight
+            while (request := pending.get()) is not None:
+                time.sleep(self.delay)
+                # Counted as answered before it is written: the client sends
+                # its next request only once it has read this reply.
+                with lock:
+                    in_flight -= 1
+                score_value = -float(request["prompt"])
+                body = {"version": 1,
+                        "results": [[score_value, 1]] * len(request["continuations"])}
+                self.wfile.write((json.dumps(body) + "\n").encode("utf-8"))
+                self.wfile.flush()
+
+        writer = threading.Thread(target=answer, daemon=True)
+        writer.start()
+        for raw in self.rfile:
+            with lock:
+                in_flight += 1
+                server.max_in_flight = max(server.max_in_flight, in_flight)
+            pending.put(json.loads(raw))
+        pending.put(None)
+        writer.join(timeout=10)
+
+
+def test_protocol_client_fills_its_window():
+    server = _threading_server(_DelayedRepliesHandler)
+    server.max_in_flight = 0
+    requests = [(str(index), ["a"]) for index in range(3 * PIPELINE_WINDOW)]
+    with _serving(server), contextlib.closing(ProtocolScorerClient(*server.server_address)) as client:
+        outcomes = list(client.score_stream(requests))
+    assert server.max_in_flight == PIPELINE_WINDOW
+    # Each reply went to its own request.
+    assert outcomes == [[(-float(index), 1)] for index in range(len(requests))]
 
 
 def _protocol_workspace(root, port, facts_per_cell=4):
@@ -415,7 +517,10 @@ def test_a_nan_reply_fails_only_its_own_set(tmp_path):
 def test_protocol_evaluate_parses_at_most_the_window_ahead(tmp_path, monkeypatch):
     server = _threading_server()
     with _serving(server):
-        config = load_config(_protocol_workspace(tmp_path / "ws", server.server_address[1]))
+        # Enough bundle lines for the window to be reached: 3 relations x 2
+        # languages x 8 facts.
+        config = load_config(_protocol_workspace(tmp_path / "ws", server.server_address[1],
+                                                 facts_per_cell=8))
         bundle = cmd_build_dataset(config, replay=True)
         lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
         server.parsed = count_parsed_lines(monkeypatch, "candidate_sets")
