@@ -25,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ClientError, ConfigError, ReplayMiss
-from .jsonl import dump, iter_lines
+from .jsonl import append, dump, iter_lines, open_log
 
 
 @dataclass(frozen=True)
@@ -74,62 +74,62 @@ def record_line(request: TextRequest, response: str) -> str:
 _TEXT_FIELDS = ("client_id", "text", "source_language", "target_language")
 
 
+class FixtureLog:
+    """Fixture lines appended to the file at ``path``: a cache log or a
+    record run's fixtures. It is opened by ``open_log`` at the first append,
+    so a run that only reads creates no file, and opened again after a
+    failed append, which cuts the partial line off. The threads of a process
+    share its one descriptor, closed when the log is collected."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._fd: int | None = None
+        self._lock = threading.Lock()
+
+    def append(self, line: str) -> None:
+        with self._lock:
+            if self._fd is None:
+                self._fd = open_log(self.path, "fixture")
+                self._close = weakref.finalize(self, os.close, self._fd)
+            try:
+                append(self._fd, line)
+            except OSError:
+                self._fd = None
+                self._close()
+                raise
+
+
 class ResponseCache:
-    """Client responses by request digest: one append-only log of fixture
-    lines per client, ``<client_id>.jsonl`` in ``directory``.
+    """Client responses by request digest: one ``FixtureLog`` per client,
+    ``<client_id>.jsonl`` in ``directory``.
 
     Construction reads every log once, through the loader of replay
-    fixtures, so a wrong-shape line is a ``MalformedRecord`` naming its file
-    and line; ``get`` is then a dict lookup. ``put`` appends one line with a
-    single ``os.write`` on an ``O_APPEND`` descriptor, opened at the first
-    ``put`` for its client, so a run that only reads creates no file.
-
-    A last line without its newline that does not decode is what a killed
-    write leaves: it is skipped on load and cut off before this process
-    first appends to that log. Any other bad line is an error.
-
-    Concurrent writers: the threads of one process share one descriptor per
-    log, and each ``put`` is one write of a whole line. Separate processes
-    also append whole lines with one ``O_APPEND`` write each, so their lines
-    never interleave, but each sees only the lines its construction read,
-    and cutting a torn tail assumes no other process is writing that log at
-    that moment.
+    fixtures, skipping a torn last line, so a wrong-shape line is a
+    ``MalformedRecord`` naming its file and line; ``get`` is then a dict
+    lookup, and ``put`` appends one line. Separate processes append whole
+    lines too, but each sees only the lines its construction read.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._responses = load_fixtures(sorted(self.directory.glob("*.jsonl")), torn_tail=True)
-        self._logs: dict[str, int] = {}
+        self._logs: dict[str, FixtureLog] = {}
         self._lock = threading.Lock()
-        # The descriptors are closed when the cache is collected.
-        weakref.finalize(self, _close_logs, self._logs)
 
     def get(self, key: str) -> str | None:
         return self._responses.get(key)
 
     def put(self, key: str, request: TextRequest, response: str) -> None:
         """Store ``response`` under ``key``, the digest of ``request``."""
-        line = record_line(request, response).encode("utf-8")
         client_id = request.client_id
         with self._lock:
-            fd = self._log(client_id)
-            try:
-                _write_line(fd, line)
-            except OSError:
-                # A partial line is a torn tail: the next put for this
-                # client reopens the log, which cuts it off first.
-                os.close(self._logs.pop(client_id))
-                raise
+            if client_id not in self._logs:
+                if not is_plain_name(client_id):
+                    raise ClientError("client id cannot name a cache log", client_id=client_id)
+                self._logs[client_id] = FixtureLog(self.directory / f"{client_id}.jsonl")
+        self._logs[client_id].append(record_line(request, response))
         self._responses[key] = response
-
-    def _log(self, client_id: str) -> int:
-        """The descriptor of ``client_id``'s log; the caller holds the lock."""
-        if client_id not in self._logs:
-            if not is_plain_name(client_id):
-                raise ClientError("client id cannot name a cache log", client_id=client_id)
-            self._logs[client_id] = _open_log(self.directory / f"{client_id}.jsonl")
-        return self._logs[client_id]
 
 
 def is_plain_name(name) -> bool:
@@ -137,41 +137,6 @@ def is_plain_name(name) -> bool:
     string with no path separator or NUL that does not start with a dot."""
     return (type(name) is str and name != "" and not name.startswith(".")
             and not any(c in name for c in "/\\\0"))
-
-
-def _open_log(path: Path) -> int:
-    """An ``O_APPEND`` descriptor of the log at ``path``. A last line without
-    its newline is first cut off if it does not decode (a torn write), and
-    ended with its newline if it does, so no later line is glued onto it."""
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        size = os.fstat(fd).st_size
-        if size and os.pread(fd, 1, size - 1) != b"\n":
-            data = os.pread(fd, size, 0)
-            start = data.rfind(b"\n") + 1
-            try:
-                json.loads(data[start:])
-            except ValueError:
-                os.ftruncate(fd, start)
-            else:
-                os.write(fd, b"\n")
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd
-
-
-def _write_line(fd: int, line: bytes) -> None:
-    """Append ``line`` with one write; a short write is an ``OSError``."""
-    written = os.write(fd, line)
-    if written != len(line):
-        raise OSError(f"short write: {written} of {len(line)} bytes")
-
-
-def _close_logs(logs: dict[str, int]) -> None:
-    for fd in logs.values():
-        os.close(fd)
-    logs.clear()
 
 
 def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
@@ -189,16 +154,6 @@ def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
             fields["extra"] = req.get("extra", {})
             responses[_sha256(dump(fields))] = record["response"]
     return responses
-
-
-def append_fixture(path, request: TextRequest, response: str) -> None:
-    """Append one fixture line to ``path`` as the cache appends to its log,
-    after repairing a torn last line that a killed record run left."""
-    fd = _open_log(Path(path))
-    try:
-        _write_line(fd, record_line(request, response).encode("utf-8"))
-    finally:
-        os.close(fd)
 
 
 class ReplayClient:
@@ -273,31 +228,18 @@ class HttpClient:
         ) from last_error
 
 
-class RecordingClient:
-    """Wraps a live client and appends every response to a fixtures file,
-    producing a committable replay corpus as a side effect."""
-
-    def __init__(self, inner, record_path):
-        self.inner = inner
-        self.client_id = inner.client_id
-        self.record_path = Path(record_path)
-        self.record_path.parent.mkdir(parents=True, exist_ok=True)
-
-    def complete(self, request: TextRequest) -> str:
-        response = self.inner.complete(request)
-        append_fixture(self.record_path, request, response)
-        return response
-
-
 @dataclass
 class TextService:
-    """The one fetch path of a client role: the cache, then the read-only
-    replay fixtures (digest -> response), then the client. Only the client's
-    answers are stored."""
+    """The one fetch path of a client role: the cache, then the responses
+    known without the client (replay fixtures, digest -> response), then
+    the client. Each answer of the client is kept with those responses, so
+    a repeated request reaches it once, and stored in the cache and, in
+    record mode, appended to the ``record`` log."""
 
     client: object
     cache: ResponseCache | None = None
     fixtures: dict[str, str] = field(default_factory=dict)
+    record: FixtureLog | None = None
 
     def fetch(self, request: TextRequest) -> str:
         key = request.digest()
@@ -307,9 +249,11 @@ class TextService:
                 return cached
         response = self.fixtures.get(key)
         if response is None:
-            response = self.client.complete(request)
+            response = self.fixtures[key] = self.client.complete(request)
             if self.cache is not None:
                 self.cache.put(key, request, response)
+            if self.record is not None:
+                self.record.append(record_line(request, response))
         return response
 
 
@@ -324,8 +268,9 @@ def make_service(settings, cache, replay: bool = False) -> TextService | None:
     if settings.endpoint is None:
         raise ConfigError(f"client {name!r} in {mode} mode needs an endpoint")
     client = HttpClient(name, settings.endpoint, settings.model, settings.auth_env)
-    if mode == "record":
-        if settings.record_fixtures is None:
-            raise ConfigError(f"client {name!r} in record mode needs record_fixtures")
-        client = RecordingClient(client, settings.record_fixtures)
-    return TextService(client, cache)
+    if mode != "record":
+        return TextService(client, cache)
+    if settings.record_fixtures is None:
+        raise ConfigError(f"client {name!r} in record mode needs record_fixtures")
+    Path(settings.record_fixtures).parent.mkdir(parents=True, exist_ok=True)
+    return TextService(client, cache, record=FixtureLog(settings.record_fixtures))

@@ -1,10 +1,10 @@
 """Run configuration: a versioned YAML file of nested key-value settings.
 
-Every key is checked against ``SPEC`` once; a value that fails is one
-``ConfigError`` naming its dotted key. Relative paths resolve against the
-config file's directory, so a run directory can move without edits. The
-digest is over the canonical JSON of the parsed content, stable under key
-reordering and comments.
+Every key is checked against ``SPEC`` once; a value that fails, or a key
+the spec does not name, is one ``ConfigError`` naming its dotted key.
+Relative paths resolve against the config file's directory, so a run
+directory can move without edits. The digest is over the canonical JSON of
+the parsed content, stable under key reordering and comments.
 """
 
 from __future__ import annotations
@@ -106,6 +106,13 @@ def _non_empty_list_of(test, name: str):
                   and all(map(test, v)))
 
 
+def _distinct(check):
+    """``check`` of a list that also refuses a repeated value: a repeat would
+    repeat a report column and change the digest of the same run."""
+    return _check(f"{check.__name__}, none repeated",
+                  lambda v: check(v) and len(set(v)) == len(v))
+
+
 _NAME = _check("a non-empty string", lambda v: type(v) is str and v != "")
 _STRINGS = _list_of(STRING, "a list of strings")
 _CLIENT = {
@@ -129,8 +136,9 @@ _SCORER = {
 # The run settings; ``?`` marks a key that may be left out, which keeps the
 # default of its field. A null value leaves it out too where that default is None.
 _SETTINGS = {
-    "languages": _non_empty_list_of(is_language_code, "two-letter language codes"),
-    "sources?": _non_empty_list_of(SOURCE_ORDER.__contains__, " or ".join(SOURCE_ORDER)),
+    "languages": _distinct(_non_empty_list_of(is_language_code, "two-letter language codes")),
+    "sources?": _distinct(_non_empty_list_of(SOURCE_ORDER.__contains__,
+                                             " or ".join(SOURCE_ORDER))),
     "salt": _NAME,
     "output_dir": _NAME, "entities": _NAME, "relations": _NAME, "facts": _NAME,
     "exemplars_dir?": _or_null(_NAME), "cache_dir?": _or_null(_NAME),
@@ -138,7 +146,7 @@ _SETTINGS = {
     "min_unique_objects?": _at_least(2),
     "exclude_relations?": _STRINGS,
     "k_distractors?": _at_least(1),
-    "n_values?": _list_of(_at_least(1), "a list of integers >= 1"),
+    "n_values?": _distinct(_list_of(_at_least(1), "a list of integers >= 1")),
     "normalization?": _one_of("SUM", "MEAN"),
     "include_aliases?": BOOL, "include_english?": BOOL, "flip_inflection_delta_sign?": BOOL,
     "no_space_languages?": _STRINGS,
@@ -198,7 +206,8 @@ def _given(block: dict, spec: dict, **convert) -> dict:
 def load_config(path) -> RunConfig:
     path = Path(path)
     data = _read_yaml(path, "config", path=str(path))
-    _check_object(_COMPILED, data, {"path": str(path)}, error=ConfigError, noun="key")
+    _check_object(_COMPILED, data, {"path": str(path)}, error=ConfigError, noun="key",
+                  closed=True)
     base = path.parent
 
     def resolve(value: str) -> Path:

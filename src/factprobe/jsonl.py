@@ -8,7 +8,8 @@ field, a nested mapping an object, ``*`` every member of a map of objects,
 and unnamed fields are ignored. A line that fails is a ``MalformedRecord``
 naming file, line and field. A file is written whole or not at all: its
 lines go to a temporary file beside it that replaces it only once the last
-line is written."""
+line is written. A log (progress, cache, recorded fixtures) is instead
+appended to, whole lines at a time, and survives a killed append."""
 
 from __future__ import annotations
 
@@ -104,17 +105,24 @@ _COMPILED = {kind: _compile(spec) for kind, spec in SPECS.items()}
 
 
 def _check_object(fields: tuple, record, where: dict, at: str | None = None,
-                  error=MalformedRecord, noun: str = "field") -> None:
+                  error=MalformedRecord, noun: str = "field", closed: bool = False) -> None:
     """Raise ``error`` with ``where`` and, under ``noun``, the first field of
-    ``record`` that fails its check. An optional object may be null."""
+    ``record`` that fails its check, or with ``closed`` that ``fields`` does
+    not name. An optional object may be null."""
     if type(record) is not dict:
         context = where if at is None else dict(where, **{noun: at})
         raise error(f"{at or 'record'} is not an object", **context)
+    if closed:
+        names = {name for name, _, _ in fields}
+        for key in record:
+            if key not in names:
+                field = f"{key}" if at is None else f"{at}.{key}"
+                raise error(f"unknown {noun} {field!r}", **{noun: field}, **where)
     for name, required, check in fields:
         if name == "*":
             for key, value in record.items():
                 _check_object(check, value, where, key if at is None else f"{at}.{key}",
-                              error, noun)
+                              error, noun, closed)
             continue
         field = name if at is None else f"{at}.{name}"
         if name not in record:
@@ -122,7 +130,7 @@ def _check_object(fields: tuple, record, where: dict, at: str | None = None,
                 raise error(f"missing {noun} {field!r}", **{noun: field}, **where)
         elif type(check) is tuple:
             if required or record[name] is not None:
-                _check_object(check, record[name], where, field, error, noun)
+                _check_object(check, record[name], where, field, error, noun, closed)
         elif not check(record[name]):
             raise error(f"{noun} {field!r} is not {check.__name__}: "
                         f"{reprlib.repr(record[name])}", **{noun: field}, **where)
@@ -160,6 +168,16 @@ def dump(obj) -> str:
     return _ENCODER.encode(obj)
 
 
+def _header(kind: str, header: dict) -> tuple:
+    """The header line of ``kind``, extended by the ``header`` fields, and
+    its check; ``(None, None)`` for ``fixture``, the one headerless kind."""
+    if kind == "fixture":
+        return None, None
+    line = {"schema_version": SCHEMA_VERSION, "kind": kind, **header}
+    return line, _compile({name: _check(repr(value), lambda v, value=value: v == value)
+                           for name, value in line.items()})
+
+
 def iter_lines(path, kind: str, torn_tail: bool = False, **header):
     """Yield ``(line_number, record)`` for each non-blank line of ``path``,
     checked against the spec of ``kind`` (a kind without one, such as
@@ -169,10 +187,7 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
     newline that does not decode, which is what a killed append leaves, is
     skipped instead of being an error."""
     fields = _COMPILED.get(kind, ())
-    expected = kind != "fixture" and _compile({
-        name: _check(repr(value), lambda v, value=value: v == value)
-        for name, value in {"schema_version": SCHEMA_VERSION, "kind": kind, **header}.items()
-    })
+    _, expected = _header(kind, header)
     try:
         fh = open(path, "rb")  # json decodes each line, so bad UTF-8 names its line
     except FileNotFoundError as exc:
@@ -198,6 +213,50 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
 def read_jsonl(path, kind: str) -> list[dict]:
     """The checked records of a ``kind`` file, header dropped."""
     return [record for _, record in iter_lines(path, kind)]
+
+
+def open_log(path, kind: str, **header) -> int:
+    """An ``O_APPEND`` descriptor of the ``kind`` log at ``path``, for
+    ``append``. A headed log that is empty or opens with another header
+    (``header`` extends that of ``kind``) is started afresh. A last line
+    without its newline is cut off if it does not decode, which is what a
+    killed append leaves and what ``iter_lines`` with ``torn_tail`` skips,
+    and ended with its newline if it does. The repair assumes that no other
+    process appends to the log meanwhile."""
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        line, expected = _header(kind, header)
+        if line is not None:
+            with open(fd, "rb", closefd=False) as fh:  # the header is its first non-blank line
+                first = next((raw for raw in fh if not raw.isspace()), b"")
+            try:
+                _check_object(expected, loads(first), {})
+            except (ValueError, MalformedRecord):
+                os.ftruncate(fd, 0)
+                append(fd, dump(line) + "\n")
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = os.pread(fd, size, 0)
+            start = data.rfind(b"\n") + 1
+            try:
+                loads(data[start:])
+            except ValueError:
+                os.ftruncate(fd, start)
+            else:
+                append(fd, "\n")
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def append(fd: int, text: str) -> None:
+    """Append ``text``, whole lines, to the log at ``fd`` with one write; a
+    short write is an ``OSError`` and leaves a torn tail."""
+    data = text.encode("utf-8")
+    written = os.write(fd, data)
+    if written != len(data):
+        raise OSError(f"short write: {written} of {len(data)} bytes")
 
 
 @contextlib.contextmanager

@@ -37,14 +37,14 @@ from .errors import (
     ClientError,
     ConfigError,
     EmptyGroup,
-    MalformedRecord,
     MissingInput,
     NoEligibleRecords,
     NoExemplars,
     ProbeError,
     ScorerConnectionLost,
 )
-from .jsonl import SCHEMA_VERSION, dump, iter_lines, read_jsonl, write_jsonl, writing
+from .jsonl import (SCHEMA_VERSION, append, dump, iter_lines, open_log, read_jsonl,
+                    write_jsonl, writing)
 from .metrics import (
     FEMALE_GENDERS,
     FORM_INFLECTED,
@@ -511,31 +511,6 @@ def make_scorer(config: RunConfig, lines: Iterable[dict]):
     raise ConfigError(f"unknown scorer backend {settings.backend!r}")
 
 
-def _load_progress(path: Path, header: dict) -> list[tuple[tuple[str, str], str]]:
-    """``((fact id, source), text)`` of each record of the progress file,
-    which is left holding ``header`` and those records. Each record is
-    encoded once more, by the rewrite, so its text is canonical whatever
-    the line held.
-
-    A file written under another header (another bundle or config, or an
-    older format) is started afresh. A last line without its newline that
-    does not decode is what a run killed mid-write leaves: it is dropped, so
-    its set is scored again. Any other bad line is an error. The file is
-    rewritten whole or not at all.
-    """
-    records: list[dict] = []
-    try:
-        if path.exists():
-            for _, record in iter_lines(path, "progress", torn_tail=True, **header):
-                records.append(record)
-    except MalformedRecord as exc:
-        if exc.context["line"] != 1:
-            raise
-        records = []
-    with writing(path, "progress", **header) as write:
-        return [((record["fact_id"], record["source"]), write(record)) for record in records]
-
-
 def _bundle_lines(path: Path) -> Iterator[dict]:
     """The candidate-set lines at ``path``, each parsed when it is reached."""
     return (line for _, line in iter_lines(path, "candidate_sets"))
@@ -592,13 +567,14 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
 
     The bundle is read one line at a time as its sets are scored, so
     evaluate holds its records, each as the text of its progress line, and
-    at most the scorer's pipeline window of lines. The sources of a fact that share a prompt send the same request,
-    so each distinct prompt of a fact is scored and ranked once and gives
-    one record per source. Progress is appended per (fact, source); an
-    interrupted run resumes where it stopped, and the final store, the
-    progress texts sorted by (fact, source), is byte-identical to that of
-    an uninterrupted one. Sets whose scoring failed with
-    a ``BackendError`` are audited and leave the stage incomplete, with its
+    at most the scorer's pipeline window of lines. The sources of a fact
+    that share a prompt send the same request, so each distinct prompt of a
+    fact is scored and ranked once and gives one record per source. The
+    records of each scored prompt are appended to the progress log in one
+    write; an interrupted run resumes where it stopped, and the final store,
+    the progress texts sorted by (fact, source), is byte-identical to that
+    of an uninterrupted one. Sets whose scoring failed with a
+    ``BackendError`` are audited and leave the stage incomplete, with its
     progress kept, so the next run scores only those sets again. Any other
     exception fails the stage with its progress kept.
     """
@@ -607,12 +583,16 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
 
     def work(config_digest, input_digests):
         progress_path = records_dir / "progress.jsonl"
-        # Each record as the text of its progress line, keyed by (fact, source).
-        entries = _load_progress(
-            progress_path, {"config_digest": config_digest, "inputs": input_digests}
-        )
         audit: list[dict] = []
         with contextlib.ExitStack() as stack:
+            # Opened first, so what is read is the run's header and whole lines.
+            progress = open_log(progress_path, "progress", config_digest=config_digest,
+                                inputs=input_digests)
+            stack.callback(os.close, progress)
+            # Each record as the text of its progress line, keyed by (fact, source),
+            # encoded once more so that only canonical text reaches the store.
+            entries = [((record["fact_id"], record["source"]), dump(record))
+                       for _, record in iter_lines(progress_path, "progress")]
             backend = scorer
             if backend is None:
                 backend = make_scorer(config, _bundle_lines(candidate_sets))
@@ -632,7 +612,6 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                 stack.enter_context(backend.pipelined(
                     (cs.prompt, continuations) for _, _, cs, continuations in ahead
                 ))
-            progress = stack.enter_context(open(progress_path, "a", encoding="utf-8"))
             for line, sources, candidate_set, continuations in sets:
                 try:
                     scored = score_candidates(
@@ -653,10 +632,9 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                         "detail": exc.code,
                     } for source in sources)
                     continue
-                for key, text in _record_texts(line, sources, candidate_set.prompt, result):
-                    entries.append((key, text))
-                    progress.write(text + "\n")
-                progress.flush()
+                texts = _record_texts(line, sources, candidate_set.prompt, result)
+                entries += texts
+                append(progress, "".join(text + "\n" for _, text in texts))
 
         entries.sort(key=itemgetter(0))
         audit.sort(key=lambda entry: (entry["fact_id"], entry["source"]))

@@ -344,6 +344,14 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         # The resolver took the port modulo 65536: 70000 connected to 4464.
         ("scorer.port", 70000),
         ("scorer.port", 0),
+        # Unknown keys were ignored: a typo left its key at the default.
+        ("k_distractor", 3),
+        ("match.lemmatiser", "x"),
+        ("mt.endpont", "http://127.0.0.1:1/"),
+        ("scorer.hots", "127.0.0.1"),
+        # Repeats gave repeated report columns and another config digest.
+        ("languages", ["aa", "bb", "aa"]),
+        ("n_values", [1, 2, 2]),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):

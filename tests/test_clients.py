@@ -7,13 +7,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from factprobe.clients import (
+    FixtureLog,
     HttpClient,
-    RecordingClient,
     ReplayClient,
     ResponseCache,
     TextRequest,
     TextService,
-    append_fixture,
     load_fixtures,
     make_service,
     record_line,
@@ -46,7 +45,7 @@ def test_cache_roundtrip_byte_identity(tmp_path):
 
 def test_replay_client_hit_and_miss(tmp_path):
     path = tmp_path / "fixtures.jsonl"
-    append_fixture(path, _request(), "odpověď")
+    path.write_text(record_line(_request(), "odpověď"), encoding="utf-8")
     cache = ResponseCache(tmp_path / "cache")
     service = make_service(ClientSettings("mt", fixtures=(str(path),)), cache, replay=True)
     assert service.fetch(_request()) == "odpověď"
@@ -64,21 +63,26 @@ def test_replay_client_reads_cache(tmp_path):
     assert service.fetch(request) == "z cache"
 
 
-def test_recording_client_appends_fixture(tmp_path):
+def test_record_service_asks_and_records_each_request_once(tmp_path):
     class Inner:
         client_id = "mt"
+        calls = 0
 
         def complete(self, request):
-            return "živě"
+            Inner.calls += 1
+            return f"živě {Inner.calls}"
 
     path = tmp_path / "recorded.jsonl"
-    client = RecordingClient(Inner(), path)
-    assert client.complete(_request()) == "živě"
-    table = load_fixtures([path])
-    assert table[_request().digest()] == "živě"
+    service = TextService(Inner(), record=FixtureLog(path))
+    # A repeated request, with no cache: the first answer is kept.
+    assert [service.fetch(_request()) for _ in range(2)] == ["živě 1", "živě 1"]
+    assert service.fetch(_request("jiný")) == "živě 2"
+    assert Inner.calls == 2
+    assert path.read_text(encoding="utf-8") == (
+        record_line(_request(), "živě 1") + record_line(_request("jiný"), "živě 2"))
     # The recorded file replays cleanly.
-    service = TextService(ReplayClient("mt"), fixtures=load_fixtures([path]))
-    assert service.fetch(_request()) == "živě"
+    replay = TextService(ReplayClient("mt"), fixtures=load_fixtures([path]))
+    assert replay.fetch(_request()) == "živě 1"
 
 
 def test_fixture_lines_are_keyed_by_the_digest_of_their_request(tmp_path):
@@ -99,21 +103,13 @@ def test_fixture_lines_are_keyed_by_the_digest_of_their_request(tmp_path):
     assert load_fixtures([path]) == {with_extra.digest(): "první", without.digest(): "druhá"}
 
 
-def test_append_fixture_repairs_a_torn_last_line(tmp_path):
-    # A record run killed mid-write leaves its last line cut short.
-    path = tmp_path / "recorded.jsonl"
-    whole, torn, later = _request("celý"), _request("useknutý"), _request("pozdější")
-    path.write_bytes((record_line(whole, "ano") + record_line(torn, "ne")[:20]).encode("utf-8"))
-    append_fixture(path, later, "potom")
-    assert load_fixtures([path]) == {whole.digest(): "ano", later.digest(): "potom"}
-
-
 def test_cache_entry_is_a_fixture_line(tmp_path):
     requests = [_request(extra=(("k", "v"),)), _request("druhý")]
     cache = ResponseCache(tmp_path / "cache")
+    recorded = FixtureLog(tmp_path / "fixtures.jsonl")
     for request in requests:
         cache.put(request.digest(), request, "odpověď")
-        append_fixture(tmp_path / "fixtures.jsonl", request, "odpověď")
+        recorded.append(record_line(request, "odpověď"))
     # The client's log holds the bytes of a fixture file of the same responses.
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["mt.jsonl"]
     entry = (tmp_path / "cache" / "mt.jsonl").read_bytes()
@@ -175,17 +171,17 @@ def test_cache_logs_of_two_writers_interleave_whole_lines(tmp_path):
 
 
 def test_cache_short_write_leaves_no_glued_line(tmp_path, monkeypatch):
-    from factprobe import clients
+    from factprobe import jsonl
 
     first, cut, later = _request("první"), _request("useknutý"), _request("pozdější")
     cache = ResponseCache(tmp_path)
     cache.put(first.digest(), first, "ano")
     write = os.write
     # The disk fills part-way through the line.
-    monkeypatch.setattr(clients.os, "write", lambda fd, data: write(fd, data[:20]))
+    monkeypatch.setattr(jsonl.os, "write", lambda fd, data: write(fd, data[:20]))
     with pytest.raises(OSError):
         cache.put(cut.digest(), cut, "ne")
-    monkeypatch.setattr(clients.os, "write", write)
+    monkeypatch.setattr(jsonl.os, "write", write)
     assert cache.get(cut.digest()) is None
     # The next put cuts the partial line off before appending.
     cache.put(later.digest(), later, "potom")
@@ -244,7 +240,7 @@ WRONG_FIELDS = {
 @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
 def test_wrong_shape_fixture_line_is_malformed(tmp_path, shape):
     path = tmp_path / "fixtures.jsonl"
-    append_fixture(path, _request(), "dobře")
+    path.write_text(record_line(_request(), "dobře"), encoding="utf-8")
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(WRONG_SHAPES[shape]) + "\n")
     with pytest.raises(MalformedRecord) as info:

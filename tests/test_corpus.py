@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factprobe.clients import TextRequest, append_fixture, load_fixtures
+from factprobe.clients import TextRequest, load_fixtures, record_line
 from factprobe.config import load_config
 
 from factprobe.corpus import (
@@ -120,7 +120,7 @@ def _bundle_case(tmp_path):
 
 def _fixture_case(tmp_path):
     path = tmp_path / "fixtures.jsonl"
-    append_fixture(path, TextRequest("mt", "hello", "en", "cs"), "ahoj")
+    path.write_text(record_line(TextRequest("mt", "hello", "en", "cs"), "ahoj"), encoding="utf-8")
     return path, lambda: load_fixtures([path])
 
 

@@ -1,7 +1,10 @@
+import os
+
 import pytest
 
 from factprobe.errors import MalformedRecord
-from factprobe.jsonl import check_line, dump, read_jsonl, write_jsonl, writing
+from factprobe.jsonl import (append, check_line, dump, iter_lines, open_log, read_jsonl,
+                             write_jsonl, writing)
 
 # A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
 # and three sources.
@@ -132,6 +135,68 @@ def test_the_temporary_file_a_killed_write_left_is_overwritten(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.jsonl"]
     assert path.read_text(encoding="utf-8") == (
         '{"kind":"scores","schema_version":1}\n{"continuation":"c","logprob":0,"prompt":"p"}\n')
+
+
+# A line of each log kind, told apart by ``text``; each holds a "ř".
+_LOG_LINES = {
+    "fixture": lambda text: {"request": {"client_id": "mt", "text": text,
+                                         "source_language": "en", "target_language": "cs"},
+                             "response": "řádek"},
+    "progress": lambda text: {"fact_id": text, "language": "cs", "relation_id": "P1",
+                              "source": "MT", "best_correct_rank": 1, "hits": {"1": True},
+                              "prompt": "řádek"},
+}
+_PROGRESS_HEADER = {"config_digest": "c0ffee", "inputs": {"bundle": "d1"}}
+
+
+def _log_header(kind) -> bytes:
+    if kind == "fixture":
+        return b""
+    return (dump({"kind": kind, "schema_version": 1, **_PROGRESS_HEADER}) + "\n").encode()
+
+
+def _append_to_log(path, kind, *lines):
+    fd = open_log(path, kind, **({} if kind == "fixture" else _PROGRESS_HEADER))
+    try:
+        append(fd, "".join(dump(line) + "\n" for line in lines))
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("tear, whole", [
+    (lambda raw: raw[: len(raw) // 2], False),
+    (lambda raw: raw[: raw.index("ř".encode("utf-8")) + 1], False),  # inside a character
+    (lambda raw: raw[:-1], True),  # only the newline is missing: the line decodes
+], ids=["cut-mid-line", "cut-mid-character", "cut-before-newline"])
+@pytest.mark.parametrize("kind", ["fixture", "progress"])
+def test_a_log_cuts_a_torn_last_line_that_its_reader_skips(tmp_path, kind, tear, whole):
+    # A cache log or record fixtures (``fixture``), and evaluate's progress.
+    kept, torn, later = map(_LOG_LINES[kind], ("zůstane", "utržený", "pozdější"))
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(_log_header(kind) + (dump(kept) + "\n").encode()
+                     + tear((dump(torn) + "\n").encode()))
+    header = {} if kind == "fixture" else _PROGRESS_HEADER
+    read = [record for _, record in iter_lines(path, kind, torn_tail=True, **header)]
+    assert read == ([kept, torn] if whole else [kept])
+    # The append cuts the torn tail off or ends it, so no line is glued onto it.
+    _append_to_log(path, kind, later)
+    assert path.read_bytes() == _log_header(kind) + "".join(
+        dump(line) + "\n" for line in read + [later]).encode()
+
+
+@pytest.mark.parametrize("existing", [
+    None, b"", b"\n",
+    b'{"kind":"progress","schema_version":1,"config_digest":"other","inputs":{}}\n{"x":1}\n',
+    b'{"type":"header","config_digest":"c0ffee"}\n',  # an older format
+    b'{"kind":"progress","schema_ver',  # a header cut short
+], ids=["missing", "empty", "blank", "another-run", "older-format", "torn-header"])
+def test_a_log_that_does_not_open_with_its_header_starts_afresh(tmp_path, existing):
+    path = tmp_path / "progress.jsonl"
+    if existing is not None:
+        path.write_bytes(existing)
+    line = _LOG_LINES["progress"]("f-1")
+    _append_to_log(path, "progress", line)
+    assert path.read_bytes() == _log_header("progress") + (dump(line) + "\n").encode()
 
 
 def test_benchmark_check_candidate_set_line(benchmark):

@@ -1,7 +1,10 @@
 import contextlib
 import itertools
 import json
+import os
+import threading
 from collections import Counter
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -280,23 +283,16 @@ def test_undecodable_progress_line_before_the_last_is_an_error(tmp_path):
     assert info.value.context == {"file": str(progress), "line": 4}
 
 
-def test_a_failed_progress_rewrite_leaves_progress_as_it_was(tmp_path, monkeypatch):
+def test_a_resumed_evaluate_only_appends_to_progress(tmp_path):
     config, bundle, oracle, progress = _interrupted_progress(tmp_path, "ws")
-    before = progress.read_bytes()
+    before, inode = progress.read_bytes(), progress.stat().st_ino
     assert len(before.splitlines()) > 5
-    dump, dumped = jsonl.dump, []
-
-    def failing_dump(obj):
-        dumped.append(obj)
-        if len(dumped) == 5:  # the header and three records
-            raise RuntimeError("disk full")
-        return dump(obj)
-
-    monkeypatch.setattr(jsonl, "dump", failing_dump)
-    with pytest.raises(RuntimeError, match="disk full"):
-        cmd_evaluate(config, bundle, scorer=oracle)
-    assert progress.read_bytes() == before
-    assert [path.name for path in progress.parent.iterdir()] == [progress.name]
+    with pytest.raises(_Interrupted):
+        cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=5))
+    # The earlier lines keep their bytes, in the same file: nothing rewrote it.
+    after = progress.read_bytes()
+    assert after.startswith(before) and len(after.splitlines()) > len(before.splitlines())
+    assert progress.stat().st_ino == inode
 
 
 _MISSING = object()
@@ -973,6 +969,80 @@ def test_a_qe_score_that_is_no_finite_number_is_a_qe_error(tmp_path, response):
     assert sorted((e["fact_id"], e["source"]) for e in audit if e["kind"] == "QE_ERROR") == \
         sorted(expected)
     assert _sets(bundle) == []
+
+
+class _NextScoreHandler(BaseHTTPRequestHandler):
+    """A live QE endpoint that answers each call with the next score: 0.0,
+    0.1, 0.2, ..., so two calls with one request get two answers."""
+
+    calls = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"text": f"{type(self).calls / 10}"}).encode("utf-8")
+        type(self).calls += 1
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _record_qe_workspace(tmp_path, cache_dir):
+    """A toy workspace whose QE client records from a ``_NextScoreHandler``
+    into ``recorded/qe.jsonl``, which its replay reads; yields the config
+    and the handler, whose server stops when the block ends."""
+    handler = type("Handler", (_NextScoreHandler,), {"calls": 0})
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
+        data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        data["cache_dir"] = cache_dir
+        data["qe"] = {"client_id": "qe", "mode": "record",
+                      "endpoint": f"http://127.0.0.1:{server.server_port}/",
+                      "record_fixtures": "recorded/qe.jsonl", "fixtures": ["recorded/qe.jsonl"]}
+        config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        yield load_config(config_path), handler
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+def test_a_record_build_asks_once_per_request_and_replays_to_its_bundle(tmp_path):
+    # An R1 fact's MT and LLM sentences are the same text, so their QE
+    # requests are one. Without a cache, that request reached the client
+    # twice, was recorded twice, and replay gave both sets the last answer.
+    with _record_qe_workspace(tmp_path, cache_dir=None) as (config, handler):
+        bundle = cmd_build_dataset(config)
+        recorded = Path(config.qe.record_fixtures).read_text(encoding="utf-8").splitlines()
+        distinct = {_parse_fixture_line(raw)[0].digest() for raw in recorded}
+        assert handler.calls == len(recorded) == len(distinct) < len(_sets(bundle))
+        built = (bundle / "candidate_sets.jsonl").read_bytes()
+        replayed = cmd_build_dataset(config, replay=True)
+        assert handler.calls == len(recorded)
+    assert (replayed / "candidate_sets.jsonl").read_bytes() == built
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="no /proc/self/fd")
+def test_record_build_and_resumed_evaluate_leave_no_descriptor_open(tmp_path):
+    # A raw descriptor left open raises no ResourceWarning, so it is counted.
+    open_before = set(os.listdir("/proc/self/fd"))
+    with _record_qe_workspace(tmp_path, cache_dir="cache") as (config, handler):
+        bundle = cmd_build_dataset(config)
+        assert handler.calls > 0 and list(Path(config.cache_dir).iterdir())
+        oracle = _oracle(config, bundle)
+        with pytest.raises(_Interrupted):
+            cmd_evaluate(config, bundle, scorer=_TrippingScorer(oracle, after=5))
+        assert (config.output_dir / "records" / "progress.jsonl").exists()
+        cmd_evaluate(config, bundle, scorer=oracle)
+    assert set(os.listdir("/proc/self/fd")) - open_before == set()
 
 
 def test_records_carry_qe_and_gender(tmp_path):
