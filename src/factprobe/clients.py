@@ -176,9 +176,11 @@ class HttpClient:
     """Minimal live HTTP client speaking the package's JSON contract.
 
     POSTs ``{"model", "text", "source_language", "target_language",
-    "extra"}`` to the endpoint and expects ``{"text": ...}`` back. Auth is
-    a bearer token read from the environment variable named in the config.
-    Retries transport failures 3 times with exponential backoff.
+    "extra"}`` to the endpoint and expects ``{"text": <string>}`` back. Auth
+    is a bearer token read from the environment variable named in the
+    config. A transport failure, a 5xx, 408 or 429 status, or a reply of
+    another shape is tried 3 times in all, with exponential backoff; any
+    other 4xx status fails at once.
     """
 
     max_attempts = 3
@@ -215,13 +217,20 @@ class HttpClient:
                 self.call_count += 1
                 post = urllib.request.Request(self.endpoint, data=body, headers=headers)
                 with urllib.request.urlopen(post, timeout=self.timeout) as response:
-                    return json.loads(response.read())["text"]
+                    text = json.loads(response.read())["text"]
+                if type(text) is str:
+                    return text
+                raise TypeError(f"reply text {text!r} is not a string")
+            except urllib.error.HTTPError as exc:
+                exc.close()  # it holds the socket of the error response
+                if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                    raise ClientError(f"request refused: {exc}",
+                                      client_id=self.client_id) from exc
+                last_error = exc
             except Exception as exc:  # noqa: BLE001 - wrapped below
                 last_error = exc
-                if isinstance(exc, urllib.error.HTTPError):
-                    exc.close()  # it holds the socket of the error response
-                if attempt + 1 < self.max_attempts:
-                    time.sleep(self.backoff_seconds * (2 ** attempt))
+            if attempt + 1 < self.max_attempts:
+                time.sleep(self.backoff_seconds * (2 ** attempt))
         raise ClientError(
             f"request failed after {self.max_attempts} attempts: {last_error}",
             client_id=self.client_id,

@@ -18,7 +18,7 @@ import yaml
 from .clients import is_plain_name
 from .corpus import is_language_code
 from .errors import ConfigError, MissingInput
-from .jsonl import (BOOL, INT, NUMBER, STRING, TEXT, _check, _check_object, _compile,
+from .jsonl import (BOOL, NUMBER, STRING, TEXT, _check, _check_object, _compile,
                     _list_of, _map_of, _or_null, dump)
 from .metrics import DEFAULT_N_VALUES
 from .split import MatchConfig
@@ -108,13 +108,12 @@ def _non_empty_list_of(test, name: str):
 
 def _distinct(check):
     """``check`` of a list that also refuses a repeated value: a repeat would
-    repeat a report column and change the digest of the same run."""
+    change the digest of the same run, and may repeat a report column."""
     return _check(f"{check.__name__}, none repeated",
                   lambda v: check(v) and len(set(v)) == len(v))
 
 
 _NAME = _check("a non-empty string", lambda v: type(v) is str and v != "")
-_STRINGS = _list_of(STRING, "a list of strings")
 _CLIENT = {
     # Wrapped: ``_check`` renames the function it is given. The id names a cache log.
     "client_id?": _check("a plain file name", lambda v: is_plain_name(v)),
@@ -144,14 +143,15 @@ _SETTINGS = {
     "exemplars_dir?": _or_null(_NAME), "cache_dir?": _or_null(_NAME),
     "gender_patterns?": _or_null(_NAME),
     "min_unique_objects?": _at_least(2),
-    "exclude_relations?": _STRINGS,
+    "exclude_relations?": _distinct(_list_of(STRING, "a list of strings")),
     "k_distractors?": _at_least(1),
     "n_values?": _distinct(_list_of(_at_least(1), "a list of integers >= 1")),
     "normalization?": _one_of("SUM", "MEAN"),
     "include_aliases?": BOOL, "include_english?": BOOL, "flip_inflection_delta_sign?": BOOL,
-    "no_space_languages?": _STRINGS,
+    "no_space_languages?": _distinct(_list_of(is_language_code,
+                                              "a list of two-letter language codes")),
     "match?": _MATCH, "mt?": _CLIENT, "llm?": _CLIENT, "qe?": _CLIENT, "scorer?": _SCORER,
-    "report_max_rank_bucket?": INT,
+    "report_max_rank_bucket?": _at_least(1),
 }
 SPEC = {
     "config_version": _check(repr(CONFIG_VERSION),

@@ -1,10 +1,10 @@
 """Scorer backends and candidate ranking.
 
 A backend scores continuations of a prompt and reports (log-probability,
-token count) per continuation. Ranking is pure: candidates sort by
-descending score with a byte-order tie-break on the surface form, so the
-result is independent of input order and of any positive affine transform
-of the scores.
+token count) per continuation. Ranking is pure: a candidate's rank is 1
+plus the candidates with a higher score, or with the same score and a
+surface form that sorts first in byte order, so the result is independent
+of input order and of any positive affine transform of the scores.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import selectors
 import socket
 from collections import deque
@@ -50,38 +51,20 @@ class Scores(NamedTuple):
     """The scored candidates of one set as columns, correct forms first."""
 
     forms: list[str]
-    entity_ids: list[str]  # "" marks a correct form
     scores: list[float]
     token_counts: list[int]
 
 
-class RankedCandidate(NamedTuple):
-    form: str
-    entity_id: str | None
-    score: float
-    rank: int
-    correct: bool
-
-
 @dataclass(frozen=True)
 class RankedResult:
-    """A ranking. ``keys`` holds one ``(-score, form, not correct, entity id
-    or "")`` tuple per candidate, in rank order."""
+    """A ranking: the scored columns, and the rank of the best correct form."""
 
     fact_id: str
-    keys: tuple[tuple[float, str, bool, str], ...]
+    forms: list[str]
+    scores: list[float]
     best_correct_rank: int
     best_correct_form: str
     hits: dict[int, bool]
-
-    @property
-    def candidates(self) -> tuple[RankedCandidate, ...]:
-        """The ranked candidates, built on each read; an empty entity id
-        reads back as None."""
-        return tuple(
-            RankedCandidate(form, entity_id or None, -neg_score, rank, not wrong)
-            for rank, (neg_score, form, wrong, entity_id) in enumerate(self.keys, 1)
-        )
 
 
 def join_continuation(prompt: str, form: str, no_space: bool = False) -> str:
@@ -118,8 +101,6 @@ def score_candidates(
     forms = candidate_set.forms
     if not forms:
         raise ValueError("candidate set is empty")
-    entity_ids = [""] * len(candidate_set.correct_forms)
-    entity_ids += [entity_id for entity_id, _ in candidate_set.distractors]
     if continuations is None:
         continuations = candidate_continuations(candidate_set)
     results = scorer.score_batch(candidate_set.prompt, continuations)
@@ -140,7 +121,17 @@ def score_candidates(
                     f"token count {count} < 1 for form {form!r}", fact_id=candidate_set.fact_id
                 )
         scores = [score / count for score, count in zip(scores, counts)]
-    return Scores(forms, entity_ids, scores, counts)
+    return Scores(forms, scores, counts)
+
+
+def _rank(forms: list[str], scores: list[float], score: float, form: str) -> int:
+    """The rank of ``(score, form)`` among the candidates: 1 plus those with a
+    higher score, or with the same score and a form that sorts first. Python
+    orders strings by code point, which is their UTF-8 byte order. Each count
+    is a C-level pass."""
+    ties = itertools.compress(forms, map(operator.eq, scores, itertools.repeat(score)))
+    return (1 + sum(map(operator.gt, scores, itertools.repeat(score)))
+            + sum(map(operator.lt, ties, itertools.repeat(form))))
 
 
 def rank_candidates(
@@ -153,45 +144,47 @@ def rank_candidates(
 
     Accepts ``Scores`` or plain (form, score) pairs.
     Correctness is decided by byte-equality against ``correct_forms``;
-    assembly guarantees no distractor shares a correct form. Python orders
-    strings by code point, which is their UTF-8 byte order; correctness and
-    entity id only break ties between byte-identical forms (duplicate
-    labels).
+    assembly guarantees no distractor shares a correct form. The best
+    correct form is the correct one with the highest score, the first in
+    byte order among equal scores; byte-identical forms (duplicate labels)
+    share their rank.
     """
     if isinstance(scored, Scores):
-        forms, scores, entity_ids = scored.forms, scored.scores, scored.entity_ids
+        forms, scores = scored.forms, scored.scores
     else:
         pairs = list(scored)
         forms = [form for form, _ in pairs]
         scores = [score for _, score in pairs]
-        entity_ids = [""] * len(pairs)
     if not forms:
         raise ValueError("nothing to rank")
     if not all(map(math.isfinite, scores)):
         form = next(form for form, score in zip(forms, scores) if not math.isfinite(score))
         raise NonFiniteScore(f"score for form {form!r} is not finite", fact_id=fact_id)
     correct = set(correct_forms)
-    keys = [(-score, form, form not in correct, entity_id)
-            for form, score, entity_id in zip(forms, scores, entity_ids)]
-    keys.sort()
-    best = next((rank for rank, key in enumerate(keys, 1) if not key[2]), 0)
-    if not best:
+    best = min(itertools.compress(zip(map(operator.neg, scores), forms),
+                                  map(correct.__contains__, forms)), default=None)
+    if best is None:
         raise ValueError("no correct form present among candidates")
+    neg_score, form = best
+    rank = _rank(forms, scores, -neg_score, form)
     return RankedResult(
         fact_id=fact_id,
-        keys=tuple(keys),
-        best_correct_rank=best,
-        best_correct_form=keys[best - 1][1],
-        hits={int(n): best <= int(n) for n in n_values},
+        forms=forms,
+        scores=scores,
+        best_correct_rank=rank,
+        best_correct_form=form,
+        hits={int(n): rank <= int(n) for n in n_values},
     )
 
 
 def rank_of_form(result: RankedResult, form: str) -> int:
     """Rank of a surface form (the best rank, if duplicated)."""
-    for rank, key in enumerate(result.keys, 1):
-        if key[1] == form:
-            return rank
-    raise FormNotPresent(f"form {form!r} not present in ranked result")
+    forms, scores = result.forms, result.scores
+    score = max(itertools.compress(scores, map(operator.eq, forms, itertools.repeat(form))),
+                default=None)
+    if score is None:
+        raise FormNotPresent(f"form {form!r} not present in ranked result")
+    return _rank(forms, scores, score, form)
 
 
 def default_token_count(text: str) -> int:

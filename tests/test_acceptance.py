@@ -28,7 +28,7 @@ from factprobe.metrics import (
 )
 from factprobe.pipeline import cmd_build_dataset, cmd_evaluate, cmd_report, load_records
 from factprobe.report import render_delta_table, render_main_table
-from factprobe.score import rank_candidates
+from factprobe.score import rank_candidates, rank_of_form
 from factprobe.split import (
     REJECT_NOT_SENTENCE_FINAL,
     MatchConfig,
@@ -61,7 +61,7 @@ def test_criterion_ranking_oracle_equivalence():
         # Independent brute-force oracle with the byte-order tie-break.
         oracle = sorted(zip(forms, scores),
                         key=lambda fs: (-fs[1], fs[0].encode("utf-8")))
-        assert [c.form for c in result.candidates] == [f for f, _ in oracle]
+        assert [rank_of_form(result, f) for f, _ in oracle] == list(range(1, size + 1))
         oracle_best = min(
             i + 1 for i, (f, _) in enumerate(oracle) if f in correct
         )

@@ -36,6 +36,7 @@ LAYER_STAGES = {
     "candidates.sample": {"pipeline.build"},
     "clients.fetch": {"pipeline.build"},
     "score.round_trip": {"pipeline.evaluate"},
+    "score.rank": {"pipeline.evaluate"},
 }
 
 

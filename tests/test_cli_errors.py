@@ -352,6 +352,13 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         # Repeats gave repeated report columns and another config digest.
         ("languages", ["aa", "bb", "aa"]),
         ("n_values", [1, 2, 2]),
+        ("exclude_relations", ["R1", "R1"]),
+        ("no_space_languages", ["aa", "aa"]),
+        # Loaded without a word: no language has this code.
+        ("no_space_languages", ["zz9"]),
+        # Put every rank in the overflow bucket, under another digest each.
+        ("report_max_rank_bucket", 0),
+        ("report_max_rank_bucket", -3),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):

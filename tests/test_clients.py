@@ -282,17 +282,22 @@ def test_text_service_cache_first(tmp_path):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Set by a test; the ``http_server`` fixture resets them.
     failures_left = 0
+    failure_status = 500
+    reply = None  # the reply body, if not the upper-cased text
+    requests = 0
 
     def do_POST(self):
+        _Handler.requests += 1
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         if _Handler.failures_left > 0:
             _Handler.failures_left -= 1
-            self.send_response(500)
+            self.send_response(_Handler.failure_status)
             self.end_headers()
             return
-        body = json.dumps({"text": payload["text"].upper()}).encode("utf-8")
+        body = json.dumps(_Handler.reply or {"text": payload["text"].upper()}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -305,6 +310,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def http_server():
+    _Handler.failures_left, _Handler.failure_status, _Handler.reply = 0, 500, None
+    _Handler.requests = 0
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -335,6 +342,28 @@ def test_http_client_fails_after_retries(http_server):
     with pytest.raises(ClientError):
         client.complete(_request("zku2"))
     _Handler.failures_left = 0
+
+
+@pytest.mark.parametrize("status, attempts", [(401, 1), (404, 1), (408, 3), (429, 3)])
+def test_http_client_retries_only_a_transient_status(http_server, status, attempts):
+    _Handler.failures_left, _Handler.failure_status = 99, status
+    client = HttpClient("mt", endpoint=http_server)
+    if attempts > 1:
+        client.backoff_seconds = 0.0
+    with pytest.raises(ClientError, match=str(status)):
+        client.complete(_request())
+    assert _Handler.requests == client.call_count == attempts
+
+
+def test_http_reply_whose_text_is_no_string_is_refused(http_server, tmp_path):
+    _Handler.reply = {"text": 5}
+    client = HttpClient("mt", endpoint=http_server)
+    client.backoff_seconds = 0.0
+    service = TextService(client=client, cache=ResponseCache(tmp_path))
+    with pytest.raises(ClientError, match="not a string"):
+        service.fetch(_request())
+    assert not (tmp_path / "mt.jsonl").exists()
+    assert ResponseCache(tmp_path).get(_request().digest()) is None
 
 
 def test_http_client_missing_auth_env(http_server, monkeypatch):

@@ -10,7 +10,6 @@ from factprobe.candidates import CandidateSet, Distractor
 from factprobe.errors import BackendError, FormNotPresent, NonFiniteScore
 from factprobe.score import (
     OracleScorer,
-    RankedCandidate,
     Scores,
     TableScorer,
     _encode_request,
@@ -113,7 +112,7 @@ def test_rank_basic():
     result = rank_candidates(
         [("A", -1.0), ("B", -2.0), ("C", -3.0)], ["B"], n_values=(1, 5)
     )
-    ranks = {c.form: c.rank for c in result.candidates}
+    ranks = {form: rank_of_form(result, form) for form in "ABC"}
     assert ranks == {"A": 1, "B": 2, "C": 3}
     assert result.best_correct_rank == 2
     assert result.best_correct_form == "B"
@@ -122,8 +121,9 @@ def test_rank_basic():
 
 def test_rank_tie_breaks_by_byte_order():
     result = rank_candidates([("A", -1.0), ("B", -1.0)], ["B"])
-    ranks = {c.form: c.rank for c in result.candidates}
+    ranks = {form: rank_of_form(result, form) for form in "AB"}
     assert ranks == {"A": 1, "B": 2}
+    assert (result.best_correct_rank, result.best_correct_form) == (2, "B")
 
 
 def test_rank_matches_independent_sort_oracle():
@@ -137,7 +137,7 @@ def test_rank_matches_independent_sort_oracle():
                         key=lambda fs: (-fs[1], fs[0].encode("utf-8")))
         oracle_ranks = {form: i + 1 for i, (form, _) in enumerate(oracle)}
         result = rank_candidates(list(zip(forms, scores)), correct)
-        assert {c.form: c.rank for c in result.candidates} == oracle_ranks
+        assert {form: rank_of_form(result, form) for form in forms} == oracle_ranks
         assert result.best_correct_rank == min(oracle_ranks[f] for f in correct)
 
 
@@ -172,7 +172,8 @@ def test_rank_affine_invariance(raw_scores, scale, shift):
     transformed = rank_candidates(
         [(f, s * scale + shift) for f, s in zip(forms, scores)], [forms[0]]
     )
-    assert [c.form for c in base.candidates] == [c.form for c in transformed.candidates]
+    assert [rank_of_form(base, f) for f in forms] == [rank_of_form(transformed, f) for f in forms]
+    assert base.best_correct_rank == transformed.best_correct_rank
 
 
 @given(seed=st.integers(min_value=0, max_value=9999))
@@ -185,9 +186,10 @@ def test_rank_input_permutation_invariance(seed):
     shuffled = items[:]
     rng.shuffle(shuffled)
     other = rank_candidates(shuffled, correct)
-    assert [(c.form, c.rank) for c in base.candidates] == [
-        (c.form, c.rank) for c in other.candidates
+    assert [rank_of_form(base, form) for form, _ in items] == [
+        rank_of_form(other, form) for form, _ in items
     ]
+    assert base.best_correct_rank == other.best_correct_rank
 
 
 def test_hits_monotone_in_n():
@@ -226,23 +228,22 @@ def test_duplicate_distractor_forms_rank_deterministically():
     )
     scorer = CallableScorer(lambda p, c: -1.0)
     result = rank_candidates(score_candidates(scorer, cs), ["gold"])
-    by_rank = {c.rank: c.entity_id for c in result.candidates if c.form == "twin"}
     # All scores tie; "gold" < "twin" in byte order takes rank 1, and the
-    # byte-identical twins are ordered by entity id.
-    assert by_rank == {2: "d1", 3: "d2"}
+    # byte-identical twins share rank 2, the best of their places 2 and 3.
+    keys, best, best_form, hits = reference_rank(
+        *reference_score(scorer.score_batch, cs), cs.correct_forms)
+    assert (result.best_correct_rank, result.best_correct_form, result.hits) == (
+        best, best_form, hits) == (1, "gold", {n: True for n in (1, 2, 3, 4, 5)})
+    assert [rank_of_form(result, form) for form in ("gold", "twin")] == [
+        reference_rank_of_form(keys, form) for form in ("gold", "twin")] == [1, 2]
 
 
-def _byte_key_ranking(scored, correct_forms):
+def _byte_key_ranking(forms, scores, correct_forms):
     """Reference ranking: a stable sort on UTF-8 bytes of the form, then
-    one RankedCandidate per position."""
+    one ``(form, rank, correct)`` per position."""
     correct = set(correct_forms)
-    ordered = sorted(zip(scored.forms, scored.entity_ids, scored.scores), key=lambda c: (
-        -c[2], c[0].encode("utf-8"), 0 if c[0] in correct else 1, c[1],
-    ))
-    return tuple(
-        RankedCandidate(form, entity_id or None, score, rank, form in correct)
-        for rank, (form, entity_id, score) in enumerate(ordered, 1)
-    )
+    ordered = sorted(zip(forms, scores), key=lambda c: (-c[1], c[0].encode("utf-8")))
+    return [(form, rank, form in correct) for rank, (form, _) in enumerate(ordered, 1)]
 
 
 # Forms mix ASCII, Latin-1, CJK and astral-plane characters (where UTF-16
@@ -260,20 +261,15 @@ def test_rank_matches_the_byte_key_ranking(data):
     scores = data.draw(st.lists(st.sampled_from([-3.0, -1.5, -1.0, 0.0]),
                                 min_size=count, max_size=count), label="scores")
     correct = data.draw(st.sets(st.sampled_from(forms), min_size=1), label="correct")
-    # Correct forms carry no entity id; repeated distractor forms get
-    # distinct ids, drawn out of order.
-    ids = data.draw(st.permutations([f"Q{i}" for i in range(count)]), label="ids")
-    entity_ids = ["" if form in correct else entity_id for form, entity_id in zip(forms, ids)]
-    scored = Scores(forms, entity_ids, scores, [1] * count)
-    result = rank_candidates(scored, sorted(correct))
-    expected = _byte_key_ranking(scored, correct)
-    best = next(c for c in expected if c.correct)
-    assert result.candidates == expected
-    assert result.best_correct_rank == best.rank
-    assert result.best_correct_form == best.form
-    assert result.hits == {n: best.rank <= n for n in (1, 2, 3, 4, 5)}
+    result = rank_candidates(Scores(forms, scores, [1] * count), sorted(correct))
+    expected = _byte_key_ranking(forms, scores, correct)
+    best_form, best, _ = next(c for c in expected if c[2])
+    keys, *reference = reference_rank(forms, [""] * count, scores, correct)
+    assert [result.best_correct_rank, result.best_correct_form, result.hits] == reference == [
+        best, best_form, {n: best <= n for n in (1, 2, 3, 4, 5)}]
     for form in set(forms):
-        assert rank_of_form(result, form) == min(c.rank for c in expected if c.form == form)
+        assert rank_of_form(result, form) == reference_rank_of_form(keys, form) == min(
+            rank for f, rank, _ in expected if f == form)
 
 
 def test_table_scorer_names_the_first_missing_continuation():
@@ -328,7 +324,6 @@ def test_the_one_pass_path_ranks_as_the_reference(data):
         correct_by_prompt = {prompt: frozenset(answers)}
         scorer = OracleScorer(correct_by_prompt, backend)
         batch = functools.partial(reference_oracle_batch, correct_by_prompt, backend)
-    pair = data.draw(st.lists(st.sampled_from(forms), min_size=2, max_size=2), label="pair")
 
     def one_pass():
         continuations = candidate_continuations(cs, no_space)
@@ -336,19 +331,18 @@ def test_the_one_pass_path_ranks_as_the_reference(data):
         result = rank_candidates(score_candidates(scorer, cs, normalization, continuations),
                                  cs.correct_forms, fact_id="f1")
         return (result.best_correct_rank, result.best_correct_form, result.hits,
-                [rank_of_form(result, form) for form in pair])
+                [rank_of_form(result, form) for form in forms])
 
     def reference():
         keys, best, best_form, hits = reference_rank(
             *reference_score(batch, cs, normalization, no_space), cs.correct_forms)
-        return best, best_form, hits, [reference_rank_of_form(keys, form) for form in pair]
+        return best, best_form, hits, [reference_rank_of_form(keys, form) for form in forms]
 
     assert _outcome(one_pass) == _outcome(reference)
 
 
 def test_a_non_finite_score_names_the_first_such_form():
-    scored = Scores(["a", "b", "c", "d"], ["", "Q1", "Q2", "Q3"],
-                    [0.0, float("inf"), -1.0, float("nan")], [1, 1, 1, 1])
+    scored = Scores(["a", "b", "c", "d"], [0.0, float("inf"), -1.0, float("nan")], [1, 1, 1, 1])
     with pytest.raises(NonFiniteScore, match="form 'b'"):
         rank_candidates(scored, ["a"])
 
@@ -365,7 +359,7 @@ def test_benchmark_rank_candidates(benchmark):
     result = benchmark.pedantic(
         rank_candidates, args=(scored, _BENCH_SET.correct_forms), rounds=200, iterations=10
     )
-    assert len(result.keys) == 52
+    assert len(result.forms) == 52
 
 
 def test_benchmark_score_and_rank_with_the_oracle(benchmark):
