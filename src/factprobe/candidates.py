@@ -10,9 +10,8 @@ fact, so each (relation, language) pool is keyed, sorted and labelled once
 (``keyed_pool``): it is the cell's ``Distractor``s in key order. Each fact
 then takes the first k of them that are neither its own object nor one of
 its correct forms (``sample_distractors``), with no lookup and no new tuple.
-A fact's candidate set depends only on its correct forms and distractors,
-so it is assembled once per fact (``assemble_candidate_set``), whatever
-the number of its verbalizations.
+So no distractor of a fact shares a form with a correct one, and its
+candidate set is those forms and that sample (``assemble_candidate_set``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, Fact
-from .errors import EmptyPool, NoDistractorsRemain
+from .errors import EmptyPool
 
 # Delimiter of the canonical hash string; ids and salts must simply not be
 # interpreted, so any fixed delimiter works as long as it never changes.
@@ -41,11 +40,6 @@ class CandidateSet:
     prompt: str
     correct_forms: tuple[str, ...]
     distractors: Sequence[Sequence[str]]  # (entity id, form) pairs: Distractors or lists
-    salt: str
-
-    @property
-    def size(self) -> int:
-        return len(self.correct_forms) + len(self.distractors)
 
     @cached_property
     def forms(self) -> list[str]:
@@ -114,47 +108,12 @@ def sample_distractors(
     return picked
 
 
-def check_prompt(prompt: str) -> str:
-    """``prompt`` if it is non-empty, which every candidate set's must be."""
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
-    return prompt
-
-
 def assemble_candidate_set(
     fact_id: str,
     prompt: str,
     correct_forms,
-    distractors,
-    salt: str,
-) -> tuple[CandidateSet, list[Distractor]]:
-    """Build the final candidate set, dropping form collisions.
-
-    A distractor whose surface form byte-equals any correct form would be
-    scored as wrong despite being right, so it is dropped; the dropped
-    list is returned for the audit file. Distinct entities sharing a
-    surface form among themselves are both kept.
-    """
-    check_prompt(prompt)
-    correct = list(correct_forms)
-    if not correct:
-        raise ValueError("correct_forms must be non-empty")
-    correct_set = set(correct)
-    kept: list[Distractor] = []
-    dropped: list[Distractor] = []
-    for distractor in distractors:
-        (dropped if distractor.form in correct_set else kept).append(distractor)
-    if not kept:
-        raise NoDistractorsRemain(
-            f"all distractors collide with correct forms for fact {fact_id!r}"
-        )
-    return (
-        CandidateSet(
-            fact_id=fact_id,
-            prompt=prompt,
-            correct_forms=tuple(correct),
-            distractors=tuple(kept),
-            salt=salt,
-        ),
-        dropped,
-    )
+    distractors: Sequence[Distractor],
+) -> CandidateSet:
+    """The candidate set of a fact: its correct forms and the distractors
+    ``sample_distractors`` drew for them, which share no form with them."""
+    return CandidateSet(fact_id, prompt, tuple(correct_forms), distractors)

@@ -178,9 +178,9 @@ class HttpClient:
     POSTs ``{"model", "text", "source_language", "target_language",
     "extra"}`` to the endpoint and expects ``{"text": <string>}`` back. Auth
     is a bearer token read from the environment variable named in the
-    config. A transport failure, a 5xx, 408 or 429 status, or a reply of
-    another shape is tried 3 times in all, with exponential backoff; any
-    other 4xx status fails at once.
+    config. A transport failure or a 5xx, 408 or 429 status is tried 3
+    times in all, with exponential backoff; any other 4xx status, and a
+    reply of another shape, fails at once.
     """
 
     max_attempts = 3
@@ -217,10 +217,8 @@ class HttpClient:
                 self.call_count += 1
                 post = urllib.request.Request(self.endpoint, data=body, headers=headers)
                 with urllib.request.urlopen(post, timeout=self.timeout) as response:
-                    text = json.loads(response.read())["text"]
-                if type(text) is str:
-                    return text
-                raise TypeError(f"reply text {text!r} is not a string")
+                    raw = response.read()
+                break
             except urllib.error.HTTPError as exc:
                 exc.close()  # it holds the socket of the error response
                 if 400 <= exc.code < 500 and exc.code not in (408, 429):
@@ -231,10 +229,21 @@ class HttpClient:
                 last_error = exc
             if attempt + 1 < self.max_attempts:
                 time.sleep(self.backoff_seconds * (2 ** attempt))
-        raise ClientError(
-            f"request failed after {self.max_attempts} attempts: {last_error}",
-            client_id=self.client_id,
-        ) from last_error
+        else:
+            raise ClientError(
+                f"request failed after {self.max_attempts} attempts: {last_error}",
+                client_id=self.client_id,
+            ) from last_error
+        # A reply of the wrong shape would be the same on every try.
+        try:
+            reply = json.loads(raw)
+        except ValueError:
+            reply = None
+        text = reply.get("text") if type(reply) is dict else None
+        if type(text) is not str:
+            raise ClientError(f'reply is not {{"text": <string>}}: {raw[:200]!r}',
+                              client_id=self.client_id)
+        return text
 
 
 @dataclass

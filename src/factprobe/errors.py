@@ -82,10 +82,6 @@ class EmptyPool(ProbeError):
     code = "EMPTY_POOL"
 
 
-class NoDistractorsRemain(ProbeError):
-    code = "NO_DISTRACTORS_REMAIN"
-
-
 class BackendError(ProbeError):
     code = "BACKEND_ERROR"
 

@@ -53,7 +53,7 @@ _INFLECTION_PAIR = _check("an object of string noninflected and inflected forms"
     type(v) is dict and type(v.get("noninflected")) is str and type(v.get("inflected")) is str))
 _RECORD = {
     "fact_id": STRING, "language": STRING, "relation_id": STRING, "source": STRING,
-    "best_correct_rank": INT,
+    "best_correct_rank": _check("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "hits": _check("a map from integer strings to booleans", lambda v: type(v) is dict
                    and all(n.isdecimal() and type(hit) is bool for n, hit in v.items())),
     "form_ranks?": _or_null(_map_of(INT, "a map of integers")),
@@ -74,7 +74,8 @@ SPECS = {
     },
     "candidate_sets": {  # one line per fact; its sets differ only in prompt and QE score
         "fact_id": STRING, "language": STRING, "relation_id": STRING,
-        "correct_forms": _list_of(STRING, "a list of strings"),
+        "correct_forms": _check("a non-empty list of strings", lambda v: (
+            type(v) is list and v != [] and all(type(form) is str for form in v))),
         # One comprehension over the pairs: a bundle line holds k of them.
         "distractors": _check("a list of [entity id, form] string pairs", lambda v: (
             type(v) is list and all([type(p) is list and len(p) == 2 and type(p[0]) is str

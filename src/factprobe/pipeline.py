@@ -25,7 +25,6 @@ from .candidates import (
     CandidateSet,
     Distractor,
     assemble_candidate_set,
-    check_prompt,
     keyed_pool,
     sample_distractors,
 )
@@ -85,7 +84,6 @@ BLOCKING_AUDIT_KINDS = (
     "REJECTION",
     "POOL_ERROR",
     "SAMPLING_ERROR",
-    "ASSEMBLY_ERROR",
     "QE_ERROR",
     "BACKEND_ERROR",
 )
@@ -335,27 +333,14 @@ def build_fact(fact: Fact, ctx: BuildContext):
         audit.extend(_audit(fact, source.value, "SAMPLING_ERROR", exc.code) for source in splits)
         return candidate_lines, verbalization_lines, audit
 
-    # Assembly depends only on the correct forms and the distractors, so the
-    # sets of every source share one assembly; each source keeps its prompt.
-    surviving = [source for source in VerbalizationSource if source in splits]
-    try:
-        candidate_set, dropped = assemble_candidate_set(
-            fact.id, splits[surviving[0]].prompt_prefix, correct_forms,
-            distractors, config.salt,
-        )
-    except ProbeError as exc:
-        audit.extend(_audit(fact, source.value, "ASSEMBLY_ERROR", exc.code)
-                     for source in surviving)
-        return candidate_lines, verbalization_lines, audit
-
+    # The sets of every source share the correct forms and the distractors;
+    # each source keeps its prompt.
+    candidate_set = assemble_candidate_set(
+        fact.id, next(iter(splits.values())).prompt_prefix, correct_forms, distractors,
+    )
     qe = ctx.services.get("QE")
     sources: dict[str, dict] = {}
-    for source in surviving:
-        prompt = check_prompt(splits[source].prompt_prefix)
-        audit.extend(
-            _audit(fact, source.value, "NOTE_DISTRACTOR_DROPPED", f"{d.entity_id}:{d.form}")
-            for d in dropped
-        )
+    for source, split in splits.items():
         qe_value = None
         if qe is not None:
             try:
@@ -365,7 +350,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
             except ProbeError as exc:
                 audit.append(_audit(fact, source.value, "QE_ERROR", exc.code))
                 continue
-        sources[source.value] = {"prompt": prompt, "qe_score": qe_value}
+        sources[source.value] = {"prompt": split.prompt_prefix, "qe_score": qe_value}
     if sources:
         candidate_lines.append(
             {
@@ -532,7 +517,7 @@ def _pending_sets(lines: Iterable[dict], done: set[tuple[str, str]]):
         correct_forms = tuple(line["correct_forms"])
         for prompt, sources in by_prompt.items():
             yield line, sources, CandidateSet(fact_id, prompt, correct_forms,
-                                              line["distractors"], line["salt"])
+                                              line["distractors"])
 
 
 def _record_texts(line: dict, sources: list[str], prompt: str, result):

@@ -66,7 +66,10 @@ def reference_score(batch, candidate_set, normalization="SUM", no_space=False):
 
 
 def reference_rank(forms, entity_ids, scores, correct_forms, n_values=(1, 2, 3, 4, 5)):
-    """``(keys, best rank, best form, hits)``; keys sort as ``RankedResult.keys``."""
+    """``(keys, best rank, best form, hits)``. The keys,
+    ``(-score, form, not correct, entity id)``, are sorted, and the best rank
+    is the place of the first correct one: ties break by form in code-point
+    order, which is UTF-8 byte order."""
     correct = set(correct_forms)
     keys = [(-score, form, form not in correct, entity_id)
             for form, score, entity_id in zip(forms, scores, entity_ids)]

@@ -34,6 +34,7 @@ LAYER_STAGES = {
     "pipeline.read_jsonl": set(),
     "pipeline.write_jsonl": {"pipeline.evaluate"},
     "candidates.sample": {"pipeline.build"},
+    "candidates.assemble": {"pipeline.build"},
     "clients.fetch": {"pipeline.build"},
     "score.round_trip": {"pipeline.evaluate"},
     "score.rank": {"pipeline.evaluate"},

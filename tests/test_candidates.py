@@ -12,7 +12,7 @@ from factprobe.candidates import (
     sample_distractors,
 )
 from factprobe.corpus import Corpus, Entity, Fact, Relation
-from factprobe.errors import EmptyPool, NoDistractorsRemain
+from factprobe.errors import EmptyPool
 
 from oracle_distractors import oracle_keys, oracle_sample
 
@@ -151,38 +151,20 @@ def test_distractor_key_shape():
     assert key == key.lower()
 
 
-def test_assemble_drops_correct_form_collisions():
-    candidate_set, dropped = assemble_candidate_set(
-        "f1", "prompt ", ["Praha", "Praze"],
-        [Distractor("d1", "Praha"), Distractor("d2", "Brno")], "s",
-    )
-    assert [d.form for d in candidate_set.distractors] == ["Brno"]
-    assert [d.form for d in dropped] == ["Praha"]
-
-
 def test_assemble_cardinality():
     distractors = [Distractor(f"d{i}", f"form{i}") for i in range(50)]
-    candidate_set, dropped = assemble_candidate_set(
-        "f1", "prompt ", ["c1", "c2"], distractors, "s"
-    )
-    assert candidate_set.size == 52
-    assert dropped == []
+    candidate_set = assemble_candidate_set("f1", "prompt ", ["c1", "c2"], distractors)
+    assert len(candidate_set.forms) == 52
+    assert candidate_set.forms[:2] == ["c1", "c2"]
 
 
 def test_assemble_keeps_duplicate_distractor_labels():
     # Two distinct entities sharing a surface form both stay.
-    candidate_set, _ = assemble_candidate_set(
+    candidate_set = assemble_candidate_set(
         "f1", "prompt ", ["correct"],
-        [Distractor("d1", "twin"), Distractor("d2", "twin")], "s",
+        [Distractor("d1", "twin"), Distractor("d2", "twin")],
     )
     assert [d.entity_id for d in candidate_set.distractors] == ["d1", "d2"]
-
-
-def test_assemble_requires_surviving_distractor():
-    with pytest.raises(NoDistractorsRemain):
-        assemble_candidate_set(
-            "f1", "prompt ", ["same"], [Distractor("d1", "same")], "s"
-        )
 
 
 @given(

@@ -221,9 +221,12 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
         ("out/records/records.jsonl", 4, "best_correct_rank", "one", REPORT),
         ("scores.jsonl", 2, "logprob", _DROP, KINDS["scores"][1]),
         ("corpus/entities.jsonl", 3, "aliases", ["o1aa0alias"], BUILD),
+        ("out/bundle/candidate_sets.jsonl", 2, "correct_forms", [], EVALUATE),
+        ("out/records/records.jsonl", 3, "best_correct_rank", 0, REPORT),
+        ("out/records/records.jsonl", 5, "best_correct_rank", -2, REPORT),
     ],
     ids=["no-prompt", "one-element-distractor", "no-hits", "string-rank", "no-logprob",
-         "aliases-list"],
+         "aliases-list", "no-correct-form", "zero-rank", "negative-rank"],
 )
 def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, field, value,
                                              argv):

@@ -285,7 +285,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Set by a test; the ``http_server`` fixture resets them.
     failures_left = 0
     failure_status = 500
-    reply = None  # the reply body, if not the upper-cased text
+    reply = None  # the reply, if not the upper-cased text: bytes or a JSON value
     requests = 0
 
     def do_POST(self):
@@ -297,7 +297,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(_Handler.failure_status)
             self.end_headers()
             return
-        body = json.dumps(_Handler.reply or {"text": payload["text"].upper()}).encode("utf-8")
+        body = _Handler.reply or {"text": payload["text"].upper()}
+        if type(body) is not bytes:
+            body = json.dumps(body).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -356,14 +358,17 @@ def test_http_client_retries_only_a_transient_status(http_server, status, attemp
 
 
 def test_http_reply_whose_text_is_no_string_is_refused(http_server, tmp_path):
-    _Handler.reply = {"text": 5}
-    client = HttpClient("mt", endpoint=http_server)
-    client.backoff_seconds = 0.0
-    service = TextService(client=client, cache=ResponseCache(tmp_path))
-    with pytest.raises(ClientError, match="not a string"):
-        service.fetch(_request())
-    assert not (tmp_path / "mt.jsonl").exists()
-    assert ResponseCache(tmp_path).get(_request().digest()) is None
+    # Not JSON, no text, and a text that is no string: each is refused at
+    # once, since a reply of the wrong shape is the same on every try.
+    for reply in (b"<html>busy</html>", {"translation": "x"}, {"text": 5}):
+        _Handler.reply, _Handler.requests = reply, 0
+        client = HttpClient("mt", endpoint=http_server)
+        service = TextService(client=client, cache=ResponseCache(tmp_path))
+        with pytest.raises(ClientError, match="reply is not"):
+            service.fetch(_request())
+        assert _Handler.requests == client.call_count == 1, reply
+        assert not (tmp_path / "mt.jsonl").exists()
+        assert ResponseCache(tmp_path).get(_request().digest()) is None
 
 
 def test_http_client_missing_auth_env(http_server, monkeypatch):

@@ -18,7 +18,6 @@ from factprobe.errors import (
     BackendError,
     ConfigError,
     MalformedRecord,
-    NoDistractorsRemain,
     NoExemplars,
 )
 from factprobe.pipeline import (
@@ -1194,32 +1193,6 @@ def test_build_makes_each_fact_english_sentence_once(tmp_path, monkeypatch):
     assert set(made.values()) == {1}
 
 
-def test_a_failed_assembly_audits_each_surviving_source(tmp_path, monkeypatch):
-    config, _ = _build(tmp_path, facts_per_cell=3)
-    assemble = pipeline.assemble_candidate_set
-
-    def failing(fact_id, *args):
-        if fact_id in ("f-1-aa-01", "f-2-bb-00"):
-            raise NoDistractorsRemain("every distractor collides")
-        return assemble(fact_id, *args)
-
-    monkeypatch.setattr(pipeline, "assemble_candidate_set", failing)
-    bundle = cmd_build_dataset(config, replay=True)
-    assert [a for a in _audit_of(bundle, "f-1-aa-01") if a[1] == "ASSEMBLY_ERROR"] == [
-        (source, "ASSEMBLY_ERROR", "NO_DISTRACTORS_REMAIN")
-        for source in ("TEMPLATE", "MT", "LLM")]
-    # The object-initial MT sentence of "bb" fact 0 is rejected before assembly.
-    audit = _audit_of(bundle, "f-2-bb-00")
-    assert [a for a in audit if a[1] != "NOTE_CONSTRAINT_VIOLATION"] == [
-        ("MT", "REJECTION", "NOT_SENTENCE_FINAL"),
-        ("TEMPLATE", "ASSEMBLY_ERROR", "NO_DISTRACTORS_REMAIN"),
-        ("LLM", "ASSEMBLY_ERROR", "NO_DISTRACTORS_REMAIN"),
-    ]
-    ids = _line_ids(bundle)
-    assert "f-1-aa-01" not in ids and "f-2-bb-00" not in ids
-    assert len(ids) == 16
-
-
 def test_build_assembles_each_fact_once(tmp_path, monkeypatch):
     config, _ = _build(tmp_path, facts_per_cell=3)
     assembled = Counter()
@@ -1233,6 +1206,37 @@ def test_build_assembles_each_fact_once(tmp_path, monkeypatch):
     bundle = cmd_build_dataset(config, replay=True)
     assert sorted(assembled) == _line_ids(bundle)
     assert set(assembled.values()) == {1}
+    # The object-initial MT sentence of "bb" fact 0 is rejected before
+    # assembly; the set is assembled for the other two sources.
+    audit = _audit_of(bundle, "f-2-bb-00")
+    assert [a for a in audit if a[1] != "NOTE_CONSTRAINT_VIOLATION"] == [
+        ("MT", "REJECTION", "NOT_SENTENCE_FINAL")]
+    lines = read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    assert [sorted(line["sources"]) for line in lines if line["fact_id"] == "f-2-bb-00"] == [
+        ["LLM", "TEMPLATE"]]
+
+
+def test_a_pool_entity_named_like_a_correct_form_is_no_distractor(tmp_path):
+    # The alias of o1aa0 is made the label of o1aa1, another object of the
+    # (R1, aa) cell, so it is a correct form of fact f-1-aa-00.
+    config, config_path = _build(tmp_path, facts_per_cell=3, include_aliases=True)
+    path = config_path.parent / "corpus" / "entities.jsonl"
+    header, *raws = path.read_text(encoding="utf-8").splitlines()
+    entities = [json.loads(raw) for raw in raws]
+    for entity in entities:
+        if entity["id"] == "o1aa0":
+            entity["aliases"]["aa"] = ["o1aa1aa"]
+    path.write_text("\n".join([header] + [json.dumps(e) for e in entities]) + "\n",
+                    encoding="utf-8")
+    bundle = cmd_build_dataset(config, replay=True)
+    lines = {line["fact_id"]: line
+             for line in read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")}
+    assert "o1aa1aa" in lines["f-1-aa-00"]["correct_forms"]
+    assert lines["f-1-aa-00"]["distractors"] == [["o1aa2", "o1aa2aa"]]
+    # o1aa1 stays a distractor of the cell's other facts.
+    assert ["o1aa1", "o1aa1aa"] in lines["f-1-aa-02"]["distractors"]
+    for line in lines.values():
+        assert not {form for _, form in line["distractors"]} & set(line["correct_forms"])
 
 
 class _ReadAheadScorer:

@@ -52,7 +52,6 @@ def _candidate_set(correct, distractor_forms, prompt="The town is"):
         distractors=tuple(
             Distractor(f"d{i}", form) for i, form in enumerate(distractor_forms)
         ),
-        salt="s",
     )
 
 
@@ -224,7 +223,6 @@ def test_duplicate_distractor_forms_rank_deterministically():
     cs = CandidateSet(
         fact_id="f1", prompt="P ", correct_forms=("gold",),
         distractors=(Distractor("d2", "twin"), Distractor("d1", "twin")),
-        salt="s",
     )
     scorer = CallableScorer(lambda p, c: -1.0)
     result = rank_candidates(score_candidates(scorer, cs), ["gold"])
@@ -307,7 +305,7 @@ def test_the_one_pass_path_ranks_as_the_reference(data):
     prompt = data.draw(st.sampled_from(["P:", "P ", ""]), label="prompt")
     cs = CandidateSet("f1", prompt, tuple(forms[:n_correct]),
                       [[entity_id, form] for entity_id, form in
-                       zip(ids, forms[n_correct:])], "s")
+                       zip(ids, forms[n_correct:])])
     no_space = data.draw(st.booleans(), label="no_space")
     normalization = data.draw(st.sampled_from(["SUM", "MEAN"]), label="normalization")
     backend = data.draw(st.sampled_from(["perfect", "adversarial", "table"]), label="backend")

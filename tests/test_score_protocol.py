@@ -182,7 +182,7 @@ def test_protocol_refuses_reply_values_of_the_wrong_type(results):
 
 def test_protocol_takes_an_integer_score_as_a_number():
     reply = _reply_with("[[-2, 1], [0, 3]]")
-    cs = CandidateSet("f", "p", ("a",), [["e", "b"]], "salt")
+    cs = CandidateSet("f", "p", ("a",), [["e", "b"]])
     with (_serving(_canned_reply_server(reply)) as server,
           contextlib.closing(ProtocolScorerClient(*server.server_address)) as client):
         scored = score.score_candidates(client, cs, score.NORMALIZATION_MEAN)
