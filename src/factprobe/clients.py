@@ -25,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ClientError, ConfigError, ReplayMiss
-from .jsonl import append, dump, iter_lines, open_log
+from .jsonl import append, dump, iter_lines, make_dir, open_log
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class ResponseCache:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        make_dir(self.directory)
         self._responses = load_fixtures(sorted(self.directory.glob("*.jsonl")), torn_tail=True)
         self._logs: dict[str, FixtureLog] = {}
         self._lock = threading.Lock()
@@ -290,5 +290,5 @@ def make_service(settings, cache, replay: bool = False) -> TextService | None:
         return TextService(client, cache)
     if settings.record_fixtures is None:
         raise ConfigError(f"client {name!r} in record mode needs record_fixtures")
-    Path(settings.record_fixtures).parent.mkdir(parents=True, exist_ok=True)
+    make_dir(Path(settings.record_fixtures).parent)
     return TextService(client, cache, record=FixtureLog(settings.record_fixtures))

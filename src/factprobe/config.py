@@ -125,7 +125,6 @@ _CLIENT = {
 _MATCH = {
     "min_prefix_ratio?": _check("a number in (0, 1]", lambda v: NUMBER(v) and 0 < v <= 1),
     "min_prefix_chars?": _at_least(1), "max_suffix_delta?": _at_least(0),
-    "lemmatizer?": _or_null(STRING),
 }
 _SCORER = {
     "backend?": _one_of("oracle", "table", "protocol"),

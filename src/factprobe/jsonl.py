@@ -20,7 +20,7 @@ import os
 import reprlib
 from pathlib import Path
 
-from .errors import MalformedRecord, MissingInput
+from .errors import ConfigError, MalformedRecord, MissingInput
 
 SCHEMA_VERSION = 1
 
@@ -51,12 +51,13 @@ def _or_null(check):
 
 _INFLECTION_PAIR = _check("an object of string noninflected and inflected forms", lambda v: (
     type(v) is dict and type(v.get("noninflected")) is str and type(v.get("inflected")) is str))
+_RANK = _check("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _RECORD = {
     "fact_id": STRING, "language": STRING, "relation_id": STRING, "source": STRING,
-    "best_correct_rank": _check("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "best_correct_rank": _RANK,
     "hits": _check("a map from integer strings to booleans", lambda v: type(v) is dict
                    and all(n.isdecimal() and type(hit) is bool for n, hit in v.items())),
-    "form_ranks?": _or_null(_map_of(INT, "a map of integers")),
+    "form_ranks?": _or_null(_map_of(_RANK, "a map of integers >= 1")),
     "qe_score?": _or_null(NUMBER), "subject_gender?": _or_null(STRING), "prompt?": STRING,
 }
 SPECS = {
@@ -214,6 +215,18 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
 def read_jsonl(path, kind: str) -> list[dict]:
     """The checked records of a ``kind`` file, header dropped."""
     return [record for _, record in iter_lines(path, kind)]
+
+
+def make_dir(path) -> None:
+    """Make the directory ``path`` and its missing parents. A file in the
+    way is a ``ConfigError`` naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        in_the_way = next(p for p in (path, *path.parents) if p.exists())
+        raise ConfigError("a file is in the way of a directory",
+                          path=str(in_the_way)) from exc
 
 
 def open_log(path, kind: str, **header) -> int:

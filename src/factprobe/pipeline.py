@@ -36,14 +36,15 @@ from .errors import (
     ClientError,
     ConfigError,
     EmptyGroup,
+    MalformedRecord,
     MissingInput,
     NoEligibleRecords,
     NoExemplars,
     ProbeError,
     ScorerConnectionLost,
 )
-from .jsonl import (SCHEMA_VERSION, append, dump, iter_lines, open_log, read_jsonl,
-                    write_jsonl, writing)
+from .jsonl import (SCHEMA_VERSION, append, dump, iter_lines, make_dir, open_log,
+                    read_jsonl, write_jsonl, writing)
 from .metrics import (
     FEMALE_GENDERS,
     FORM_INFLECTED,
@@ -67,7 +68,7 @@ from .score import (
     rank_of_form,
     score_candidates,
 )
-from .split import Rejection, collect_correct_forms, get_lemmatizer, split_verbalization
+from .split import Rejection, collect_correct_forms, split_verbalization
 from .verbalize import (
     VerbalizationSource,
     english_sentence,
@@ -154,16 +155,17 @@ def _stage_is_current(directory: Path, stage: str, config_digest: str,
         manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return False
-    if not manifest.get("complete"):
+    if type(manifest) is not dict or not manifest.get("complete"):
         return False
     if manifest.get("stage") != stage or manifest.get("config_digest") != config_digest:
         return False
     if manifest.get("inputs") != inputs:
         return False
-    return all(
-        (directory / name).exists()
+    artifacts = manifest.get("artifacts", {})
+    return type(artifacts) is dict and all(
+        (directory / name).is_file()
         and file_digest(directory / name) == digest
-        for name, digest in manifest.get("artifacts", {}).items()
+        for name, digest in artifacts.items()
     )
 
 
@@ -186,7 +188,7 @@ def _run_stage(directory: Path, stage: str, config: RunConfig, inputs: dict[str,
     input_digests = {name: file_digest(path) for name, path in inputs.items()}
     if not force and _stage_is_current(directory, stage, config_digest, input_digests):
         return directory
-    directory.mkdir(parents=True, exist_ok=True)
+    make_dir(directory)
     names, counts, complete = work(config_digest, input_digests)
     _write_json(directory / "manifest.json", {
         "schema_version": SCHEMA_VERSION,
@@ -378,10 +380,6 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
     bundle_dir = config.output_dir / "bundle"
 
     def work(config_digest, input_digests):
-        # Checked here, not per fact: build_fact audits per-fact errors.
-        lemmatizer = config.match.lemmatizer
-        if lemmatizer is not None and get_lemmatizer(lemmatizer) is None:
-            raise ConfigError(f"match.lemmatizer {lemmatizer!r} is not a registered lemmatizer")
         corpus = load_corpus(config.entities_path, config.relations_path, config.facts_path)
         filter_report = filter_relations(
             corpus, config.languages, config.min_unique_objects, config.exclude_relations
@@ -485,11 +483,15 @@ def make_scorer(config: RunConfig, lines: Iterable[dict]):
     if settings.backend == "table":
         if not settings.fixtures:
             raise ConfigError("table scorer needs a fixtures file")
+        # A pair may repeat only with its score: the last line must not win unseen.
+        path = Path(settings.fixtures)
         table = {}
-        for line in read_jsonl(Path(settings.fixtures), "scores"):
-            table[(line["prompt"], line["continuation"])] = (
-                float(line["logprob"]), line.get("token_count", 1)
-            )
+        for line in read_jsonl(path, "scores"):
+            pair = (line["prompt"], line["continuation"])
+            value = (float(line["logprob"]), line.get("token_count", 1))
+            if table.setdefault(pair, value) != value:
+                raise MalformedRecord("two scores lines give one pair different scores",
+                                      file=str(path), prompt=pair[0], continuation=pair[1])
         return TableScorer(table)
     if settings.backend == "protocol":
         return ProtocolScorerClient(settings.host, settings.port)

@@ -3,8 +3,7 @@ it into a prompt prefix and the object surface form.
 
 Matching is tool-free by default: an exact whole-word pass first, then a
 stem pass that aligns label words to consecutive sentence words under a
-common-prefix rule. A lemmatizer can be plugged in by name for languages
-where stem matching is too blunt.
+common-prefix rule.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .corpus import (
     PLACEHOLDER_OBJECT,
@@ -28,22 +27,9 @@ from .errors import MissingLabel, NoAcceptedSplits
 # Hyphens are not word characters, so hyphenated names split like whitespace.
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
-# Registry of pluggable lemmatizers: name -> callable(word) -> lemma.
-_LEMMATIZERS: dict[str, Callable[[str], str]] = {}
-
-
-def register_lemmatizer(name: str, fn: Callable[[str], str]) -> None:
-    _LEMMATIZERS[name] = fn
-
-
-def get_lemmatizer(name: str) -> Callable[[str], str] | None:
-    return _LEMMATIZERS.get(name)
-
-
 class MatchVia(str, enum.Enum):
     EXACT = "EXACT"
     STEM = "STEM"
-    LEMMA = "LEMMA"
 
 
 REJECT_OBJECT_NOT_FOUND = "OBJECT_NOT_FOUND"
@@ -64,7 +50,6 @@ class MatchConfig:
     min_prefix_ratio: float = 0.6
     min_prefix_chars: int = 3
     max_suffix_delta: int = 4
-    lemmatizer: str | None = None
 
     def __post_init__(self):
         if not (0 < self.min_prefix_ratio <= 1):
@@ -80,7 +65,7 @@ class ObjectMatch:
     span: tuple[int, int]
     form: str
     matched_via: MatchVia
-    confidence: float  # min per-word prefix ratio; 1.0 for EXACT and LEMMA
+    confidence: float  # min per-word prefix ratio; 1.0 for EXACT
 
 
 @dataclass(frozen=True)
@@ -153,23 +138,14 @@ def _rightmost(tokens, label_words, fit):
     return best
 
 
-def _equal_fit(sequence, label_sequences):
-    """A ``_rightmost`` fit: 1.0 where the window of ``sequence`` equals the
-    label's sequence, else None."""
-    return lambda i, start: (
-        1.0 if sequence[start : start + len(label_sequences[i])] == label_sequences[i] else None
-    )
-
-
 def match_object_form(
     sentence: str, labels: list[str], config: MatchConfig | None = None
 ) -> ObjectMatch | None:
     """Find the rightmost occurrence of any candidate label in the sentence.
 
-    An EXACT whole-word match of any label wins over any STEM match; a
-    configured lemmatizer is a last resort. Within a pass the rightmost
-    span wins, and the earlier label wins a tie. Returns None when nothing
-    matches (absence is a value, not an error).
+    An EXACT whole-word match of any label wins over any STEM match. Within
+    a pass the rightmost span wins, and the earlier label wins a tie. Returns
+    None when nothing matches (absence is a value, not an error).
     """
     if not labels:
         raise ValueError("labels must be non-empty")
@@ -185,8 +161,10 @@ def match_object_form(
         return ObjectMatch(span, sentence[span[0] : span[1]], via, confidence)
 
     # Pass 1: exact whole-word matches.
-    match = found(_rightmost(tokens, label_words, _equal_fit(words, label_words)),
-                  MatchVia.EXACT)
+    def exact_fit(i: int, start: int) -> float | None:
+        return 1.0 if words[start : start + len(label_words[i])] == label_words[i] else None
+
+    match = found(_rightmost(tokens, label_words, exact_fit), MatchVia.EXACT)
     if match is not None:
         return match
 
@@ -207,18 +185,7 @@ def match_object_form(
                 confidence = ratio
         return confidence
 
-    match = found(_rightmost(tokens, label_words, stem_fit), MatchVia.STEM)
-    if match is not None:
-        return match
-
-    # Pass 3: lemma equality, when a lemmatizer is configured.
-    lemmatize = get_lemmatizer(config.lemmatizer) if config.lemmatizer else None
-    if lemmatize is None:
-        return None
-    lemmas = [lemmatize(w) for w in words]
-    label_lemmas = [[lemmatize(w) for w in lw] for lw in label_words]
-    return found(_rightmost(tokens, label_lemmas, _equal_fit(lemmas, label_lemmas)),
-                 MatchVia.LEMMA)
+    return found(_rightmost(tokens, label_words, stem_fit), MatchVia.STEM)
 
 
 def _finalize_split(sentence: str, match: ObjectMatch) -> SplitResult | Rejection:

@@ -2,13 +2,13 @@
 
 Every pass tries every window of every label and keeps the rightmost span;
 among equal spans the earlier label wins. An EXACT match of any label beats
-any STEM match, and a STEM match beats a LEMMA match. Word splitting and the
-per-word stem rule are the package's own (``_tokenize``,
-``_stem_word_ratio``), so tests that compare ``match_object_form`` against
-this function check only the search order and its tie-breaks.
+any STEM match. Word splitting and the per-word stem rule are the package's
+own (``_tokenize``, ``_stem_word_ratio``), so tests that compare
+``match_object_form`` against this function check only the search order and
+its tie-breaks.
 """
 
-from factprobe.split import MatchConfig, MatchVia, _stem_word_ratio, _tokenize, get_lemmatizer
+from factprobe.split import MatchConfig, MatchVia, _stem_word_ratio, _tokenize
 
 
 def oracle_match(sentence, labels, config=None):
@@ -39,12 +39,7 @@ def oracle_match(sentence, labels, config=None):
         ratios = [_stem_word_ratio(w, t, config) for w, t in zip(words, window)]
         return None if None in ratios else min(ratios)
 
-    passes = [(MatchVia.EXACT, exact), (MatchVia.STEM, stem)]
-    lemmatize = get_lemmatizer(config.lemmatizer) if config.lemmatizer else None
-    if lemmatize is not None:
-        passes.append((MatchVia.LEMMA, lambda words, window: 1.0 if all(
-            lemmatize(w) == lemmatize(t) for w, t in zip(words, window)) else None))
-    for via, fit in passes:
+    for via, fit in ((MatchVia.EXACT, exact), (MatchVia.STEM, stem)):
         best = search(fit)
         if best is not None:
             span, _, confidence = best

@@ -224,9 +224,12 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
         ("out/bundle/candidate_sets.jsonl", 2, "correct_forms", [], EVALUATE),
         ("out/records/records.jsonl", 3, "best_correct_rank", 0, REPORT),
         ("out/records/records.jsonl", 5, "best_correct_rank", -2, REPORT),
+        # Reached metrics.inflection_delta, and report exited 0.
+        ("out/records/records.jsonl", 2, "form_ranks", {"NONINFLECTED": 0, "INFLECTED": -1},
+         REPORT),
     ],
     ids=["no-prompt", "one-element-distractor", "no-hits", "string-rank", "no-logprob",
-         "aliases-list", "no-correct-form", "zero-rank", "negative-rank"],
+         "aliases-list", "no-correct-form", "zero-rank", "negative-rank", "form-rank-below-1"],
 )
 def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, field, value,
                                              argv):
@@ -362,6 +365,9 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         # Put every rank in the overflow bucket, under another digest each.
         ("report_max_rank_bucket", 0),
         ("report_max_rank_bucket", -3),
+        # The matcher has no lemma pass; a lemmatizer name was refused by build only.
+        ("match.lemmatizer", "x"),
+        ("match.lemmatizer", None),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
@@ -375,6 +381,56 @@ def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
     (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
     code, err = _run(ws, BUILD)
     _assert_coded(code, err, "CONFIG_ERROR", key=key)
+
+
+# Each raised a traceback from mkdir: FileExistsError, NotADirectoryError.
+@pytest.mark.parametrize(
+    "settings, argv",
+    [
+        ({"cache_dir": "corpus/facts.jsonl"}, BUILD),
+        ({"output_dir": "corpus/facts.jsonl"}, BUILD),
+        ({"output_dir": "corpus/facts.jsonl/out"}, BUILD),
+        # Refused before the client asks anything.
+        ({"mt.mode": "record", "mt.endpoint": "http://127.0.0.1:1/",
+          "mt.record_fixtures": "corpus/facts.jsonl/mt.jsonl"}, BUILD[:-1]),
+    ],
+    ids=["cache-dir-is-a-file", "output-dir-is-a-file", "output-dir-under-a-file",
+         "record-fixtures-under-a-file"],
+)
+def test_cli_reports_a_file_in_the_way_of_a_directory(built, tmp_path, settings, argv):
+    ws = _copy(built, tmp_path)
+    data = yaml.safe_load((ws / "config.yaml").read_text(encoding="utf-8"))
+    for key, value in settings.items():
+        *parents, name = key.split(".")
+        section = data
+        for parent in parents:
+            section = section[parent]
+        section[name] = value
+    (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
+    code, err = _run(ws, argv + ["--force"])
+    _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "corpus" / "facts.jsonl"))
+
+
+# A manifest that parses but is of the wrong shape raised AttributeError
+# from the current-check; like an unparsable one, it means "run again".
+@pytest.mark.parametrize("stage, argv", [("bundle", BUILD), ("records", EVALUATE),
+                                         ("report", REPORT)], ids=["build", "evaluate", "report"])
+@pytest.mark.parametrize("spoil", [
+    lambda manifest: [],
+    lambda manifest: None,
+    lambda manifest: "x",
+    lambda manifest: dict(manifest, artifacts=[]),
+    lambda manifest: dict(manifest, artifacts={"": "0" * 64}),
+], ids=["list", "null", "string", "artifacts-list", "artifact-names-the-stage-directory"])
+def test_a_manifest_of_the_wrong_shape_runs_its_stage_again(built, tmp_path, stage, argv,
+                                                             spoil):
+    ws = _copy(built, tmp_path)
+    path = ws / "out" / stage / "manifest.json"
+    before = path.read_bytes()
+    path.write_text(json.dumps(spoil(json.loads(before))), encoding="utf-8")
+    code, err = _run(ws, argv)
+    assert (code, err) == (0, "")
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("argv", [BUILD, EVALUATE], ids=["build", "evaluate"])

@@ -16,7 +16,6 @@ from factprobe.config import load_config
 from factprobe.corpus import load_corpus, unique_object_pool
 from factprobe.errors import (
     BackendError,
-    ConfigError,
     MalformedRecord,
     NoExemplars,
 )
@@ -141,18 +140,6 @@ def test_replay_build_from_a_prefilled_cache_matches_fixture_build(tmp_path):
         "fixtures/mt.jsonl", "fixtures/llm.jsonl", "fixtures/qe.jsonl"}
     del expected["inputs"]
     assert manifest == expected
-
-
-def test_unregistered_lemmatizer_fails_build(tmp_path, capsys):
-    config_path = make_toy_workspace(tmp_path / "ws", facts_per_cell=3)
-    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
-    data["match"] = {"lemmatizer": "no-such-lemmatizer"}
-    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
-    with pytest.raises(ConfigError, match="no-such-lemmatizer"):
-        cmd_build_dataset(load_config(config_path), replay=True)
-    assert not (tmp_path / "ws" / "out" / "bundle" / "manifest.json").exists()
-    assert cli.main(["build-dataset", "--config", str(config_path), "--replay"]) == 1
-    assert capsys.readouterr().err.startswith("error: [CONFIG_ERROR]")
 
 
 def test_missing_exemplars_fatal(tmp_path):
@@ -783,6 +770,31 @@ def test_evaluate_reruns_when_the_table_scores_change(tmp_path):
     assert [r.best_correct_rank for r in load_records(records)] == [2]
     rerun = (records / "records.jsonl").read_bytes()
     assert (cmd_evaluate(config, bundle, force=True) / "records.jsonl").read_bytes() == rerun
+
+
+@pytest.mark.parametrize("repeat, conflict", [(-1.0, False), (-0.5, True)],
+                         ids=["same-score", "other-score"])
+def test_a_table_scores_pair_given_twice_must_repeat_its_score(tmp_path, repeat, conflict):
+    config, bundle = _manual_bundle(tmp_path, [_line("f1", "P:", False)])
+    config_path = bundle.parent / "config.yaml"
+    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    data["scorer"] = {"backend": "table", "fixtures": "scores.jsonl"}
+    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    config = load_config(config_path)
+    scores = bundle.parent / "scores.jsonl"
+    jsonl.write_jsonl(scores, "scores", [
+        {"prompt": "P:", "continuation": " gold", "logprob": -1.0},
+        {"prompt": "P:", "continuation": " lead", "logprob": -2.0},
+        {"prompt": "P:", "continuation": " gold", "logprob": repeat},
+    ])
+    if not conflict:
+        assert [r.best_correct_rank for r in load_records(cmd_evaluate(config, bundle))] == [1]
+        return
+    with pytest.raises(MalformedRecord) as caught:
+        cmd_evaluate(config, bundle)
+    message = str(caught.value)
+    assert f"file={str(scores)!r}" in message
+    assert "prompt='P:'" in message and "continuation=' gold'" in message
 
 
 def test_build_writes_each_fact_before_building_the_next(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from factprobe.split import (
     SplitResult,
     collect_correct_forms,
     match_object_form,
-    register_lemmatizer,
     split_template_sentence,
     split_verbalization,
 )
@@ -94,15 +93,6 @@ def test_tail_delta_limits_match():
     assert match_object_form("Narodil se v Praze.", ["Praha"], tight) is None
 
 
-def test_lemmatizer_plugin():
-    lemmas = {"ging": "gehen", "geht": "gehen"}
-    register_lemmatizer("toy-de", lambda w: lemmas.get(w, w))
-    config = MatchConfig(lemmatizer="toy-de")
-    match = match_object_form("Er ging.", ["geht"], config)
-    assert match is not None
-    assert match.matched_via is MatchVia.LEMMA
-
-
 @given(
     prefix=st.text(alphabet="abcdefg ", min_size=1, max_size=20),
     label=st.text(alphabet="hijklmn", min_size=1, max_size=10),
@@ -164,11 +154,10 @@ def test_accepted_split_roundtrips_byte_exact(words, label, suffix, tail):
         assert is_punctuation_or_space(remainder)
 
 
-# Words over a small alphabet, so that exact, stem and lemma matches and
-# ties between labels are all common.
+# Words over a small alphabet, so that exact and stem matches and ties
+# between labels are all common.
 _WORDS = st.text(alphabet="abcdé", min_size=1, max_size=7)
 _JOINERS = st.sampled_from([" ", " ", "-", ", ", ". ", " (", ") "])
-register_lemmatizer("oracle-toy", lambda word: word[:2])
 
 
 @st.composite
@@ -199,7 +188,6 @@ def _matcher_cases(draw):
         min_prefix_ratio=draw(st.floats(min_value=0.05, max_value=1.0)),
         min_prefix_chars=draw(st.integers(min_value=1, max_value=6)),
         max_suffix_delta=draw(st.integers(min_value=0, max_value=5)),
-        lemmatizer=draw(st.sampled_from([None, "oracle-toy"])),
     )
     return sentence, labels, config
 
