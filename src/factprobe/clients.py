@@ -4,7 +4,8 @@ All three roles share one contract: a canonical ``TextRequest`` goes in,
 text comes out. Three modes cover the live-to-CI spectrum:
 
 * live    -- HTTP client, responses cached by request digest
-* record  -- live, plus every response appended to a portable fixtures file
+* record  -- live, plus every response appended to a portable fixtures file;
+             a request the file already answers is not asked again
 * replay  -- cache and fixtures only; a missing response is an error (CI-safe)
 
 Cache entries are content-addressed by a digest of the canonical request
@@ -250,7 +251,8 @@ class HttpClient:
 class TextService:
     """The one fetch path of a client role: the cache, then the responses
     known without the client (replay fixtures, digest -> response), then
-    the client. Each answer of the client is kept with those responses, so
+    the client. In record mode, the responses known are those already
+    recorded. Each answer of the client is kept with those responses, so
     a repeated request reaches it once, and stored in the cache and, in
     record mode, appended to the ``record`` log."""
 
@@ -277,7 +279,10 @@ class TextService:
 
 def make_service(settings, cache, replay: bool = False) -> TextService | None:
     """The ``TextService`` of a configured client role (None if the role has
-    no settings) in its live/record/replay mode; ``replay`` forces replay."""
+    no settings) in its live/record/replay mode; ``replay`` forces replay.
+
+    Record mode starts from what its ``record_fixtures`` file already holds,
+    so it asks the client only what is not recorded yet."""
     if settings is None:
         return None
     name, mode = settings.client_id, "replay" if replay else settings.mode
@@ -290,5 +295,7 @@ def make_service(settings, cache, replay: bool = False) -> TextService | None:
         return TextService(client, cache)
     if settings.record_fixtures is None:
         raise ConfigError(f"client {name!r} in record mode needs record_fixtures")
-    make_dir(Path(settings.record_fixtures).parent)
-    return TextService(client, cache, record=FixtureLog(settings.record_fixtures))
+    path = Path(settings.record_fixtures)
+    make_dir(path.parent)
+    recorded = load_fixtures([path] if path.exists() else [], torn_tail=True)
+    return TextService(client, cache, recorded, FixtureLog(path))

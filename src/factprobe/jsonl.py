@@ -54,7 +54,7 @@ _INFLECTION_PAIR = _check("an object of string noninflected and inflected forms"
 _RANK = _check("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _RECORD = {
     "fact_id": STRING, "language": STRING, "relation_id": STRING, "source": STRING,
-    "best_correct_rank": _RANK,
+    "best_correct_rank": _RANK, "best_correct_form?": STRING,
     "hits": _check("a map from integer strings to booleans", lambda v: type(v) is dict
                    and all(n.isdecimal() and type(hit) is bool for n, hit in v.items())),
     "form_ranks?": _or_null(_map_of(_RANK, "a map of integers >= 1")),
@@ -194,6 +194,8 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
         fh = open(path, "rb")  # json decodes each line, so bad UTF-8 names its line
     except FileNotFoundError as exc:
         raise MissingInput("input file is missing", path=str(path)) from exc
+    except IsADirectoryError as exc:
+        raise ConfigError("a directory is in the way of a file", path=str(path)) from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw.isspace():

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateInput,
     EmptyGroup,
+    MalformedRecord,
     MissingPatterns,
     NoEligibleRecords,
 )
@@ -30,18 +32,43 @@ DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """Per-(fact, verbalization) ranking outcome feeding every aggregate."""
+    """Per-(fact, verbalization) ranking outcome feeding every aggregate.
+
+    Its fields are those of a ``records`` or ``progress`` line. The line
+    also holds ``hits``, whether the rank is within each of the run's n
+    values; that is no state of its own, so it is written from the rank and
+    checked against it when read."""
 
     fact_id: str
     language: str
     relation_id: str
     source: str
     best_correct_rank: int
-    hits: dict[int, bool]
+    best_correct_form: str | None = None
     form_ranks: dict[str, int] | None = None
     qe_score: float | None = None
     subject_gender: str | None = None
     prompt: str | None = None
+
+    def to_line(self, n_values) -> dict:
+        """The record's line: its fields, and ``hits`` at each of ``n_values``."""
+        rank = self.best_correct_rank
+        return dict(vars(self), hits={str(n): rank <= n for n in n_values})
+
+    @classmethod
+    def from_line(cls, line: dict, file: str, lineno: int) -> EvalRecord:
+        """The record of ``line``, line ``lineno`` of ``file``, already
+        checked against its spec. A ``hits`` entry that disagrees with the
+        rank makes the line a ``MalformedRecord``."""
+        rank, hits = line["best_correct_rank"], line["hits"]
+        if any(hit != (rank <= int(n)) for n, hit in hits.items()):
+            raise MalformedRecord(
+                f"field 'hits' disagrees with best_correct_rank {rank}: {reprlib.repr(hits)}",
+                file=file, line=lineno, field="hits")
+        return cls(*map(line.get, _RECORD_FIELDS))
+
+
+_RECORD_FIELDS = tuple(field.name for field in fields(EvalRecord))
 
 
 @dataclass(frozen=True)

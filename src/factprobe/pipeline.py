@@ -120,8 +120,9 @@ def _stage_inputs(config: RunConfig, stage: str, upstream: Path | None = None,
     mode. Evaluate reads the bundle's candidate sets (``upstream`` is the
     bundle directory) and a ``table`` scorer's fixtures; report reads the
     record store (``upstream`` is the records directory) and the gender
-    patterns. The response cache is a memo of what the clients would
-    return, not an input."""
+    patterns. The response cache, and the file a client in record mode
+    appends to and starts from, are memos of what the clients would return,
+    not inputs."""
     if stage == "build_dataset":
         files = [config.entities_path, config.relations_path, config.facts_path]
         if "LLM" in config.sources and config.exemplars_dir is not None:
@@ -238,8 +239,9 @@ class BuildContext:
     services: dict[str, TextService]
 
 
-def _audit(fact: Fact, source: str, kind: str, detail: str = "") -> dict:
-    return {"fact_id": fact.id, "source": source, "kind": kind, "detail": detail}
+def _audit(fact_id: str, source: str, kind: str, detail: str = "") -> dict:
+    """The audit line of a (fact, source) that build or evaluate noted."""
+    return {"fact_id": fact_id, "source": source, "kind": kind, "detail": detail}
 
 
 def build_fact(fact: Fact, ctx: BuildContext):
@@ -279,7 +281,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
                     ctx.exemplars[(fact.relation_id, fact.language)], config.match, english,
                 )
         except ProbeError as exc:
-            audit.append(_audit(fact, source, "VERBALIZATION_ERROR", exc.code))
+            audit.append(_audit(fact.id, source, "VERBALIZATION_ERROR", exc.code))
             continue
         verbalizations[VerbalizationSource(source)] = verb
         line = {
@@ -290,19 +292,19 @@ def build_fact(fact: Fact, ctx: BuildContext):
         }
         if verb.warning:
             line["warning"] = verb.warning
-            audit.append(_audit(fact, source, "NOTE_CONSTRAINT_VIOLATION", verb.sentence))
+            audit.append(_audit(fact.id, source, "NOTE_CONSTRAINT_VIOLATION", verb.sentence))
         verbalization_lines.append(line)
 
     splits = {}
     for source, verb in verbalizations.items():
         result = split_verbalization(verb, entity, config.match)
         if isinstance(result, Rejection):
-            audit.append(_audit(fact, source.value, "REJECTION", result.reason))
+            audit.append(_audit(fact.id, source.value, "REJECTION", result.reason))
             continue
         splits[source] = result
         if result.matched_via.value == "STEM" and result.confidence < STEM_CONFIDENCE_FLOOR:
             audit.append(_audit(
-                fact, source.value, "NOTE_LOW_CONFIDENCE_STEM",
+                fact.id, source.value, "NOTE_LOW_CONFIDENCE_STEM",
                 f"{result.object_form}:{result.confidence:.3f}",
             ))
     if not splits:
@@ -316,7 +318,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
             include_english=config.include_english,
         )
     except ProbeError as exc:
-        audit.extend(_audit(fact, source.value, "POOL_ERROR", exc.code) for source in splits)
+        audit.extend(_audit(fact.id, source.value, "POOL_ERROR", exc.code) for source in splits)
         return candidate_lines, verbalization_lines, audit
 
     inflection_pair = None
@@ -332,7 +334,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
             config.k_distractors,
         )
     except ProbeError as exc:
-        audit.extend(_audit(fact, source.value, "SAMPLING_ERROR", exc.code) for source in splits)
+        audit.extend(_audit(fact.id, source.value, "SAMPLING_ERROR", exc.code) for source in splits)
         return candidate_lines, verbalization_lines, audit
 
     # The sets of every source share the correct forms and the distractors;
@@ -350,7 +352,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
                     english = english_sentence(fact, corpus)
                 qe_value = _qe_annotate(fact, english, verbalizations[source].sentence, qe)
             except ProbeError as exc:
-                audit.append(_audit(fact, source.value, "QE_ERROR", exc.code))
+                audit.append(_audit(fact.id, source.value, "QE_ERROR", exc.code))
                 continue
         sources[source.value] = {"prompt": split.prompt_prefix, "qe_score": qe_value}
     if sources:
@@ -522,10 +524,10 @@ def _pending_sets(lines: Iterable[dict], done: set[tuple[str, str]]):
                                               line["distractors"])
 
 
-def _record_texts(line: dict, sources: list[str], prompt: str, result):
+def _record_texts(line: dict, sources: list[str], prompt: str, result, n_values):
     """``((fact id, source), text)`` of the record of each of ``sources``,
     the sources of bundle ``line`` whose ``prompt`` was ranked as
-    ``result``: the ``dump`` text of the record, which is encoded once."""
+    ``result``: the ``dump`` text of its line, which is encoded once."""
     form_ranks = None
     pair = line.get("inflection_pair")
     if pair:
@@ -533,20 +535,18 @@ def _record_texts(line: dict, sources: list[str], prompt: str, result):
             FORM_NONINFLECTED: rank_of_form(result, pair["noninflected"]),
             FORM_INFLECTED: rank_of_form(result, pair["inflected"]),
         }
-    hits = {str(n): hit for n, hit in sorted(result.hits.items())}
-    return [((line["fact_id"], source), dump({
-        "fact_id": line["fact_id"],
-        "language": line["language"],
-        "relation_id": line["relation_id"],
-        "source": source,
-        "best_correct_rank": result.best_correct_rank,
-        "best_correct_form": result.best_correct_form,
-        "hits": hits,
-        "form_ranks": form_ranks,
-        "qe_score": line["sources"][source].get("qe_score"),
-        "subject_gender": line.get("subject_gender"),
-        "prompt": prompt,
-    })) for source in sources]
+    return [((line["fact_id"], source), dump(EvalRecord(
+        fact_id=line["fact_id"],
+        language=line["language"],
+        relation_id=line["relation_id"],
+        source=source,
+        best_correct_rank=result.best_correct_rank,
+        best_correct_form=result.best_correct_form,
+        form_ranks=form_ranks,
+        qe_score=line["sources"][source].get("qe_score"),
+        subject_gender=line.get("subject_gender"),
+        prompt=prompt,
+    ).to_line(n_values))) for source in sources]
 
 
 def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False) -> Path:
@@ -563,14 +563,16 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
     of an uninterrupted one. Sets whose scoring failed with a
     ``BackendError`` are audited and leave the stage incomplete, with its
     progress kept, so the next run scores only those sets again. Any other
-    exception fails the stage with its progress kept.
+    exception fails the stage with its progress kept. The progress log is
+    deleted only once the manifest of a complete stage is written, so a run
+    killed before then resumes with every set it scored.
     """
     candidate_sets = Path(bundle_dir) / "candidate_sets.jsonl"
     records_dir = config.output_dir / "records"
+    progress_path = records_dir / "progress.jsonl"
+    audit: list[dict] = []
 
     def work(config_digest, input_digests):
-        progress_path = records_dir / "progress.jsonl"
-        audit: list[dict] = []
         with contextlib.ExitStack() as stack:
             # Opened first, so what is read is the run's header and whole lines.
             progress = open_log(progress_path, "progress", config_digest=config_digest,
@@ -578,8 +580,8 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
             stack.callback(os.close, progress)
             # Each record as the text of its progress line, keyed by (fact, source),
             # encoded once more so that only canonical text reaches the store.
-            entries = [((record["fact_id"], record["source"]), dump(record))
-                       for _, record in iter_lines(progress_path, "progress")]
+            entries = [((record.fact_id, record.source), dump(record.to_line(config.n_values)))
+                       for record in _read_records(progress_path, "progress")]
             backend = scorer
             if backend is None:
                 backend = make_scorer(config, _bundle_lines(candidate_sets))
@@ -606,20 +608,16 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                         continuations=continuations,
                     )
                     result = rank_candidates(
-                        scored, candidate_set.correct_forms, config.n_values,
-                        fact_id=candidate_set.fact_id,
+                        scored, candidate_set.correct_forms, fact_id=candidate_set.fact_id,
                     )
                 except ScorerConnectionLost:
                     raise
                 except BackendError as exc:
-                    audit.extend({
-                        "fact_id": line["fact_id"],
-                        "source": source,
-                        "kind": "BACKEND_ERROR",
-                        "detail": exc.code,
-                    } for source in sources)
+                    audit.extend(_audit(line["fact_id"], source, "BACKEND_ERROR", exc.code)
+                                 for source in sources)
                     continue
-                texts = _record_texts(line, sources, candidate_set.prompt, result)
+                texts = _record_texts(line, sources, candidate_set.prompt, result,
+                                      config.n_values)
                 entries += texts
                 append(progress, "".join(text + "\n" for _, text in texts))
 
@@ -627,33 +625,26 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
         audit.sort(key=lambda entry: (entry["fact_id"], entry["source"]))
         write_jsonl(records_dir / "records.jsonl", "records", (text for _, text in entries))
         write_jsonl(records_dir / "audit.jsonl", "audit", audit)
-        if not audit:
-            progress_path.unlink()
         counts = {"records": len(entries), "backend_errors": len(audit)}
         return ("records.jsonl", "audit.jsonl"), counts, not audit
 
-    return _run_stage(records_dir, "evaluate", config,
-                      _stage_inputs(config, "evaluate", Path(bundle_dir)), force, work)
+    _run_stage(records_dir, "evaluate", config,
+               _stage_inputs(config, "evaluate", Path(bundle_dir)), force, work)
+    if not audit:  # the stage is complete, whether it ran or was current
+        progress_path.unlink(missing_ok=True)
+    return records_dir
+
+
+def _read_records(path: Path, kind: str) -> Iterator[EvalRecord]:
+    """The records of a ``records`` or ``progress`` file, each made from its
+    line as the line is read."""
+    return (EvalRecord.from_line(line, str(path), lineno)
+            for lineno, line in iter_lines(path, kind))
 
 
 def load_records(records_dir) -> list[EvalRecord]:
-    """The records of the store, each turned into an ``EvalRecord`` as its
-    line is read."""
-    return [
-        EvalRecord(
-            fact_id=line["fact_id"],
-            language=line["language"],
-            relation_id=line["relation_id"],
-            source=line["source"],
-            best_correct_rank=line["best_correct_rank"],
-            hits={int(n): hit for n, hit in line["hits"].items()},
-            form_ranks=line.get("form_ranks") or None,
-            qe_score=line.get("qe_score"),
-            subject_gender=line.get("subject_gender"),
-            prompt=line.get("prompt"),
-        )
-        for _, line in iter_lines(Path(records_dir) / "records.jsonl", "records")
-    ]
+    """The records of the store."""
+    return list(_read_records(Path(records_dir) / "records.jsonl", "records"))
 
 
 def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:

@@ -64,7 +64,6 @@ class RankedResult:
     scores: list[float]
     best_correct_rank: int
     best_correct_form: str
-    hits: dict[int, bool]
 
 
 def join_continuation(prompt: str, form: str, no_space: bool = False) -> str:
@@ -134,27 +133,16 @@ def _rank(forms: list[str], scores: list[float], score: float, form: str) -> int
             + sum(map(operator.lt, ties, itertools.repeat(form))))
 
 
-def rank_candidates(
-    scored: Scores | Iterable[tuple[str, float]],
-    correct_forms,
-    n_values=(1, 2, 3, 4, 5),
-    fact_id: str = "",
-) -> RankedResult:
+def rank_candidates(scored: Scores, correct_forms, fact_id: str = "") -> RankedResult:
     """Rank scored candidates: descending score, byte-order tie-break.
 
-    Accepts ``Scores`` or plain (form, score) pairs.
     Correctness is decided by byte-equality against ``correct_forms``;
     assembly guarantees no distractor shares a correct form. The best
     correct form is the correct one with the highest score, the first in
     byte order among equal scores; byte-identical forms (duplicate labels)
     share their rank.
     """
-    if isinstance(scored, Scores):
-        forms, scores = scored.forms, scored.scores
-    else:
-        pairs = list(scored)
-        forms = [form for form, _ in pairs]
-        scores = [score for _, score in pairs]
+    forms, scores = scored.forms, scored.scores
     if not forms:
         raise ValueError("nothing to rank")
     if not all(map(math.isfinite, scores)):
@@ -166,14 +154,12 @@ def rank_candidates(
     if best is None:
         raise ValueError("no correct form present among candidates")
     neg_score, form = best
-    rank = _rank(forms, scores, -neg_score, form)
     return RankedResult(
         fact_id=fact_id,
         forms=forms,
         scores=scores,
-        best_correct_rank=rank,
+        best_correct_rank=_rank(forms, scores, -neg_score, form),
         best_correct_form=form,
-        hits={int(n): rank <= int(n) for n in n_values},
     )
 
 

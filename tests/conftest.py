@@ -50,6 +50,14 @@ class CallableScorer:
         return [(self._fn(prompt, c), self._count(c)) for c in continuations]
 
 
+def pair_scores(pairs):
+    """The ``Scores`` of ``(form, score)`` pairs, one token each."""
+    from factprobe.score import Scores
+
+    forms, scores = zip(*pairs)
+    return Scores(list(forms), list(scores), [1] * len(forms))
+
+
 def count_parsed_lines(monkeypatch, kind: str) -> list[int]:
     """The numbers of the ``kind`` lines parsed from here on, each noted as
     it is parsed. ``iter_lines`` is wrapped under both names the package

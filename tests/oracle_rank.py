@@ -65,8 +65,8 @@ def reference_score(batch, candidate_set, normalization="SUM", no_space=False):
     return forms, entity_ids, scores
 
 
-def reference_rank(forms, entity_ids, scores, correct_forms, n_values=(1, 2, 3, 4, 5)):
-    """``(keys, best rank, best form, hits)``. The keys,
+def reference_rank(forms, entity_ids, scores, correct_forms):
+    """``(keys, best rank, best form)``. The keys,
     ``(-score, form, not correct, entity id)``, are sorted, and the best rank
     is the place of the first correct one: ties break by form in code-point
     order, which is UTF-8 byte order."""
@@ -82,7 +82,7 @@ def reference_rank(forms, entity_ids, scores, correct_forms, n_values=(1, 2, 3, 
     best = next((rank for rank, key in enumerate(keys, 1) if not key[2]), 0)
     if not best:
         raise ValueError("no correct form present among candidates")
-    return keys, best, keys[best - 1][1], {n: best <= n for n in n_values}
+    return keys, best, keys[best - 1][1]
 
 
 def reference_rank_of_form(keys, form):

@@ -37,7 +37,7 @@ from factprobe.split import (
 )
 from factprobe.verbalize import build_fewshot_prompt, parse_exemplar_file
 
-from conftest import EXEMPLARS_DIR, GOLDEN_DIR, make_toy_workspace
+from conftest import EXEMPLARS_DIR, GOLDEN_DIR, make_toy_workspace, pair_scores
 from oracle_distractors import oracle_sample
 from test_report import DELTAS, MAIN_EXTRA, MAIN_SLAVIC, PUBLISHED_ASTERISKS, QE_TABLE
 
@@ -57,7 +57,7 @@ def test_criterion_ranking_oracle_equivalence():
         )
         scores = [round(rng.uniform(-30, 0), 3) for _ in forms]
         correct = set(rng.sample(forms, rng.randint(1, size)))
-        result = rank_candidates(list(zip(forms, scores)), correct)
+        result = rank_candidates(pair_scores(zip(forms, scores)), correct)
         # Independent brute-force oracle with the byte-order tie-break.
         oracle = sorted(zip(forms, scores),
                         key=lambda fs: (-fs[1], fs[0].encode("utf-8")))
@@ -180,9 +180,8 @@ def test_criterion_distractor_sampling_oracle():
 
 
 def test_criterion_recall_monotonicity_10k():
-    """10,000 random record sets: R@n monotone, R@1 <= R@5, hits consistent."""
+    """10,000 random record sets: R@n monotone, R@1 <= R@5."""
     rng = random.Random(424242)
-    n_values = (1, 2, 3, 4, 5)
     for case in range(10_000):
         count = rng.randint(1, 25)
         records = [
@@ -191,8 +190,7 @@ def test_criterion_recall_monotonicity_10k():
                 language="xx",
                 relation_id="P0",
                 source="TEMPLATE",
-                best_correct_rank=(rank := rng.randint(1, 60)),
-                hits={n: rank <= n for n in n_values},
+                best_correct_rank=rng.randint(1, 60),
             )
             for i in range(count)
         ]
@@ -200,10 +198,7 @@ def test_criterion_recall_monotonicity_10k():
         assert values == sorted(values)
         assert values[0] <= values[4]
         assert values[-1] == 1.0
-        for record in records:
-            for n, hit in record.hits.items():
-                assert hit == (record.best_correct_rank <= n)
-    _ok("R@n monotonicity and hit consistency over 10,000 cases")
+    _ok("R@n monotonicity over 10,000 cases")
 
 
 SPLIT_CASES = [
@@ -301,7 +296,7 @@ def test_criterion_inflection_delta_sign():
     records = [
         EvalRecord(
             fact_id=f"f{i}", language="ru", relation_id="P19", source="MT",
-            best_correct_rank=2, hits={1: False, 5: True},
+            best_correct_rank=2,
             form_ranks={FORM_INFLECTED: 2 + i, FORM_NONINFLECTED: 7 + i},
         )
         for i in range(10)

@@ -65,13 +65,13 @@ KINDS = {
     "records": (
         ["out/records/records.jsonl"], REPORT,
         ["fact_id", "language", "relation_id", "source", "best_correct_rank", "hits"],
-        ["form_ranks", "qe_score", "subject_gender", "prompt"],
+        ["best_correct_form", "form_ranks", "qe_score", "subject_gender", "prompt"],
         ["form_ranks", "qe_score", "subject_gender"],
     ),
     "progress": (
         ["out/records/progress.jsonl"], EVALUATE,
         ["fact_id", "language", "relation_id", "source", "best_correct_rank", "hits"],
-        ["form_ranks", "qe_score", "subject_gender", "prompt"],
+        ["best_correct_form", "form_ranks", "qe_score", "subject_gender", "prompt"],
         ["form_ranks", "qe_score", "subject_gender"],
     ),
 }
@@ -227,9 +227,12 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
         # Reached metrics.inflection_delta, and report exited 0.
         ("out/records/records.jsonl", 2, "form_ranks", {"NONINFLECTED": 0, "INFLECTED": -1},
          REPORT),
+        # A rank-1 record whose every hit is false: report exited 0.
+        ("out/records/records.jsonl", 2, "hits", {str(n): False for n in range(1, 6)}, REPORT),
     ],
     ids=["no-prompt", "one-element-distractor", "no-hits", "string-rank", "no-logprob",
-         "aliases-list", "no-correct-form", "zero-rank", "negative-rank", "form-rank-below-1"],
+         "aliases-list", "no-correct-form", "zero-rank", "negative-rank", "form-rank-below-1",
+         "hits-contradict-rank"],
 )
 def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, field, value,
                                              argv):
@@ -409,6 +412,17 @@ def test_cli_reports_a_file_in_the_way_of_a_directory(built, tmp_path, settings,
     (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
     code, err = _run(ws, argv + ["--force"])
     _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "corpus" / "facts.jsonl"))
+
+
+def test_cli_reports_a_directory_in_the_way_of_a_file(built, tmp_path):
+    # The response cache read the directory as a log: IsADirectoryError.
+    ws = _copy(built, tmp_path)
+    (ws / "cache" / "mt.jsonl").mkdir(parents=True)
+    data = yaml.safe_load((ws / "config.yaml").read_text(encoding="utf-8"))
+    data["cache_dir"] = "cache"
+    (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
+    code, err = _run(ws, BUILD + ["--force"])
+    _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "cache" / "mt.jsonl"))
 
 
 # A manifest that parses but is of the wrong shape raised AttributeError

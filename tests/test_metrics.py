@@ -28,15 +28,13 @@ from factprobe.metrics import (
 )
 
 
-def _record(rank, fact_id="f1", language="cs", source="TEMPLATE", relation="P19",
-            n_values=(1, 2, 3, 4, 5), **kwargs):
+def _record(rank, fact_id="f1", language="cs", source="TEMPLATE", relation="P19", **kwargs):
     return EvalRecord(
         fact_id=fact_id,
         language=language,
         relation_id=relation,
         source=source,
         best_correct_rank=rank,
-        hits={n: rank <= n for n in n_values},
         **kwargs,
     )
 
@@ -111,9 +109,6 @@ def test_recall_monotone_and_consistent(ranks):
     values = [recall_at_n(records, n) for n in range(1, 10)]
     assert values == sorted(values)
     assert recall_at_n(records, max(ranks)) == 1.0
-    for record in records:
-        for n, hit in record.hits.items():
-            assert hit == (record.best_correct_rank <= n)
 
 
 def test_inflection_delta_basic():

@@ -163,13 +163,13 @@ def test_adversarial_oracle_lower_bound(tmp_path):
     config, _ = _build(tmp_path, facts_per_cell=5, scorer_mode="adversarial")
     bundle = cmd_build_dataset(config, replay=True)
     records_dir = cmd_evaluate(config, bundle)
-    records = load_records(records_dir)
+    lines = read_jsonl(records_dir / "records.jsonl", "records")
     # Pools have 5 objects, so every fact gets 4 distractors; with every
     # correct form at the bottom the best correct rank is 5: R@n is zero
     # for all n below the distractor-plus-one boundary.
-    assert all(r.best_correct_rank == 5 for r in records)
-    assert all(not r.hits[4] for r in records)
-    assert all(r.hits[5] for r in records)
+    assert lines and all(line["best_correct_rank"] == 5 for line in lines)
+    assert all(line["hits"] == {"1": False, "2": False, "3": False, "4": False, "5": True}
+               for line in lines)
 
 
 class _Interrupted(BaseException):
@@ -208,6 +208,34 @@ def test_interrupt_and_resume_identical_store(tmp_path):
         records_b / "records.jsonl"
     ).read_bytes()
     assert not (records_a / "progress.jsonl").exists()
+
+
+def test_a_run_killed_at_the_records_manifest_resumes_without_scoring(tmp_path, monkeypatch):
+    # The killed run had already deleted its progress log, so the rerun
+    # scored every set again.
+    config, _ = _build(tmp_path, "a", facts_per_cell=4)
+    bundle = cmd_build_dataset(config, replay=True)
+    manifest = config.output_dir / "records" / "manifest.json"
+    write_json = pipeline._write_json
+
+    def killed_at_manifest(path, obj):
+        if path == manifest:
+            raise _Interrupted("killed before the manifest")
+        write_json(path, obj)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_write_json", killed_at_manifest)
+        with pytest.raises(_Interrupted):
+            cmd_evaluate(config, bundle)
+    scorer = _CountingScorer(_oracle(config, bundle))
+    records = cmd_evaluate(config, bundle, scorer=scorer)
+    assert scorer.requests == Counter()
+    assert not (records / "progress.jsonl").exists()
+
+    config_clean, _ = _build(tmp_path, "clean", facts_per_cell=4)
+    records_clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    assert (records / "records.jsonl").read_bytes() == (
+        records_clean / "records.jsonl").read_bytes()
 
 
 def _interrupted_progress(tmp_path, name, after=10):
@@ -1039,6 +1067,21 @@ def test_a_record_build_asks_once_per_request_and_replays_to_its_bundle(tmp_path
         replayed = cmd_build_dataset(config, replay=True)
         assert handler.calls == len(recorded)
     assert (replayed / "candidate_sets.jsonl").read_bytes() == built
+
+
+def test_a_second_record_build_asks_only_what_is_not_recorded(tmp_path):
+    # Each record build used to ask every request again and append its new
+    # answer, so the bundles differed and replay gave the last one.
+    with _record_qe_workspace(tmp_path, cache_dir=None) as (config, handler):
+        bundles = []
+        for replay in (False, False, True):
+            bundle = cmd_build_dataset(config, replay=replay, force=True)
+            bundles.append({name: (bundle / name).read_bytes() for name in (
+                "candidate_sets.jsonl", "verbalizations.jsonl", "audit.jsonl")})
+        recorded = Path(config.qe.record_fixtures).read_text(encoding="utf-8").splitlines()
+        distinct = {_parse_fixture_line(raw)[0].digest() for raw in recorded}
+    assert handler.calls == len(recorded) == len(distinct)
+    assert bundles[0] == bundles[1] == bundles[2]
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="no /proc/self/fd")

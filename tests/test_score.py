@@ -20,7 +20,7 @@ from factprobe.score import (
     score_candidates,
 )
 
-from conftest import CallableScorer
+from conftest import CallableScorer, pair_scores
 from oracle_rank import (
     reference_oracle_batch,
     reference_rank,
@@ -108,18 +108,15 @@ def test_table_scorer_missing_entry_is_backend_error():
 
 
 def test_rank_basic():
-    result = rank_candidates(
-        [("A", -1.0), ("B", -2.0), ("C", -3.0)], ["B"], n_values=(1, 5)
-    )
+    result = rank_candidates(pair_scores([("A", -1.0), ("B", -2.0), ("C", -3.0)]), ["B"])
     ranks = {form: rank_of_form(result, form) for form in "ABC"}
     assert ranks == {"A": 1, "B": 2, "C": 3}
     assert result.best_correct_rank == 2
     assert result.best_correct_form == "B"
-    assert result.hits == {1: False, 5: True}
 
 
 def test_rank_tie_breaks_by_byte_order():
-    result = rank_candidates([("A", -1.0), ("B", -1.0)], ["B"])
+    result = rank_candidates(pair_scores([("A", -1.0), ("B", -1.0)]), ["B"])
     ranks = {form: rank_of_form(result, form) for form in "AB"}
     assert ranks == {"A": 1, "B": 2}
     assert (result.best_correct_rank, result.best_correct_form) == (2, "B")
@@ -135,20 +132,20 @@ def test_rank_matches_independent_sort_oracle():
         oracle = sorted(zip(forms, scores),
                         key=lambda fs: (-fs[1], fs[0].encode("utf-8")))
         oracle_ranks = {form: i + 1 for i, (form, _) in enumerate(oracle)}
-        result = rank_candidates(list(zip(forms, scores)), correct)
+        result = rank_candidates(pair_scores(zip(forms, scores)), correct)
         assert {form: rank_of_form(result, form) for form in forms} == oracle_ranks
         assert result.best_correct_rank == min(oracle_ranks[f] for f in correct)
 
 
 def test_rank_rejects_non_finite():
     with pytest.raises(NonFiniteScore):
-        rank_candidates([("A", float("nan"))], ["A"])
+        rank_candidates(pair_scores([("A", float("nan"))]), ["A"])
     with pytest.raises(NonFiniteScore):
-        rank_candidates([("A", float("-inf"))], ["A"])
+        rank_candidates(pair_scores([("A", float("-inf"))]), ["A"])
 
 
 def test_rank_of_form():
-    result = rank_candidates([("A", -1.0), ("B", -2.0), ("C", -3.0)], ["B"])
+    result = rank_candidates(pair_scores([("A", -1.0), ("B", -2.0), ("C", -3.0)]), ["B"])
     assert rank_of_form(result, "C") == 3
     with pytest.raises(FormNotPresent):
         rank_of_form(result, "missing")
@@ -167,9 +164,9 @@ def test_rank_affine_invariance(raw_scores, scale, shift):
     # Integer-spaced scores keep the transform exact in floats.
     scores = [float(s) for s in raw_scores]
     forms = [f"f{i}" for i in range(len(scores))]
-    base = rank_candidates(list(zip(forms, scores)), [forms[0]])
+    base = rank_candidates(pair_scores(zip(forms, scores)), [forms[0]])
     transformed = rank_candidates(
-        [(f, s * scale + shift) for f, s in zip(forms, scores)], [forms[0]]
+        pair_scores([(f, s * scale + shift) for f, s in zip(forms, scores)]), [forms[0]]
     )
     assert [rank_of_form(base, f) for f in forms] == [rank_of_form(transformed, f) for f in forms]
     assert base.best_correct_rank == transformed.best_correct_rank
@@ -181,10 +178,10 @@ def test_rank_input_permutation_invariance(seed):
     rng = random.Random(seed)
     items = [(f"f{i}", rng.choice([-2.0, -1.0])) for i in range(8)]
     correct = [items[0][0]]
-    base = rank_candidates(items, correct)
+    base = rank_candidates(pair_scores(items), correct)
     shuffled = items[:]
     rng.shuffle(shuffled)
-    other = rank_candidates(shuffled, correct)
+    other = rank_candidates(pair_scores(shuffled), correct)
     assert [rank_of_form(base, form) for form, _ in items] == [
         rank_of_form(other, form) for form, _ in items
     ]
@@ -192,11 +189,9 @@ def test_rank_input_permutation_invariance(seed):
 
 
 def test_hits_monotone_in_n():
-    result = rank_candidates(
-        [("A", -1.0), ("B", -2.0), ("C", -3.0)], ["C"], n_values=(1, 2, 3, 4, 5)
-    )
-    values = [result.hits[n] for n in sorted(result.hits)]
-    assert values == sorted(values)
+    result = rank_candidates(pair_scores([("A", -1.0), ("B", -2.0), ("C", -3.0)]), ["C"])
+    values = [result.best_correct_rank <= n for n in (1, 2, 3, 4, 5)]
+    assert values == sorted(values) == [False, False, True, True, True]
 
 
 def test_oracle_scorer_perfect_and_adversarial():
@@ -228,10 +223,10 @@ def test_duplicate_distractor_forms_rank_deterministically():
     result = rank_candidates(score_candidates(scorer, cs), ["gold"])
     # All scores tie; "gold" < "twin" in byte order takes rank 1, and the
     # byte-identical twins share rank 2, the best of their places 2 and 3.
-    keys, best, best_form, hits = reference_rank(
+    keys, best, best_form = reference_rank(
         *reference_score(scorer.score_batch, cs), cs.correct_forms)
-    assert (result.best_correct_rank, result.best_correct_form, result.hits) == (
-        best, best_form, hits) == (1, "gold", {n: True for n in (1, 2, 3, 4, 5)})
+    assert (result.best_correct_rank, result.best_correct_form) == (
+        best, best_form) == (1, "gold")
     assert [rank_of_form(result, form) for form in ("gold", "twin")] == [
         reference_rank_of_form(keys, form) for form in ("gold", "twin")] == [1, 2]
 
@@ -263,8 +258,8 @@ def test_rank_matches_the_byte_key_ranking(data):
     expected = _byte_key_ranking(forms, scores, correct)
     best_form, best, _ = next(c for c in expected if c[2])
     keys, *reference = reference_rank(forms, [""] * count, scores, correct)
-    assert [result.best_correct_rank, result.best_correct_form, result.hits] == reference == [
-        best, best_form, {n: best <= n for n in (1, 2, 3, 4, 5)}]
+    assert [result.best_correct_rank, result.best_correct_form] == reference == [
+        best, best_form]
     for form in set(forms):
         assert rank_of_form(result, form) == reference_rank_of_form(keys, form) == min(
             rank for f, rank, _ in expected if f == form)
@@ -328,13 +323,13 @@ def test_the_one_pass_path_ranks_as_the_reference(data):
         assert scorer.score_batch(prompt, continuations) == batch(prompt, continuations)
         result = rank_candidates(score_candidates(scorer, cs, normalization, continuations),
                                  cs.correct_forms, fact_id="f1")
-        return (result.best_correct_rank, result.best_correct_form, result.hits,
+        return (result.best_correct_rank, result.best_correct_form,
                 [rank_of_form(result, form) for form in forms])
 
     def reference():
-        keys, best, best_form, hits = reference_rank(
+        keys, best, best_form = reference_rank(
             *reference_score(batch, cs, normalization, no_space), cs.correct_forms)
-        return best, best_form, hits, [reference_rank_of_form(keys, form) for form in forms]
+        return best, best_form, [reference_rank_of_form(keys, form) for form in forms]
 
     assert _outcome(one_pass) == _outcome(reference)
 
@@ -353,7 +348,7 @@ _BENCH_SET = _candidate_set(["Praha", "Praze"], [f"město{i}" for i in range(50)
 def test_benchmark_rank_candidates(benchmark):
     rng = random.Random(3)
     forms = _BENCH_SET.correct_forms + tuple(d.form for d in _BENCH_SET.distractors)
-    scored = [(form, rng.choice([-3.0, -2.0, -1.0])) for form in forms]
+    scored = pair_scores([(form, rng.choice([-3.0, -2.0, -1.0])) for form in forms])
     result = benchmark.pedantic(
         rank_candidates, args=(scored, _BENCH_SET.correct_forms), rounds=200, iterations=10
     )
@@ -397,7 +392,7 @@ def test_benchmark_evaluate_one_bundle_line(benchmark):
             continuations = candidate_continuations(cs, line["no_space"])
             scored = score_candidates(oracle, cs, continuations=continuations)
             result = rank_candidates(scored, cs.correct_forms, fact_id=cs.fact_id)
-            texts += pipeline._record_texts(line, sources, cs.prompt, result)
+            texts += pipeline._record_texts(line, sources, cs.prompt, result, (1, 2, 3, 4, 5))
         return texts
 
     texts = benchmark.pedantic(evaluate_line, rounds=200, iterations=10)
