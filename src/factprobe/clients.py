@@ -22,7 +22,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ClientError, ConfigError, ReplayMiss
@@ -31,13 +31,24 @@ from .jsonl import append, dump, iter_lines, make_dir, open_log
 
 @dataclass(frozen=True)
 class TextRequest:
-    """Canonical client request; the cache key is a pure function of it."""
+    """Canonical client request; the cache key is a pure function of it.
+
+    Its canonical text and digest are made once, at construction: the fetch
+    path and the provenance of a verbalization both read them."""
 
     client_id: str
     text: str
     source_language: str
     target_language: str
     extra: tuple[tuple[str, str], ...] = ()
+    _canonical: str = field(init=False, repr=False, compare=False)
+    _digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        canonical, digest = _encode(self.client_id, self.text, self.source_language,
+                                    self.target_language, dict(self.extra))
+        object.__setattr__(self, "_canonical", canonical)
+        object.__setattr__(self, "_digest", digest)
 
     def fields(self) -> dict:
         return {
@@ -48,31 +59,35 @@ class TextRequest:
             "extra": dict(self.extra),
         }
 
-    @cached_property
-    def _serialized(self) -> tuple[str, str]:
-        # Computed once per request: the fetch path and the provenance of a
-        # verbalization both read the digest and the canonical form.
-        canonical = dump(self.fields())
-        return canonical, _sha256(canonical)
-
     def canonical(self) -> str:
-        return self._serialized[0]
+        """``dump(self.fields())``."""
+        return self._canonical
 
     def digest(self) -> str:
-        return self._serialized[1]
+        return self._digest
+
+
+def _encode(client_id: str, text: str, source_language: str, target_language: str,
+            extra: dict) -> tuple[str, str]:
+    """The canonical text of the request with these fields, which is what
+    ``dump`` gives for its ``fields()``, and its digest. Each string is
+    encoded on its own, with the keys written in sorted order."""
+    canonical = (f'{{"client_id":{encode_basestring(client_id)},"extra":{dump(extra)},'
+                 f'"source_language":{encode_basestring(source_language)},'
+                 f'"target_language":{encode_basestring(target_language)},'
+                 f'"text":{encode_basestring(text)}}}')
+    return canonical, _sha256(canonical)
 
 
 def _sha256(canonical: str) -> str:
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # A lone surrogate, which no UTF-8 text holds, is hashed by its code point.
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def record_line(request: TextRequest, response: str) -> str:
-    """The line a fixture file and a cache entry hold for one response."""
-    return dump({"request": request.fields(), "response": response}) + "\n"
-
-
-# The string fields of a request; ``extra`` is its one other field.
-_TEXT_FIELDS = ("client_id", "text", "source_language", "target_language")
+    """The line a fixture file and a cache entry hold for one response:
+    ``dump({"request": request.fields(), "response": response})``."""
+    return f'{{"request":{request.canonical()},"response":{encode_basestring(response)}}}\n'
 
 
 class FixtureLog:
@@ -145,15 +160,15 @@ def load_fixtures(paths, torn_tail: bool = False) -> dict[str, str]:
     digest map; ``torn_tail`` skips a torn last line, as ``iter_lines`` does.
 
     Each line's digest is that of the ``TextRequest`` the line holds, taken
-    straight from the line's fields: ``dump`` sorts the keys, so the order
-    of ``extra`` does not matter."""
+    straight from the line's fields, so their order and spacing in the line
+    do not matter, and a line without ``extra`` has none."""
     responses = {}
     for path in paths:
         for _, record in iter_lines(path, "fixture", torn_tail=torn_tail):
             req = record["request"]
-            fields = {name: req[name] for name in _TEXT_FIELDS}
-            fields["extra"] = req.get("extra", {})
-            responses[_sha256(dump(fields))] = record["response"]
+            _, digest = _encode(req["client_id"], req["text"], req["source_language"],
+                                req["target_language"], req.get("extra", {}))
+            responses[digest] = record["response"]
     return responses
 
 

@@ -7,9 +7,10 @@ maps each field of a kind to a check of its value: ``?`` marks an optional
 field, a nested mapping an object, ``*`` every member of a map of objects,
 and unnamed fields are ignored. A line that fails is a ``MalformedRecord``
 naming file, line and field. A file is written whole or not at all: its
-lines go to a temporary file beside it that replaces it only once the last
-line is written. A log (progress, cache, recorded fixtures) is instead
-appended to, whole lines at a time, and survives a killed append."""
+lines, or the text of a manifest or report file, go to a temporary file
+beside it that replaces it only once the last line is written. A log
+(progress, cache, recorded fixtures) is instead appended to, whole lines at
+a time, and survives a killed append."""
 
 from __future__ import annotations
 
@@ -276,33 +277,46 @@ def append(fd: int, text: str) -> None:
 
 
 @contextlib.contextmanager
-def writing(path: Path, kind: str, **header):
-    """Yield ``write(line)``, which adds one line to the ``kind`` file at
-    ``path`` under its header, extended by the ``header`` fields, and
-    returns the line's text. A line is a value, encoded by ``dump``, or a
-    string: the ``dump`` text of a value, written as it is.
-
-    The lines go to ``<name>.tmp`` beside ``path``, which replaces ``path``
-    when the block ends without an error and is deleted when it raises. So
-    ``path`` holds either every line of one block or what it held before; a
-    killed process may leave the temporary file, which the next write of
-    ``path`` overwrites."""
+def _replacing(path):
+    """Yield a text file ``<name>.tmp`` beside ``path``, which replaces
+    ``path`` when the block ends without an error and is deleted when it
+    raises. So ``path`` holds either all that the block wrote or what it held
+    before; a killed process may leave the temporary file, which the next
+    write of ``path`` overwrites."""
     path = Path(path)
     temporary = path.with_name(path.name + ".tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as fh:
-            fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
-
-            def write(line) -> str:
-                text = line if type(line) is str else dump(line)
-                fh.write(text + "\n")
-                return text
-
-            yield write
+            yield fh
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
     os.replace(temporary, path)
+
+
+@contextlib.contextmanager
+def writing(path: Path, kind: str, **header):
+    """Yield ``write(line)``, which adds one line to the ``kind`` file at
+    ``path`` under its header, extended by the ``header`` fields, and
+    returns the line's text. A line is a value, encoded by ``dump``, or a
+    string: the ``dump`` text of a value, written as it is. The file is
+    written whole or not at all (see ``_replacing``)."""
+    with _replacing(path) as fh:
+        fh.write(dump({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
+
+        def write(line) -> str:
+            text = line if type(line) is str else dump(line)
+            fh.write(text + "\n")
+            return text
+
+        yield write
+
+
+def write_text(path, text: str) -> None:
+    """``text`` as the whole of the file at ``path``, written whole or not at
+    all (see ``_replacing``): a manifest or a report file."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def write_jsonl(path: Path, kind: str, lines, **header) -> None:

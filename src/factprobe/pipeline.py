@@ -44,7 +44,7 @@ from .errors import (
     ScorerConnectionLost,
 )
 from .jsonl import (SCHEMA_VERSION, append, dump, iter_lines, make_dir, open_log,
-                    read_jsonl, write_jsonl, writing)
+                    read_jsonl, write_jsonl, write_text, writing)
 from .metrics import (
     FEMALE_GENDERS,
     FORM_INFLECTED,
@@ -72,6 +72,7 @@ from .split import Rejection, collect_correct_forms, split_verbalization
 from .verbalize import (
     VerbalizationSource,
     english_sentence,
+    fewshot_prefix,
     make_llm_verbalization,
     make_mt_verbalization,
     make_template_verbalization,
@@ -144,10 +145,7 @@ def _stage_inputs(config: RunConfig, stage: str, upstream: Path | None = None,
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n")
 
 
 def _stage_is_current(directory: Path, stage: str, config_digest: str,
@@ -234,7 +232,8 @@ class BuildContext:
     # Per (relation, language) cell: the object pool as ``keyed_pool``
     # returns it, keyed, sorted and labelled once for all of the cell's facts.
     pools: dict[tuple[str, str], list[Distractor]]
-    exemplars: dict[tuple[str, str], list]
+    # Per cell: the ``fewshot_prefix`` of its exemplars, the same for each fact.
+    fewshot: dict[tuple[str, str], str | None]
     # One service per enabled client role ("MT", "LLM", "QE").
     services: dict[str, TextService]
 
@@ -278,7 +277,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
             else:
                 verb = make_llm_verbalization(
                     fact, corpus, ctx.services["LLM"],
-                    ctx.exemplars[(fact.relation_id, fact.language)], config.match, english,
+                    ctx.fewshot[(fact.relation_id, fact.language)], config.match, english,
                 )
         except ProbeError as exc:
             audit.append(_audit(fact.id, source, "VERBALIZATION_ERROR", exc.code))
@@ -311,12 +310,13 @@ def build_fact(fact: Fact, ctx: BuildContext):
         return candidate_lines, verbalization_lines, audit
 
     try:
-        base_forms = collect_correct_forms(corpus, fact, splits)
-        correct_forms = collect_correct_forms(
-            corpus, fact, splits,
-            include_aliases=config.include_aliases,
-            include_english=config.include_english,
-        )
+        base_forms = correct_forms = collect_correct_forms(corpus, fact, splits)
+        if config.include_aliases or config.include_english:
+            correct_forms = collect_correct_forms(
+                corpus, fact, splits,
+                include_aliases=config.include_aliases,
+                include_english=config.include_english,
+            )
     except ProbeError as exc:
         audit.extend(_audit(fact.id, source.value, "POOL_ERROR", exc.code) for source in splits)
         return candidate_lines, verbalization_lines, audit
@@ -393,7 +393,7 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
         ]
         cells = sorted({(f.relation_id, f.language) for f in facts})
 
-        exemplars: dict[tuple[str, str], list] = {}
+        fewshot: dict[tuple[str, str], str | None] = {}
         if "LLM" in config.sources:
             if config.exemplars_dir is None:
                 raise NoExemplars("LLM source enabled but no exemplars_dir configured")
@@ -403,7 +403,8 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
                     raise NoExemplars(
                         f"missing exemplar file {path.name}", path=str(path)
                     )
-                exemplars[(relation_id, language)] = parse_exemplar_file(path)
+                fewshot[(relation_id, language)] = fewshot_prefix(
+                    language, parse_exemplar_file(path))
 
         cache = ResponseCache(config.cache_dir) if config.cache_dir else None
         services = {}
@@ -426,7 +427,7 @@ def cmd_build_dataset(config: RunConfig, replay: bool = False, force: bool = Fal
                 )
                 for relation_id, language in cells
             },
-            exemplars=exemplars,
+            fewshot=fewshot,
             services=services,
         )
         # Only the counts of the manifest outlive a fact's lines.
@@ -704,7 +705,7 @@ def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
         else:
             (report_dir / "qe_correlation.csv").unlink(missing_ok=True)
         for name, text in artifacts.items():
-            (report_dir / name).write_text(text, encoding="utf-8")
+            write_text(report_dir / name, text)
         return list(artifacts), {"records": len(records)}, True
 
     return _run_stage(report_dir, "report", config,

@@ -66,6 +66,11 @@ class ObjectMatch:
     form: str
     matched_via: MatchVia
     confidence: float  # min per-word prefix ratio; 1.0 for EXACT
+    label: int = 0  # the index of the matched label in the labels searched
+
+
+# The ``match`` of a verbalization whose sentence has not been searched.
+NOT_SEARCHED = object()
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,8 @@ def _stem_word_ratio(label_word: str, sentence_word: str, config: MatchConfig) -
 
 
 def _rightmost(tokens, label_words, fit):
-    """``(span, confidence)`` of the rightmost window that some label fits,
-    or None; among equal spans the earlier label wins.
+    """``(span, confidence, label index)`` of the rightmost window that some
+    label fits, or None; among equal spans the earlier label wins.
 
     ``fit(label_index, start)`` is the confidence of the window of label
     ``label_index`` that starts at token ``start``, or None. Each label's
@@ -133,8 +138,28 @@ def _rightmost(tokens, label_words, fit):
                 break
             confidence = fit(index, start)
             if confidence is not None:
-                best = (span, confidence)
+                best = (span, confidence, index)
                 break
+    return best
+
+
+def _rightmost_exact(tokens, words, label_words):
+    """``(span, 1.0, label index)`` of the rightmost whole-word occurrence of
+    some label, or None, by the rule of ``_rightmost``. The words, each
+    bounded by NUL, which no word contains, are searched as one string, and
+    the NULs before an occurrence count the tokens before it."""
+    joined = "\0" + "\0".join(words) + "\0"
+    best = None
+    for index, label in enumerate(label_words):
+        if not label:
+            continue
+        at = joined.rfind("\0" + "\0".join(label) + "\0")
+        if at < 0:
+            continue
+        start = joined.count("\0", 0, at)
+        span = (tokens[start][0], tokens[start + len(label) - 1][1])
+        if best is None or span > best[0]:
+            best = (span, 1.0, index)
     return best
 
 
@@ -157,14 +182,11 @@ def match_object_form(
     def found(best, via: MatchVia) -> ObjectMatch | None:
         if best is None:
             return None
-        span, confidence = best
-        return ObjectMatch(span, sentence[span[0] : span[1]], via, confidence)
+        span, confidence, index = best
+        return ObjectMatch(span, sentence[span[0] : span[1]], via, confidence, index)
 
     # Pass 1: exact whole-word matches.
-    def exact_fit(i: int, start: int) -> float | None:
-        return 1.0 if words[start : start + len(label_words[i])] == label_words[i] else None
-
-    match = found(_rightmost(tokens, label_words, exact_fit), MatchVia.EXACT)
+    match = found(_rightmost_exact(tokens, words, label_words), MatchVia.EXACT)
     if match is not None:
         return match
 
@@ -223,6 +245,23 @@ def split_template_sentence(
     )
 
 
+def object_labels(entity: Entity, language: str) -> list[str]:
+    """The labels an MT or LLM verbalization in ``language`` is searched for:
+    the default label of ``entity`` there, its aliases there, then its
+    English label unless one of those already is that label."""
+    labels: list[str] = []
+    default = entity.label(language)
+    if default:
+        labels.append(default)
+    labels.extend(entity.alias_list(language))
+    en = entity.label("en")
+    if en and en not in labels:
+        labels.append(en)
+    if not labels:
+        raise MissingLabel(f"entity {entity.id!r} has no usable labels for {language!r}")
+    return labels
+
+
 def split_verbalization(
     verbalization,
     object_entity: Entity,
@@ -232,9 +271,10 @@ def split_verbalization(
 
     TEMPLATE verbalizations split positionally at the [Y] placeholder
     (the template, subject and object labels ride in the provenance).
-    MT/LLM verbalizations are searched for the default label in their
-    ``target_language``, its aliases, and the English label. The split is
-    accepted only if the text after the match is punctuation/whitespace.
+    MT/LLM verbalizations are searched for the ``object_labels`` of their
+    ``target_language``, unless the verbalization carries the ``match`` of
+    that search. The split is accepted only if the text after the match is
+    punctuation/whitespace.
     """
     from .verbalize import VerbalizationSource  # local import, avoids cycle
 
@@ -247,20 +287,10 @@ def split_verbalization(
             sentence, prov["template"], prov["subject_label"], prov["object_label"]
         )
 
-    language = prov["target_language"]
-    labels: list[str] = []
-    default = object_entity.label(language)
-    if default:
-        labels.append(default)
-    labels.extend(object_entity.alias_list(language))
-    en = object_entity.label("en")
-    if en and en not in labels:
-        labels.append(en)
-    if not labels:
-        raise MissingLabel(
-            f"entity {object_entity.id!r} has no usable labels for {language!r}"
-        )
-    match = match_object_form(sentence, labels, config)
+    match = verbalization.match
+    if match is NOT_SEARCHED:
+        labels = object_labels(object_entity, prov["target_language"])
+        match = match_object_form(sentence, labels, config)
     if match is None:
         return Rejection(REJECT_OBJECT_NOT_FOUND)
     return _finalize_split(sentence, match)

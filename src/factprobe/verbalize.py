@@ -30,7 +30,7 @@ from .errors import (
     MissingTemplate,
     NoExemplars,
 )
-from .split import MatchConfig, match_object_form
+from .split import NOT_SEARCHED, MatchConfig, ObjectMatch, match_object_form, object_labels
 
 WARN_CONSTRAINT_VIOLATION = "CONSTRAINT_VIOLATION"
 
@@ -61,6 +61,10 @@ class Verbalization:
     sentence: str
     provenance: dict[str, str]
     warning: str | None = None
+    # The match of ``sentence`` over the ``object_labels`` of the fact's
+    # object (None: no label matched), when the verbalizer made it; the
+    # split then uses it instead of searching again.
+    match: ObjectMatch | None | object = NOT_SEARCHED
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,38 @@ def _fewshot_block(source: str, subject: str, obj: str, translation: str | None)
     return "\n".join(lines) + "\n"
 
 
+def fewshot_prefix(language: str, exemplars: list[FewShotExemplar]) -> str | None:
+    """The instruction and exemplar blocks that open the translation prompt
+    of every fact of a (relation, ``language``) cell; None without
+    exemplars."""
+    if not exemplars:
+        return None
+    name = LANGUAGE_NAMES.get(language, language)
+    parts = [_FEWSHOT_INSTRUCTION.format(language=name)]
+    for ex in exemplars:
+        parts.append(
+            _fewshot_block(
+                ex.source_sentence,
+                ex.subject_translation,
+                ex.object_translation,
+                ex.translation,
+            )
+        )
+    return "\n".join(parts)
+
+
+def _fewshot_prompt(prefix: str | None, relation_id: str, language: str, fact: Fact,
+                    corpus: Corpus, english: str | None) -> str:
+    """The cell's ``prefix`` followed by the open query block of ``fact``."""
+    if prefix is None:
+        raise NoExemplars(
+            f"no exemplars for relation {relation_id!r} in {language!r}"
+        )
+    subject, obj = _labels_for(corpus, fact, language)
+    source = english_sentence(fact, corpus) if english is None else english
+    return prefix + "\n" + _fewshot_block(source, subject, obj, None)
+
+
 def build_fewshot_prompt(
     relation: Relation,
     language: str,
@@ -260,25 +296,8 @@ def build_fewshot_prompt(
     the completion starts right after the trailing space. ``english`` is the
     fact's ``english_sentence``, built here when not given.
     """
-    if not exemplars:
-        raise NoExemplars(
-            f"no exemplars for relation {relation.id!r} in {language!r}"
-        )
-    subject, obj = _labels_for(corpus, fact, language)
-    source = english_sentence(fact, corpus) if english is None else english
-    name = LANGUAGE_NAMES.get(language, language)
-    parts = [_FEWSHOT_INSTRUCTION.format(language=name)]
-    for ex in exemplars:
-        parts.append(
-            _fewshot_block(
-                ex.source_sentence,
-                ex.subject_translation,
-                ex.object_translation,
-                ex.translation,
-            )
-        )
-    parts.append(_fewshot_block(source, subject, obj, None))
-    return "\n".join(parts)
+    return _fewshot_prompt(fewshot_prefix(language, exemplars), relation.id, language,
+                           fact, corpus, english)
 
 
 def parse_completion(completion: str) -> str:
@@ -300,19 +319,24 @@ def make_llm_verbalization(
     fact: Fact,
     corpus: Corpus,
     service: TextService,
-    exemplars: list[FewShotExemplar],
+    fewshot: str | None,
     match_config: MatchConfig | None = None,
     english: str | None = None,
 ) -> Verbalization:
     """Few-shot LLM translation with enforced entity translations.
 
-    If the completion contains neither the enforced object translation's
-    stem nor any alias stem, the verbalization is still recorded but
-    flagged with a CONSTRAINT_VIOLATION warning. ``english`` is the fact's
+    ``fewshot`` is the ``fewshot_prefix`` of the fact's cell. If the
+    completion contains neither the enforced object translation's stem nor
+    any alias stem, the verbalization is still recorded but flagged with a
+    CONSTRAINT_VIOLATION warning. ``english`` is the fact's
     ``english_sentence``, built here when not given.
+
+    The completion is searched once, for the ``object_labels`` the split
+    searches, and the verbalization carries that match to the split. Only
+    when the English label alone matched are the enforced labels searched
+    again, since one of them may still match elsewhere in the sentence.
     """
-    relation = corpus.relations[fact.relation_id]
-    prompt = build_fewshot_prompt(relation, fact.language, exemplars, fact, corpus, english)
+    prompt = _fewshot_prompt(fewshot, fact.relation_id, fact.language, fact, corpus, english)
     request = TextRequest(
         client_id=service.client.client_id,
         text=prompt,
@@ -327,8 +351,11 @@ def make_llm_verbalization(
     entity = corpus.entities[fact.object_id]
     enforced = [entity.labels[fact.language]]
     enforced.extend(entity.alias_list(fact.language))
+    labels = object_labels(entity, fact.language)
+    match = match_object_form(sentence, labels, match_config)
     warning = None
-    if match_object_form(sentence, enforced, match_config) is None:
+    if match is None or (labels[match.label] not in enforced
+                         and match_object_form(sentence, enforced, match_config) is None):
         warning = WARN_CONSTRAINT_VIOLATION
     return Verbalization(
         fact_id=fact.id,
@@ -341,4 +368,5 @@ def make_llm_verbalization(
             "target_language": fact.language,
         },
         warning=warning,
+        match=match,
     )

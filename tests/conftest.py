@@ -10,7 +10,10 @@ gendered marker (``wqr1`` / ``wqr1la``) and machine/LLM translations
 
 from __future__ import annotations
 
+import builtins
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,36 @@ def count_parsed_lines(monkeypatch, kind: str) -> list[int]:
     for module in (pipeline, jsonl):
         monkeypatch.setattr(module, "iter_lines", counting(module.iter_lines))
     return parsed
+
+
+class TornFile:
+    """A text file whose write stores half of its text, then fails, as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def tear_writes_of(monkeypatch, name: str) -> None:
+    """Make every write of the file ``name`` through ``jsonl`` fail midway."""
+    from factprobe import jsonl
+
+    def opening(path, *args, **kwargs):
+        fh = builtins.open(path, *args, **kwargs)
+        return TornFile(fh) if os.path.basename(path) == name + ".tmp" else fh
+
+    monkeypatch.setattr(jsonl, "open", opening, raising=False)
 
 
 def _dump(obj) -> str:

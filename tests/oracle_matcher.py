@@ -12,7 +12,8 @@ from factprobe.split import MatchConfig, MatchVia, _stem_word_ratio, _tokenize
 
 
 def oracle_match(sentence, labels, config=None):
-    """``(span, form, MatchVia, confidence)`` of the match, or None."""
+    """``(span, form, MatchVia, confidence, label index)`` of the match, or
+    None."""
     config = config or MatchConfig()
     tokens = _tokenize(sentence)
     label_words = [[w for _, _, w in _tokenize(label)] for label in labels]
@@ -42,6 +43,6 @@ def oracle_match(sentence, labels, config=None):
     for via, fit in ((MatchVia.EXACT, exact), (MatchVia.STEM, stem)):
         best = search(fit)
         if best is not None:
-            span, _, confidence = best
-            return span, sentence[span[0]:span[1]], via, confidence
+            span, negated_index, confidence = best
+            return span, sentence[span[0]:span[1]], via, confidence, -negated_index
     return None

@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factprobe.clients import (
     FixtureLog,
@@ -87,10 +89,12 @@ def test_record_service_asks_and_records_each_request_once(tmp_path):
 
 def test_fixture_lines_are_keyed_by_the_digest_of_their_request(tmp_path):
     # A hand-written line: keys in any order, ``extra`` unsorted or left
-    # out, and a request field the format does not name.
+    # out, a request field the format does not name, spaces, and strings
+    # escaped where ``dump`` would not escape them.
     path = tmp_path / "fixtures.jsonl"
     with_extra = _request("s extra", extra=(("a", "1"), ("b", "2")))
     without = _request("bez extra")
+    escaped = _request("é/ü")
     lines = [
         {"response": "první", "request": {
             "text": "s extra", "target_language": "cs", "extra": {"b": "2", "a": "1"},
@@ -98,9 +102,12 @@ def test_fixture_lines_are_keyed_by_the_digest_of_their_request(tmp_path):
         {"request": {"client_id": "mt", "text": "bez extra", "source_language": "en",
                      "target_language": "cs"}, "response": "druhá"},
     ]
-    path.write_text("".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+    path.write_text("".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
+                    + '{ "request" : { "target_language" : "cs", "text" : "\\u00e9\\/\\u00fc",'
+                    ' "client_id" : "mt", "source_language" : "en" }, "response" : "třetí" }\n',
                     encoding="utf-8")
-    assert load_fixtures([path]) == {with_extra.digest(): "první", without.digest(): "druhá"}
+    assert load_fixtures([path]) == {with_extra.digest(): "první", without.digest(): "druhá",
+                                     escaped.digest(): "třetí"}
 
 
 def test_cache_entry_is_a_fixture_line(tmp_path):
@@ -197,15 +204,49 @@ def test_cache_refuses_a_client_id_that_is_no_file_name(tmp_path, client_id):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
-def test_request_is_serialized_once(monkeypatch):
+# Characters that JSON must escape or that UTF-8 spells in four bytes, and
+# lone surrogates, which no UTF-8 text holds but a JSON string may.
+_AWKWARD = st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                            "😀", "\ud800", "\udfff"])
+_STRINGS = st.text(st.one_of(st.characters(), _AWKWARD), max_size=12)
+
+
+@given(
+    fields=st.tuples(_STRINGS, _STRINGS, _STRINGS, _STRINGS),
+    extra=st.lists(st.tuples(_STRINGS, _STRINGS), max_size=4),
+    response=_STRINGS,
+)
+@settings(max_examples=300, deadline=None)
+def test_request_canonical_text_is_the_dump_of_its_fields(fields, extra, response):
+    from factprobe.jsonl import dump
+
+    client_id, text, source_language, target_language = fields
+    request = TextRequest(client_id, text, source_language, target_language, tuple(extra))
+    assert request.canonical() == dump(request.fields())
+    assert record_line(request, response) == dump(
+        {"request": request.fields(), "response": response}) + "\n"
+
+
+def test_request_digest_is_computed_once(tmp_path, monkeypatch):
     from factprobe import clients
 
-    calls = []
-    monkeypatch.setattr(clients, "dump", lambda obj: calls.append(obj) or json.dumps(obj))
-    request = _request()
+    hashed = []
+    sha256 = clients._sha256
+    monkeypatch.setattr(clients, "_sha256", lambda text: hashed.append(text) or sha256(text))
+
+    class Inner:
+        client_id = "mt"
+
+        def complete(self, request):
+            return "odpověď"
+
+    request = _request(extra=(("k", "v"),))
+    service = TextService(Inner(), ResponseCache(tmp_path / "cache"),
+                          record=FixtureLog(tmp_path / "recorded.jsonl"))
+    assert service.fetch(request) == "odpověď"
+    assert service.fetch(request) == "odpověď"
     assert request.digest() == request.digest()
-    assert request.canonical() == json.dumps(request.fields())
-    assert len(calls) == 1
+    assert hashed == [request.canonical()]
 
 
 _GOOD_REQUEST = _request(extra=(("k", "v"),)).fields()

@@ -3,8 +3,10 @@ import os
 import pytest
 
 from factprobe.errors import MalformedRecord
+
+from conftest import tear_writes_of
 from factprobe.jsonl import (append, check_line, dump, iter_lines, open_log, read_jsonl,
-                             write_jsonl, writing)
+                             write_jsonl, write_text, writing)
 
 # A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
 # and three sources.
@@ -123,6 +125,19 @@ def test_a_failed_write_leaves_the_file_as_it_was(tmp_path, existing):
         path.write_bytes(existing)
     with pytest.raises(_Failed):
         write_jsonl(path, "scores", _failing_lines(2000))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else [path.name])
+    if existing is not None:
+        assert path.read_bytes() == existing
+
+
+@pytest.mark.parametrize("existing", [None, b"kept as it was\n"], ids=["new", "existing"])
+def test_a_text_torn_midway_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing):
+    path = tmp_path / "manifest.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    tear_writes_of(monkeypatch, path.name)
+    with pytest.raises(OSError):
+        write_text(path, '{"complete": true}\n' * 100)
     assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else [path.name])
     if existing is not None:
         assert path.read_bytes() == existing

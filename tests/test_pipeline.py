@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from factprobe import candidates, cli, jsonl, pipeline, verbalize
-from factprobe.clients import ResponseCache, TextRequest
+from factprobe import candidates, cli, jsonl, pipeline, split, verbalize
+from factprobe.clients import ResponseCache, TextRequest, record_line
 from factprobe.config import load_config
 from factprobe.corpus import load_corpus, unique_object_pool
 from factprobe.errors import (
@@ -29,7 +29,7 @@ from factprobe.pipeline import (
 )
 from factprobe.score import candidate_continuations
 
-from conftest import count_parsed_lines, make_toy_workspace
+from conftest import count_parsed_lines, make_toy_workspace, tear_writes_of
 
 
 def _build(tmp_path, name="ws", **kwargs):
@@ -1358,3 +1358,75 @@ def test_benchmark_build_fact(tmp_path, monkeypatch, benchmark):
                                rounds=5 * len(seen), iterations=1)
     assert len(seen) == 18
     assert len(lines[0]) == 1
+
+
+@pytest.mark.parametrize("name", ["report.md", "manifest.json"])
+def test_a_report_file_torn_midway_keeps_its_previous_bytes(tmp_path, monkeypatch, name):
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    records_dir = cmd_evaluate(config, cmd_build_dataset(config, replay=True))
+    report_dir = cmd_report(config, records_dir)
+    (report_dir / name).write_text("previous\n", encoding="utf-8")
+    tear_writes_of(monkeypatch, name)
+    with pytest.raises(OSError):
+        cmd_report(config, records_dir, force=True)
+    assert (report_dir / name).read_text(encoding="utf-8") == "previous\n"
+    assert not list(report_dir.glob("*.tmp"))
+
+
+def _english_only_llm_build(tmp_path):
+    """The config of a toy workspace in which only the English label of the
+    object of f-1-aa-00 matches its LLM sentence, and that sentence. The
+    object is renamed in "aa" and the LLM fixture of its new prompt added."""
+    config, config_path = _build(tmp_path, facts_per_cell=3, with_qe=False)
+    root = config_path.parent
+    header, *raws = config.entities_path.read_text(encoding="utf-8").splitlines()
+    entities = [json.loads(raw) for raw in raws]
+    for entity in entities:
+        if entity["id"] == "o1aa0":
+            entity["labels"]["aa"] = "qqqaa"
+            entity["aliases"]["aa"] = ["qqqalias"]
+    config.entities_path.write_text(
+        "\n".join([header] + [json.dumps(e) for e in entities]) + "\n", encoding="utf-8")
+    corpus = load_corpus(config.entities_path, config.relations_path, config.facts_path)
+    prompt = verbalize.build_fewshot_prompt(
+        corpus.relations["R1"], "aa",
+        verbalize.parse_exemplar_file(root / "exemplars" / "R1.aa.txt"),
+        corpus.facts["f-1-aa-00"], corpus,
+    )
+    sentence = "s1aa0aa wqr1 o1aa0en."
+    request = TextRequest("llm", prompt, "en", "aa", (("decoding", "deterministic"),))
+    with open(root / "fixtures" / "llm.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(record_line(request, sentence))
+    return config, sentence
+
+
+def test_an_llm_sentence_only_the_english_label_matches_is_noted(tmp_path):
+    config, sentence = _english_only_llm_build(tmp_path)
+    bundle = cmd_build_dataset(config, replay=True)
+    assert ("LLM", "NOTE_CONSTRAINT_VIOLATION", sentence) in _audit_of(bundle, "f-1-aa-00")
+    verbalizations = read_jsonl(bundle / "verbalizations.jsonl", "verbalizations")
+    assert [line.get("warning") for line in verbalizations
+            if line["fact_id"] == "f-1-aa-00" and line["source"] == "LLM"] == [
+        "CONSTRAINT_VIOLATION"]
+    # The English label still splits the sentence.
+    line = next(line for line in read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+                if line["fact_id"] == "f-1-aa-00")
+    assert line["sources"]["LLM"]["prompt"] == "s1aa0aa wqr1 "
+    assert "o1aa0en" in line["correct_forms"]
+
+
+def test_build_searches_each_mt_and_llm_sentence_once(tmp_path, monkeypatch):
+    config, english_only = _english_only_llm_build(tmp_path)
+    searched = Counter()
+    for module in (split, verbalize):
+        monkeypatch.setattr(module, "match_object_form", lambda sentence, labels, config=None,
+                            match=module.match_object_form: (
+                                searched.update([sentence]) or match(sentence, labels, config)))
+    bundle = cmd_build_dataset(config, replay=True)
+    expected = Counter(line["sentence"]
+                       for line in read_jsonl(bundle / "verbalizations.jsonl", "verbalizations")
+                       if line["source"] != "TEMPLATE")
+    # Only the English label matched this sentence, so the enforced labels
+    # are searched for on their own.
+    expected[english_only] += 1
+    assert {sentence: searched[sentence] for sentence in expected} == expected

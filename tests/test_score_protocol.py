@@ -41,10 +41,17 @@ class _LengthScorerHandler(socketserver.StreamRequestHandler):
     request arrived. While
     ``server.replies_before_drop`` is a number, the connection stops
     answering after that many replies: it sends EOF and reads on until the
-    client hangs up. Later connections answer everything.
+    client hangs up. Later connections answer everything. A connection the
+    client resets, or closes with replies unread, is the client hanging up.
     """
 
     def handle(self):
+        try:
+            self._answer()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+    def _answer(self):
         server = self.server
         for raw in self.rfile:
             request = json.loads(raw.decode("utf-8"))

@@ -201,7 +201,7 @@ def test_matcher_agrees_with_the_windowed_reference(case):
     match = match_object_form(sentence, labels, config)
     expected = oracle_match(sentence, labels, config)
     got = None if match is None else (match.span, match.form, match.matched_via,
-                                      match.confidence)
+                                      match.confidence, match.label)
     assert got == expected
 
 

@@ -12,10 +12,12 @@ from factprobe.errors import (
     NoExemplars,
     ReplayMiss,
 )
+from factprobe.split import MatchVia, SplitResult, split_verbalization
 from factprobe.verbalize import (
     WARN_CONSTRAINT_VIOLATION,
     VerbalizationSource,
     build_fewshot_prompt,
+    fewshot_prefix,
     fill_template,
     make_llm_verbalization,
     make_mt_verbalization,
@@ -175,7 +177,8 @@ def test_llm_provenance_regenerates_request(cs_corpus, cs_exemplars, tmp_path):
         "Theodoros Studijský se narodil v Konstantinopoli.", client_id="llm"
     )
     verb = make_llm_verbalization(
-        fact, cs_corpus, TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
+        fact, cs_corpus, TextService(client, ResponseCache(tmp_path / "c")),
+        fewshot_prefix("cs", cs_exemplars),
     )
     fields = json.loads(verb.provenance["request"])
     rebuilt = TextRequest(
@@ -258,7 +261,7 @@ def test_llm_verbalization_stem_check_passes(cs_corpus, cs_exemplars, tmp_path):
     )
     verb = make_llm_verbalization(
         cs_corpus.facts["fact-p19-theodore"], cs_corpus,
-        TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
+        TextService(client, ResponseCache(tmp_path / "c")), fewshot_prefix("cs", cs_exemplars),
     )
     assert verb.sentence == "Theodoros Studijský se narodil v Konstantinopoli."
     assert verb.warning is None
@@ -271,10 +274,40 @@ def test_llm_verbalization_constraint_violation(cs_corpus, cs_exemplars, tmp_pat
     )
     verb = make_llm_verbalization(
         cs_corpus.facts["fact-p19-theodore"], cs_corpus,
-        TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
+        TextService(client, ResponseCache(tmp_path / "c")), fewshot_prefix("cs", cs_exemplars),
     )
     assert verb.warning == WARN_CONSTRAINT_VIOLATION
     assert verb.sentence.endswith("Istanbulu.")
+
+
+def _llm_split(cs_corpus, cs_exemplars, tmp_path, fact_id, sentence):
+    fact = cs_corpus.facts[fact_id]
+    verb = make_llm_verbalization(
+        fact, cs_corpus,
+        TextService(CountingClient(sentence, client_id="llm"), ResponseCache(tmp_path / "c")),
+        fewshot_prefix("cs", cs_exemplars),
+    )
+    return verb, split_verbalization(verb, cs_corpus.entities[fact.object_id])
+
+
+def test_llm_sentence_only_the_english_label_matches_violates(cs_corpus, cs_exemplars,
+                                                              tmp_path):
+    verb, split = _llm_split(cs_corpus, cs_exemplars, tmp_path, "fact-p19-theodore",
+                             "Theodoros Studijský se narodil v Constantinople.")
+    assert verb.warning == WARN_CONSTRAINT_VIOLATION
+    assert split == SplitResult("Theodoros Studijský se narodil v ", "Constantinople",
+                                (33, 47), MatchVia.EXACT, 1.0)
+
+
+def test_llm_enforced_stem_left_of_an_exact_english_label_passes(cs_corpus, cs_exemplars,
+                                                                 tmp_path):
+    # The English label wins the search for the split; the enforced label
+    # Praha still matches as a stem, so the constraint holds.
+    verb, split = _llm_split(cs_corpus, cs_exemplars, tmp_path, "fact-p19-karel",
+                             "Karel Schwarzenberg se narodil v Praze, tedy Prague.")
+    assert verb.warning is None
+    assert split == SplitResult("Karel Schwarzenberg se narodil v Praze, tedy ", "Prague",
+                                (45, 51), MatchVia.EXACT, 1.0)
 
 
 def test_llm_verbalization_warm_cache(cs_corpus, cs_exemplars, tmp_path):
@@ -284,11 +317,11 @@ def test_llm_verbalization_warm_cache(cs_corpus, cs_exemplars, tmp_path):
     )
     make_llm_verbalization(
         cs_corpus.facts["fact-p19-theodore"], cs_corpus, TextService(client, cache),
-        cs_exemplars,
+        fewshot_prefix("cs", cs_exemplars),
     )
     make_llm_verbalization(
         cs_corpus.facts["fact-p19-theodore"], cs_corpus, TextService(client, cache),
-        cs_exemplars,
+        fewshot_prefix("cs", cs_exemplars),
     )
     assert client.calls == 1
 
@@ -298,7 +331,7 @@ def test_llm_verbalization_empty_completion(cs_corpus, cs_exemplars, tmp_path):
     with pytest.raises(EmptyTranslation):
         make_llm_verbalization(
             cs_corpus.facts["fact-p19-theodore"], cs_corpus,
-            TextService(client, ResponseCache(tmp_path / "c")), cs_exemplars,
+            TextService(client, ResponseCache(tmp_path / "c")), fewshot_prefix("cs", cs_exemplars),
         )
 
 
