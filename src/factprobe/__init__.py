@@ -27,7 +27,6 @@ from .corpus import (
 from .metrics import EvalRecord, mean_best_rank, pearson, recall_at_n
 from .score import RankedResult, rank_candidates, rank_of_form, score_candidates
 from .split import (
-    MatchConfig,
     Rejection,
     SplitResult,
     collect_correct_forms,

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ClientError, ConfigError, ReplayMiss
-from .jsonl import append, dump, iter_lines, make_dir, open_log
+from .jsonl import append, dump, iter_lines, lone_surrogate, make_dir, open_log
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,8 @@ class HttpClient:
     "extra"}`` to the endpoint and expects ``{"text": <string>}`` back. Auth
     is a bearer token read from the environment variable named in the
     config. A transport failure or a 5xx, 408 or 429 status is tried 3
-    times in all, with exponential backoff; any other 4xx status, and a
-    reply of another shape, fails at once.
+    times in all, with exponential backoff; any other 4xx status, a reply
+    of another shape and one that escapes a lone surrogate fail at once.
     """
 
     max_attempts = 3
@@ -258,6 +258,9 @@ class HttpClient:
         text = reply.get("text") if type(reply) is dict else None
         if type(text) is not str:
             raise ClientError(f'reply is not {{"text": <string>}}: {raw[:200]!r}',
+                              client_id=self.client_id)
+        if lone_surrogate(raw):  # its text could not be written to the cache
+            raise ClientError(f"reply escapes a lone surrogate: {raw[:200]!r}",
                               client_id=self.client_id)
         return text
 

@@ -18,10 +18,9 @@ import yaml
 from .clients import is_plain_name
 from .corpus import is_language_code
 from .errors import ConfigError, MissingInput
-from .jsonl import (BOOL, NUMBER, STRING, TEXT, _check, _check_object, _compile,
-                    _list_of, _map_of, _or_null, dump)
+from .jsonl import (BOOL, STRING, TEXT, _check, _check_object, _compile, _list_of, _map_of,
+                    _or_null, dump)
 from .metrics import DEFAULT_N_VALUES
-from .split import MatchConfig
 
 CONFIG_VERSION = 1
 
@@ -73,7 +72,6 @@ class RunConfig:
     include_english: bool = False
     flip_inflection_delta_sign: bool = False
     no_space_languages: tuple[str, ...] = ()
-    match: MatchConfig = field(default_factory=MatchConfig)
     mt: ClientSettings | None = None
     llm: ClientSettings | None = None
     qe: ClientSettings | None = None
@@ -122,10 +120,6 @@ _CLIENT = {
     "fixtures?": _list_of(_NAME, "a list of non-empty strings"),
     "record_fixtures?": _or_null(_NAME),
 }
-_MATCH = {
-    "min_prefix_ratio?": _check("a number in (0, 1]", lambda v: NUMBER(v) and 0 < v <= 1),
-    "min_prefix_chars?": _at_least(1), "max_suffix_delta?": _at_least(0),
-}
 _SCORER = {
     "backend?": _one_of("oracle", "table", "protocol"),
     "mode?": _one_of("perfect", "adversarial"),  # oracle backend
@@ -149,7 +143,7 @@ _SETTINGS = {
     "include_aliases?": BOOL, "include_english?": BOOL, "flip_inflection_delta_sign?": BOOL,
     "no_space_languages?": _distinct(_list_of(is_language_code,
                                               "a list of two-letter language codes")),
-    "match?": _MATCH, "mt?": _CLIENT, "llm?": _CLIENT, "qe?": _CLIENT, "scorer?": _SCORER,
+    "mt?": _CLIENT, "llm?": _CLIENT, "qe?": _CLIENT, "scorer?": _SCORER,
     "report_max_rank_bucket?": _at_least(1),
 }
 SPEC = {
@@ -225,7 +219,6 @@ def load_config(path) -> RunConfig:
     config = RunConfig(raw=data, config_dir=base.resolve(), **_given(
         data, _SETTINGS, **dict.fromkeys(paths, resolve),
         sources=lambda names: tuple(s for s in SOURCE_ORDER if s in names),
-        match=lambda block: MatchConfig(**_given(block, _MATCH)),
         scorer=lambda block: ScorerSettings(**_given(block, _SCORER, fixtures=join)),
         mt=client("mt"), llm=client("llm"), qe=client("qe"),
     ))

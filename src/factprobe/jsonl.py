@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import reprlib
 from pathlib import Path
 
@@ -171,6 +172,16 @@ def dump(obj) -> str:
     return _ENCODER.encode(obj)
 
 
+# Each escape is matched whole, so an escaped backslash never starts one.
+_ESCAPE = re.compile(rb"\\(?:ud[89ab]..\\ud[c-f]..|(ud[89a-f]..)|.)", re.IGNORECASE)
+
+
+def lone_surrogate(raw: bytes) -> bool:
+    """Whether the JSON text ``raw`` escapes one half of a surrogate pair
+    without the other, which decodes to a string no UTF-8 file can hold."""
+    return any(m[1] for m in _ESCAPE.finditer(raw))
+
+
 def _header(kind: str, header: dict) -> tuple:
     """The header line of ``kind``, extended by the ``header`` fields, and
     its check; ``(None, None)`` for ``fixture``, the one headerless kind."""
@@ -188,7 +199,8 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
     its header line, here extended by the ``header`` fields; the header is
     checked and not yielded. With ``torn_tail``, a last line without its
     newline that does not decode, which is what a killed append leaves, is
-    skipped instead of being an error."""
+    skipped instead of being an error. A line that escapes a lone surrogate
+    is refused: its text could be read but never written again."""
     fields = _COMPILED.get(kind, ())
     _, expected = _header(kind, header)
     try:
@@ -208,6 +220,10 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
                 if torn_tail and not raw.endswith(b"\n"):
                     return
                 raise MalformedRecord(f"invalid JSON: {exc}", **where) from exc
+            # A line with no escape costs one search for a byte, which is
+            # several times faster than one for the two bytes of ``\u``.
+            if b"\\" in raw and lone_surrogate(raw):
+                raise MalformedRecord("a \\u escape of a lone surrogate is not text", **where)
             _check_object(expected or fields, record, where)
             if expected:
                 expected = None

@@ -277,7 +277,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
             else:
                 verb = make_llm_verbalization(
                     fact, corpus, ctx.services["LLM"],
-                    ctx.fewshot[(fact.relation_id, fact.language)], config.match, english,
+                    ctx.fewshot[(fact.relation_id, fact.language)], english,
                 )
         except ProbeError as exc:
             audit.append(_audit(fact.id, source, "VERBALIZATION_ERROR", exc.code))
@@ -296,7 +296,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
 
     splits = {}
     for source, verb in verbalizations.items():
-        result = split_verbalization(verb, entity, config.match)
+        result = split_verbalization(verb, entity)
         if isinstance(result, Rejection):
             audit.append(_audit(fact.id, source.value, "REJECTION", result.reason))
             continue

@@ -1,7 +1,7 @@
 """Locate the (possibly inflected) object form in a verbalization and split
 it into a prompt prefix and the object surface form.
 
-Matching is tool-free by default: an exact whole-word pass first, then a
+Matching is tool-free: an exact whole-word pass first, then a
 stem pass that aligns label words to consecutive sentence words under a
 common-prefix rule.
 """
@@ -27,6 +27,16 @@ from .errors import MissingLabel, NoAcceptedSplits
 # Hyphens are not word characters, so hyphenated names split like whitespace.
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
+# The stem rule, calibrated so that pairs like Praha→Praze,
+# Lucembursko→Lucembursku and Londýn→Londýně match: a sentence word must
+# begin with the first max(3, ceil(0.6 * n)) characters of an n-character
+# label word (all n if fewer), and neither word may run on for more than 4
+# characters past their common prefix.
+MIN_PREFIX_RATIO = 0.6
+MIN_PREFIX_CHARS = 3
+MAX_SUFFIX_DELTA = 4
+
+
 class MatchVia(str, enum.Enum):
     EXACT = "EXACT"
     STEM = "STEM"
@@ -34,30 +44,6 @@ class MatchVia(str, enum.Enum):
 
 REJECT_OBJECT_NOT_FOUND = "OBJECT_NOT_FOUND"
 REJECT_NOT_SENTENCE_FINAL = "NOT_SENTENCE_FINAL"
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Knobs for the stem matcher.
-
-    ``min_prefix_ratio`` is the fraction of each label word that must match
-    as a common prefix, ``min_prefix_chars`` an absolute floor (capped at
-    the label word length so exact matches of short words always pass), and
-    ``max_suffix_delta`` bounds how long either word's tail beyond the
-    common prefix may be.
-    """
-
-    min_prefix_ratio: float = 0.6
-    min_prefix_chars: int = 3
-    max_suffix_delta: int = 4
-
-    def __post_init__(self):
-        if not (0 < self.min_prefix_ratio <= 1):
-            raise ValueError("min_prefix_ratio must be in (0, 1]")
-        if self.min_prefix_chars < 1:
-            raise ValueError("min_prefix_chars must be >= 1")
-        if self.max_suffix_delta < 0:
-            raise ValueError("max_suffix_delta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -92,52 +78,46 @@ def _tokenize(text: str) -> list[tuple[int, int, str]]:
     return [(m.start(), m.end(), m.group()) for m in _WORD_RE.finditer(text)]
 
 
-def _common_prefix_len(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
-
-
-def _required_prefix(label_word: str, config: MatchConfig) -> int:
-    """Characters of ``label_word`` a sentence word must share as a prefix."""
-    return min(
-        len(label_word),
-        max(config.min_prefix_chars, math.ceil(config.min_prefix_ratio * len(label_word))),
-    )
-
-
-def _stem_word_ratio(label_word: str, sentence_word: str, config: MatchConfig) -> float | None:
-    """Prefix ratio if the word pair passes the stem rule, else None."""
-    prefix = _common_prefix_len(label_word, sentence_word)
-    if prefix < _required_prefix(label_word, config):
+def _stem_ratio(label_word: str, word: str) -> float | None:
+    """The share of ``label_word`` that ``word`` begins with, if the pair
+    passes the stem rule, else None."""
+    n = len(label_word)
+    prefix = min(n, max(MIN_PREFIX_CHARS, math.ceil(MIN_PREFIX_RATIO * n)))
+    if not word.startswith(label_word[:prefix]):
         return None
-    if max(len(label_word) - prefix, len(sentence_word) - prefix) > config.max_suffix_delta:
+    end = min(n, len(word))
+    while prefix < end and label_word[prefix] == word[prefix]:
+        prefix += 1
+    if max(n, len(word)) - prefix > MAX_SUFFIX_DELTA:
         return None
-    return prefix / len(label_word)
+    return prefix / n
 
 
-def _rightmost(tokens, label_words, fit):
-    """``(span, confidence, label index)`` of the rightmost window that some
-    label fits, or None; among equal spans the earlier label wins.
-
-    ``fit(label_index, start)`` is the confidence of the window of label
-    ``label_index`` that starts at token ``start``, or None. Each label's
-    windows are tried from the right, and only while their span beats the
-    best one found so far, so a label stops at its first fitting window.
+def _rightmost_stem(tokens, words, label_words):
+    """``(span, confidence, label index)`` of the rightmost window of words
+    that some label fits word by word under the stem rule, or None; among
+    equal spans the earlier label wins. The confidence is the lowest ratio
+    of the window's word pairs. Each label's windows are tried from the
+    right, and only while their span beats the best one found so far, so a
+    label stops at its first fitting window.
     """
     best = None
-    for index, words in enumerate(label_words):
-        n = len(words)
+    for index, label in enumerate(label_words):
+        n = len(label)
         if not n:
             continue
         for start in range(len(tokens) - n, -1, -1):
             span = (tokens[start][0], tokens[start + n - 1][1])
             if best is not None and span <= best[0]:
                 break
-            confidence = fit(index, start)
-            if confidence is not None:
+            confidence = 1.0  # no ratio exceeds 1
+            for label_word, word in zip(label, words[start : start + n]):
+                ratio = _stem_ratio(label_word, word)
+                if ratio is None:
+                    break
+                if ratio < confidence:
+                    confidence = ratio
+            else:
                 best = (span, confidence, index)
                 break
     return best
@@ -145,7 +125,7 @@ def _rightmost(tokens, label_words, fit):
 
 def _rightmost_exact(tokens, words, label_words):
     """``(span, 1.0, label index)`` of the rightmost whole-word occurrence of
-    some label, or None, by the rule of ``_rightmost``. The words, each
+    some label, or None, by the rule of ``_rightmost_stem``. The words, each
     bounded by NUL, which no word contains, are searched as one string, and
     the NULs before an occurrence count the tokens before it."""
     joined = "\0" + "\0".join(words) + "\0"
@@ -163,9 +143,7 @@ def _rightmost_exact(tokens, words, label_words):
     return best
 
 
-def match_object_form(
-    sentence: str, labels: list[str], config: MatchConfig | None = None
-) -> ObjectMatch | None:
+def match_object_form(sentence: str, labels: list[str]) -> ObjectMatch | None:
     """Find the rightmost occurrence of any candidate label in the sentence.
 
     An EXACT whole-word match of any label wins over any STEM match. Within
@@ -174,7 +152,6 @@ def match_object_form(
     """
     if not labels:
         raise ValueError("labels must be non-empty")
-    config = config or MatchConfig()
     tokens = _tokenize(sentence)
     words = [token[2] for token in tokens]
     label_words = [_WORD_RE.findall(label) for label in labels]
@@ -190,24 +167,8 @@ def match_object_form(
     if match is not None:
         return match
 
-    # Pass 2: stem matches. A word pair that lacks the label word's required
-    # prefix is rejected before its ratio is computed.
-    prefixes = [[w[: _required_prefix(w, config)] for w in lw] for lw in label_words]
-
-    def stem_fit(i: int, start: int) -> float | None:
-        confidence = 1.0  # no ratio exceeds 1
-        window = words[start : start + len(prefixes[i])]
-        for label_word, prefix, word in zip(label_words[i], prefixes[i], window):
-            if not word.startswith(prefix):
-                return None
-            ratio = _stem_word_ratio(label_word, word, config)
-            if ratio is None:
-                return None
-            if ratio < confidence:
-                confidence = ratio
-        return confidence
-
-    return found(_rightmost(tokens, label_words, stem_fit), MatchVia.STEM)
+    # Pass 2: stem matches.
+    return found(_rightmost_stem(tokens, words, label_words), MatchVia.STEM)
 
 
 def _finalize_split(sentence: str, match: ObjectMatch) -> SplitResult | Rejection:
@@ -262,11 +223,7 @@ def object_labels(entity: Entity, language: str) -> list[str]:
     return labels
 
 
-def split_verbalization(
-    verbalization,
-    object_entity: Entity,
-    config: MatchConfig | None = None,
-) -> SplitResult | Rejection:
+def split_verbalization(verbalization, object_entity: Entity) -> SplitResult | Rejection:
     """Split one verbalization into prompt prefix and object form.
 
     TEMPLATE verbalizations split positionally at the [Y] placeholder
@@ -290,7 +247,7 @@ def split_verbalization(
     match = verbalization.match
     if match is NOT_SEARCHED:
         labels = object_labels(object_entity, prov["target_language"])
-        match = match_object_form(sentence, labels, config)
+        match = match_object_form(sentence, labels)
     if match is None:
         return Rejection(REJECT_OBJECT_NOT_FOUND)
     return _finalize_split(sentence, match)

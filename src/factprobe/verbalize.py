@@ -30,7 +30,7 @@ from .errors import (
     MissingTemplate,
     NoExemplars,
 )
-from .split import NOT_SEARCHED, MatchConfig, ObjectMatch, match_object_form, object_labels
+from .split import NOT_SEARCHED, ObjectMatch, match_object_form, object_labels
 
 WARN_CONSTRAINT_VIOLATION = "CONSTRAINT_VIOLATION"
 
@@ -213,12 +213,11 @@ def parse_exemplar_file(path) -> list[FewShotExemplar]:
 
 def validate_exemplar(exemplar: FewShotExemplar, path: str = "", block: int = 0) -> None:
     """The gold translation must contain both entity translations' stems."""
-    config = MatchConfig()
     for label, what in (
         (exemplar.subject_translation, "subject"),
         (exemplar.object_translation, "object"),
     ):
-        if match_object_form(exemplar.translation, [label], config) is None:
+        if match_object_form(exemplar.translation, [label]) is None:
             raise MalformedRecord(
                 f"exemplar block {block}: {what} translation {label!r} "
                 f"not found in gold translation",
@@ -320,7 +319,6 @@ def make_llm_verbalization(
     corpus: Corpus,
     service: TextService,
     fewshot: str | None,
-    match_config: MatchConfig | None = None,
     english: str | None = None,
 ) -> Verbalization:
     """Few-shot LLM translation with enforced entity translations.
@@ -352,10 +350,10 @@ def make_llm_verbalization(
     enforced = [entity.labels[fact.language]]
     enforced.extend(entity.alias_list(fact.language))
     labels = object_labels(entity, fact.language)
-    match = match_object_form(sentence, labels, match_config)
+    match = match_object_form(sentence, labels)
     warning = None
     if match is None or (labels[match.label] not in enforced
-                         and match_object_form(sentence, enforced, match_config) is None):
+                         and match_object_form(sentence, enforced) is None):
         warning = WARN_CONSTRAINT_VIOLATION
     return Verbalization(
         fact_id=fact.id,

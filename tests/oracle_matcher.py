@@ -2,19 +2,37 @@
 
 Every pass tries every window of every label and keeps the rightmost span;
 among equal spans the earlier label wins. An EXACT match of any label beats
-any STEM match. Word splitting and the per-word stem rule are the package's
-own (``_tokenize``, ``_stem_word_ratio``), so tests that compare
-``match_object_form`` against this function check only the search order and
-its tie-breaks.
+any STEM match. The per-word stem rule is stated here on its own, with its
+numbers written out, so tests that compare ``match_object_form`` against
+this function check the rule as well as the search order and its
+tie-breaks. Only word splitting is the package's (``_tokenize``).
 """
 
-from factprobe.split import MatchConfig, MatchVia, _stem_word_ratio, _tokenize
+import math
+
+from factprobe.split import MatchVia, _tokenize
 
 
-def oracle_match(sentence, labels, config=None):
+def stem_ratio(label_word, word):
+    """``common prefix / len(label_word)`` if the pair passes the stem rule,
+    else None. The common prefix must be at least max(3, ceil(0.6 * n))
+    characters of the n-character label word, or all n if that is more, and
+    neither word may run on for more than 4 characters past it."""
+    common = 0
+    while (common < len(label_word) and common < len(word)
+           and label_word[common] == word[common]):
+        common += 1
+    required = min(len(label_word), max(3, math.ceil(0.6 * len(label_word))))
+    if common < required:
+        return None
+    if len(label_word) - common > 4 or len(word) - common > 4:
+        return None
+    return common / len(label_word)
+
+
+def oracle_match(sentence, labels):
     """``(span, form, MatchVia, confidence, label index)`` of the match, or
     None."""
-    config = config or MatchConfig()
     tokens = _tokenize(sentence)
     label_words = [[w for _, _, w in _tokenize(label)] for label in labels]
 
@@ -37,7 +55,7 @@ def oracle_match(sentence, labels, config=None):
         return 1.0 if all(w == t for w, t in zip(words, window)) else None
 
     def stem(words, window):
-        ratios = [_stem_word_ratio(w, t, config) for w, t in zip(words, window)]
+        ratios = [stem_ratio(w, t) for w, t in zip(words, window)]
         return None if None in ratios else min(ratios)
 
     for via, fit in ((MatchVia.EXACT, exact), (MatchVia.STEM, stem)):

@@ -31,7 +31,6 @@ from factprobe.report import render_delta_table, render_main_table
 from factprobe.score import rank_candidates, rank_of_form
 from factprobe.split import (
     REJECT_NOT_SENTENCE_FINAL,
-    MatchConfig,
     Rejection,
     match_object_form,
 )
@@ -211,10 +210,9 @@ SPLIT_CASES = [
 
 
 def test_criterion_split_fidelity():
-    """The exemplar sentence pairs split correctly under default config."""
-    config = MatchConfig()
+    """The exemplar sentence pairs split correctly under the stem rule."""
     for sentence, label, expected_form, expected_via in SPLIT_CASES:
-        match = match_object_form(sentence, [label], config)
+        match = match_object_form(sentence, [label])
         assert match is not None, label
         assert match.form == expected_form
         assert match.matched_via.value == expected_via
@@ -226,7 +224,7 @@ def test_criterion_split_fidelity():
     from factprobe.split import _finalize_split  # noqa: SLF001
 
     initial = match_object_form(
-        "V Praze se narodil Karel Schwarzenberg.", ["Praha"], config
+        "V Praze se narodil Karel Schwarzenberg.", ["Praha"]
     )
     rejection = _finalize_split(
         "V Praze se narodil Karel Schwarzenberg.", initial

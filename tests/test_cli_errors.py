@@ -243,6 +243,23 @@ def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, fiel
                   field=field)
 
 
+# Each was read, and its text ended build-dataset with a UnicodeEncodeError
+# traceback when the verbalization that held it was written.
+@pytest.mark.parametrize(
+    "name, lineno, field, value",
+    [
+        ("corpus/entities.jsonl", 3, "labels.aa", "o1aa0aa\ud800"),
+        ("fixtures/mt.jsonl", 1, "response", "s1aa0aa wqr1 o1aa0aazu\udc00."),
+    ],
+    ids=["entity-label", "fixture-response"],
+)
+def test_cli_refuses_a_lone_surrogate(built, tmp_path, name, lineno, field, value):
+    ws = _copy(built, tmp_path)
+    _spoil(ws / name, lineno, field, value)
+    code, err = _run(ws, BUILD + ["--force"])
+    _assert_coded(code, err, "MALFORMED_RECORD", file=str(ws / name), line=lineno)
+
+
 def test_cli_refuses_a_bundle_of_the_per_source_layout(built, tmp_path):
     # Bundles used to hold one candidate-set line per (fact, source).
     ws = _copy(built, tmp_path)
@@ -326,7 +343,9 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("min_unique_objects", []),
         ("report_max_rank_bucket", "x"),
         ("scorer.port", "x"),
-        ("match.min_prefix_chars", "x"),
+        # The stem rule has no settings, so a ``match`` block is an unknown
+        # key, whatever it holds.
+        pytest.param("match", {"min_prefix_chars": "x"}, id="match.min_prefix_chars-x"),
         ("min_unique_objects", 1),
         # Blocks and lists of the wrong shape each raised a traceback.
         ("scorer", "x"),
@@ -355,7 +374,7 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("scorer.port", 0),
         # Unknown keys were ignored: a typo left its key at the default.
         ("k_distractor", 3),
-        ("match.lemmatiser", "x"),
+        pytest.param("match", {"lemmatiser": "x"}, id="match.lemmatiser-x"),
         ("mt.endpont", "http://127.0.0.1:1/"),
         ("scorer.hots", "127.0.0.1"),
         # Repeats gave repeated report columns and another config digest.
@@ -369,8 +388,8 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         ("report_max_rank_bucket", 0),
         ("report_max_rank_bucket", -3),
         # The matcher has no lemma pass; a lemmatizer name was refused by build only.
-        ("match.lemmatizer", "x"),
-        ("match.lemmatizer", None),
+        pytest.param("match", {"lemmatizer": "x"}, id="match.lemmatizer-x"),
+        pytest.param("match", {"lemmatizer": None}, id="match.lemmatizer-None"),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):

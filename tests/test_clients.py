@@ -412,6 +412,18 @@ def test_http_reply_whose_text_is_no_string_is_refused(http_server, tmp_path):
         assert ResponseCache(tmp_path).get(_request().digest()) is None
 
 
+def test_http_reply_with_a_lone_surrogate_is_refused(http_server, tmp_path):
+    # The reply was taken, and writing it to the cache raised a
+    # UnicodeEncodeError traceback.
+    _Handler.reply = {"text": "Praha\ud800"}
+    client = HttpClient("mt", endpoint=http_server)
+    service = TextService(client=client, cache=ResponseCache(tmp_path))
+    with pytest.raises(ClientError, match="lone surrogate"):
+        service.fetch(_request())
+    assert _Handler.requests == client.call_count == 1
+    assert not (tmp_path / "mt.jsonl").exists()
+
+
 def test_http_client_missing_auth_env(http_server, monkeypatch):
     monkeypatch.delenv("FACTPROBE_TEST_TOKEN", raising=False)
     client = HttpClient("mt", endpoint=http_server, auth_env="FACTPROBE_TEST_TOKEN")

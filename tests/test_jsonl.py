@@ -1,6 +1,9 @@
+import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factprobe.errors import MalformedRecord
 
@@ -80,6 +83,36 @@ def test_a_line_that_is_not_utf8_names_its_line(tmp_path):
     path.write_bytes(b'{"schema_version":1,"kind":"scores"}\n'
                      b'{"prompt":"a","continuation":"\xff","logprob":1}\n')
     with pytest.raises(MalformedRecord) as info:
+        read_jsonl(path, "scores")
+    assert info.value.context == {"file": str(path), "line": 2}
+
+
+# Pieces of text that escaped as JSON hold whole and half surrogate pairs,
+# backslashes and text that looks like an escape.
+_PIECES = st.one_of(st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "\ud83d\ude00",
+                                     "\\", "\\u", "ud800", "\"", "\n"]), st.characters())
+
+
+@given(pieces=st.lists(_PIECES, max_size=8), upper=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_a_line_is_refused_exactly_when_it_escapes_a_lone_surrogate(tmp_path_factory, pieces,
+                                                                    upper):
+    # Such a line was read, and its text ended the stage that wrote it with
+    # a UnicodeEncodeError traceback.
+    raw = json.dumps({"prompt": "".join(pieces), "continuation": "c", "logprob": 1})
+    if upper:
+        raw = raw.replace("\\ud", "\\uD")
+    try:
+        json.loads(raw)["prompt"].encode("utf-8")
+        lone = False
+    except UnicodeEncodeError:
+        lone = True
+    path = tmp_path_factory.getbasetemp() / "surrogate.scores.jsonl"
+    path.write_text('{"schema_version":1,"kind":"scores"}\n' + raw + "\n", encoding="utf-8")
+    if not lone:
+        assert len(read_jsonl(path, "scores")) == 1
+        return
+    with pytest.raises(MalformedRecord, match="lone surrogate") as info:
         read_jsonl(path, "scores")
     assert info.value.context == {"file": str(path), "line": 2}
 

@@ -1419,9 +1419,9 @@ def test_build_searches_each_mt_and_llm_sentence_once(tmp_path, monkeypatch):
     config, english_only = _english_only_llm_build(tmp_path)
     searched = Counter()
     for module in (split, verbalize):
-        monkeypatch.setattr(module, "match_object_form", lambda sentence, labels, config=None,
+        monkeypatch.setattr(module, "match_object_form", lambda sentence, labels,
                             match=module.match_object_form: (
-                                searched.update([sentence]) or match(sentence, labels, config)))
+                                searched.update([sentence]) or match(sentence, labels)))
     bundle = cmd_build_dataset(config, replay=True)
     expected = Counter(line["sentence"]
                        for line in read_jsonl(bundle / "verbalizations.jsonl", "verbalizations")

@@ -6,7 +6,6 @@ from factprobe.errors import NoAcceptedSplits
 from factprobe.split import (
     REJECT_NOT_SENTENCE_FINAL,
     REJECT_OBJECT_NOT_FOUND,
-    MatchConfig,
     MatchVia,
     Rejection,
     SplitResult,
@@ -22,12 +21,10 @@ from factprobe.verbalize import (
     make_template_verbalization,
 )
 
-CONFIG = MatchConfig()
-
 
 def test_stem_match_praha_praze():
     # Common prefix "Pra" has length 3 >= max(3, ceil(0.6 * 5)).
-    match = match_object_form("Karel Schwarzenberg se narodil v Praze.", ["Praha"], CONFIG)
+    match = match_object_form("Karel Schwarzenberg se narodil v Praze.", ["Praha"])
     assert match is not None
     assert match.form == "Praze"
     assert match.matched_via is MatchVia.STEM
@@ -35,14 +32,14 @@ def test_stem_match_praha_praze():
 
 
 def test_exact_whole_word_match():
-    match = match_object_form("Peter Roget was born in London.", ["London"], CONFIG)
+    match = match_object_form("Peter Roget was born in London.", ["London"])
     assert match.form == "London"
     assert match.matched_via is MatchVia.EXACT
 
 
 def test_stem_match_lucembursko():
     match = match_object_form(
-        "Kunhuta Lucemburská se narodila v Lucembursku.", ["Lucembursko"], CONFIG
+        "Kunhuta Lucemburská se narodila v Lucembursku.", ["Lucembursko"]
     )
     assert match.form == "Lucembursku"
     assert match.matched_via is MatchVia.STEM
@@ -50,47 +47,51 @@ def test_stem_match_lucembursko():
 
 
 def test_stem_match_londyn():
-    match = match_object_form("Peter Roget se narodil v Londýně.", ["Londýn"], CONFIG)
+    match = match_object_form("Peter Roget se narodil v Londýně.", ["Londýn"])
     assert match.form == "Londýně"
 
 
 def test_rightmost_match_wins():
-    first = match_object_form("Praha je Praha.", ["Praha"], CONFIG)
+    first = match_object_form("Praha je Praha.", ["Praha"])
     assert first.span == (9, 14)
     # Inserting an earlier copy must not move the span.
-    shifted = match_object_form("Praha, Praha je Praha.", ["Praha"], CONFIG)
+    shifted = match_object_form("Praha, Praha je Praha.", ["Praha"])
     assert shifted.form == "Praha"
     assert shifted.span[0] > first.span[0]
 
 
 def test_exact_beats_later_stem():
     # An exact match anywhere outranks a stem match further right.
-    match = match_object_form("V Praha bydlí, narodil se v Praze.", ["Praha"], CONFIG)
+    match = match_object_form("V Praha bydlí, narodil se v Praze.", ["Praha"])
     assert match.matched_via is MatchVia.EXACT
     assert match.form == "Praha"
 
 
 def test_multiword_label_with_punctuation():
     sentence = "William Carlos Williams se narodil v Rutherfordu (New Jersey, U. S.)."
-    match = match_object_form(sentence, ["Rutherford (New Jersey, U. S.)"], CONFIG)
+    match = match_object_form(sentence, ["Rutherford (New Jersey, U. S.)"])
     assert match is not None
     assert match.matched_via is MatchVia.STEM
     assert sentence[match.span[0]:match.span[1]].startswith("Rutherfordu")
 
 
 def test_hyphen_splits_like_whitespace():
-    match = match_object_form("Der Autor Jean-Paul schrieb.", ["Jean Paul"], CONFIG)
+    match = match_object_form("Der Autor Jean-Paul schrieb.", ["Jean Paul"])
     assert match is not None
     assert match.form == "Jean-Paul"
 
 
 def test_no_match_returns_none():
-    assert match_object_form("Nothing relevant here.", ["Praha"], CONFIG) is None
+    assert match_object_form("Nothing relevant here.", ["Praha"]) is None
 
 
 def test_tail_delta_limits_match():
-    tight = MatchConfig(max_suffix_delta=0)
-    assert match_object_form("Narodil se v Praze.", ["Praha"], tight) is None
+    # Past the common prefix "Praha", a tail of 4 characters passes and one
+    # of 5 does not.
+    match = match_object_form("Narodil se v Prahamxxx.", ["Praha"])
+    assert match.form == "Prahamxxx"
+    assert match.matched_via is MatchVia.STEM
+    assert match_object_form("Narodil se v Prahamxxxx.", ["Praha"]) is None
 
 
 @given(
@@ -101,7 +102,7 @@ def test_tail_delta_limits_match():
 def test_exact_subset_of_stem(prefix, label):
     # Wherever the exact pass matches, a stem-only pass must match too.
     sentence = prefix.strip() + " x " + label + "."
-    exact = match_object_form(sentence, [label], CONFIG)
+    exact = match_object_form(sentence, [label])
     if exact is not None and exact.matched_via is MatchVia.EXACT:
         stem = _stem_only_match(sentence, label)
         assert stem is not None
@@ -111,14 +112,15 @@ def test_exact_subset_of_stem(prefix, label):
 def _stem_only_match(sentence, label):
     # Force the stem pass by perturbing the label with an equal-form twin:
     # run the matcher with a label list whose exact pass cannot fire.
-    from factprobe.split import _stem_word_ratio, _tokenize  # noqa: SLF001
+    from factprobe.split import _tokenize  # noqa: SLF001
+    from oracle_matcher import stem_ratio
 
     tokens = _tokenize(sentence)
     words = [w for _, _, w in _tokenize(label)]
     best = None
     for start in range(len(tokens) - len(words) + 1):
         window = tokens[start:start + len(words)]
-        ratios = [_stem_word_ratio(w, t[2], CONFIG) for w, t in zip(words, window)]
+        ratios = [stem_ratio(w, t[2]) for w, t in zip(words, window)]
         if all(r is not None for r in ratios):
             span = (window[0][0], window[-1][1])
             if best is None or span > best.span:
@@ -141,7 +143,7 @@ def _stem_only_match(sentence, label):
 @settings(max_examples=300)
 def test_accepted_split_roundtrips_byte_exact(words, label, suffix, tail):
     sentence = " ".join(words) + " " + label + suffix + tail
-    match = match_object_form(sentence, [label], CONFIG)
+    match = match_object_form(sentence, [label])
     if match is None:
         return
     result = _finalize(sentence, match)
@@ -172,24 +174,22 @@ def _matcher_cases(draw):
     focus = draw(st.integers(min_value=0, max_value=max(len(words) - 1, 0)))
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if words and draw(st.booleans()):
-            # A window of the sentence, each word maybe cut or extended, so
-            # that the stem pass has something to find.
+            # A window of the sentence, each word maybe cut, extended or
+            # given a new tail, so that the stem pass has something to find.
+            # Four more characters are the longest tail the rule allows, and
+            # three kept characters of six fall short of ceil(0.6 * 6) = 4.
             start = draw(st.sampled_from(
                 [focus, draw(st.integers(min_value=0, max_value=len(words) - 1))]))
             n = draw(st.integers(min_value=1, max_value=3))
             label_words = [
-                draw(st.sampled_from([w, w[:-1] or w, w + "a", w[:-2] + "éé"]))
+                draw(st.sampled_from([w, w[:-1] or w, w + "a", w + "éééé", w[:-2] + "éé",
+                                      w[:3] + "ééé"]))
                 for w in words[start:start + n]
             ]
         else:
             label_words = draw(st.lists(_WORDS, min_size=0, max_size=3))
         labels.append(draw(st.sampled_from([" ", "-"])).join(label_words) or "-")
-    config = MatchConfig(
-        min_prefix_ratio=draw(st.floats(min_value=0.05, max_value=1.0)),
-        min_prefix_chars=draw(st.integers(min_value=1, max_value=6)),
-        max_suffix_delta=draw(st.integers(min_value=0, max_value=5)),
-    )
-    return sentence, labels, config
+    return sentence, labels
 
 
 @given(case=_matcher_cases())
@@ -197,9 +197,9 @@ def _matcher_cases(draw):
 def test_matcher_agrees_with_the_windowed_reference(case):
     from oracle_matcher import oracle_match
 
-    sentence, labels, config = case
-    match = match_object_form(sentence, labels, config)
-    expected = oracle_match(sentence, labels, config)
+    sentence, labels = case
+    match = match_object_form(sentence, labels)
+    expected = oracle_match(sentence, labels)
     got = None if match is None else (match.span, match.form, match.matched_via,
                                       match.confidence, match.label)
     assert got == expected
@@ -242,21 +242,21 @@ def test_split_mt_object_initial_rejected(cs_corpus):
     verb = _mt_verbalization(
         "fact-p19-karel", "V Praze se narodil Karel Schwarzenberg."
     )
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_NOT_SENTENCE_FINAL
 
 
 def test_split_mt_object_missing_rejected(cs_corpus):
     verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg bydlí jinde.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_OBJECT_NOT_FOUND
 
 
 def test_split_mt_inflected_sentence(cs_corpus):
     verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Praze.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
     assert isinstance(result, SplitResult)
     assert result.prompt_prefix == "Karel Schwarzenberg se narodil v "
     assert result.object_form == "Praze"
@@ -268,7 +268,7 @@ def test_split_mt_inflected_sentence(cs_corpus):
 def test_split_template_source_uses_provenance(cs_corpus):
     fact = cs_corpus.facts["fact-p19-karel"]
     verb = make_template_verbalization(fact, cs_corpus)
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
     assert isinstance(result, SplitResult)
     assert result.object_form == "Praha"
     assert result.prompt_prefix == "Karel Schwarzenberg se narodil v "
@@ -277,7 +277,7 @@ def test_split_template_source_uses_provenance(cs_corpus):
 def test_split_finds_english_label(cs_corpus):
     # MT kept the English name; the English label is part of the search pool.
     verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Prague.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"], CONFIG)
+    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
     assert isinstance(result, SplitResult)
     assert result.object_form == "Prague"
 
@@ -339,7 +339,7 @@ def test_collect_correct_forms_contains_default(cs_corpus):
 # ``pytest tests --benchmark-only``.
 def test_benchmark_sentence_final_stem_match(benchmark):
     match = benchmark.pedantic(
-        match_object_form, args=("Karel Schwarzenberg se narodil v Praze.", ["Praha"], CONFIG),
+        match_object_form, args=("Karel Schwarzenberg se narodil v Praze.", ["Praha"]),
         rounds=200, iterations=10,
     )
     assert match.form == "Praze"
