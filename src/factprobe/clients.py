@@ -209,7 +209,6 @@ class HttpClient:
         self.model = model
         self.auth_env = auth_env
         self.timeout = timeout
-        self.call_count = 0
 
     def complete(self, request: TextRequest) -> str:
         # Imported here: it loads ssl, which costs every replay run ~2 MB.
@@ -230,7 +229,6 @@ class HttpClient:
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             try:
-                self.call_count += 1
                 post = urllib.request.Request(self.endpoint, data=body, headers=headers)
                 with urllib.request.urlopen(post, timeout=self.timeout) as response:
                     raw = response.read()

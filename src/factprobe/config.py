@@ -10,6 +10,7 @@ the parsed content, stable under key reordering and comments.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,10 +164,31 @@ _GENDER_PATTERNS = _map_of(_map_of(_check("", lambda v: type(v) is dict and all(
     " of non-blank strings")
 
 
+# YAML decodes an escaped surrogate such as "\ud800" to a code point that
+# no UTF-8 text, such as the canonical JSON of the config digest, can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _surrogate_keys(value, key: str):
+    """The dotted key, under ``key``, of each string in ``value`` (a mapping
+    key too) that holds a surrogate; a list's items count under its key."""
+    if type(value) is str:
+        if _SURROGATE.search(value):
+            yield key
+    elif type(value) is list:
+        for item in value:
+            yield from _surrogate_keys(item, key)
+    elif type(value) is dict:
+        for name, item in value.items():
+            at = f"{key}.{name}" if key else str(name)
+            yield from _surrogate_keys(name, at)
+            yield from _surrogate_keys(item, at)
+
+
 def _read_yaml(path: Path, what: str, /, **where) -> dict:
     """The mapping the YAML file at ``path`` holds. A missing file is
-    ``MissingInput``; one that cannot be read or parsed, or holds no mapping,
-    is a ``ConfigError`` carrying ``where``."""
+    ``MissingInput``; one that cannot be read or parsed, holds no mapping or
+    holds a surrogate, is a ``ConfigError`` carrying ``where``."""
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -180,6 +202,10 @@ def _read_yaml(path: Path, what: str, /, **where) -> dict:
         raise ConfigError(f"cannot parse {what}: {problem}", **where, **at) from exc
     if type(data) is not dict:
         raise ConfigError(f"{what} must be a mapping", **where)
+    key = next(_surrogate_keys(data, ""), None)
+    if key is not None:
+        raise ConfigError(f"{what} key {key!r} holds an escaped surrogate, which UTF-8 "
+                          "cannot encode", key=key, **where)
     return data
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import re
 import reprlib
+import sys
 from pathlib import Path
 
 from .errors import ConfigError, MalformedRecord, MissingInput
@@ -32,10 +32,15 @@ def _check(name: str, test):
     return test
 
 
+# A JSON number must fit in a float: a larger integer, which ``json`` reads
+# exactly, fails every float sum, mean and conversion it reaches.
+_FLOAT_MAX = sys.float_info.max
 STRING = _check("a string", lambda v: type(v) is str)
 TEXT = _check("a non-blank string", lambda v: type(v) is str and v.strip() != "")
-INT = _check("an integer", lambda v: type(v) is int)
-NUMBER = _check("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v))
+INT = _check("an integer within float range",
+             lambda v: type(v) is int and -_FLOAT_MAX <= v <= _FLOAT_MAX)
+NUMBER = _check("a finite number within float range", lambda v: (
+    (type(v) is int or type(v) is float) and -_FLOAT_MAX <= v <= _FLOAT_MAX))
 BOOL = _check("a boolean", lambda v: type(v) is bool)
 
 
@@ -53,7 +58,8 @@ def _or_null(check):
 
 _INFLECTION_PAIR = _check("an object of string noninflected and inflected forms", lambda v: (
     type(v) is dict and type(v.get("noninflected")) is str and type(v.get("inflected")) is str))
-_RANK = _check("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_RANK = _check("an integer >= 1 within float range",
+               lambda v: type(v) is int and 1 <= v <= _FLOAT_MAX)
 _RECORD = {
     "fact_id": STRING, "language": STRING, "relation_id": STRING, "source": STRING,
     "best_correct_rank": _RANK, "best_correct_form?": STRING,

@@ -73,7 +73,6 @@ _RECORD_FIELDS = tuple(field.name for field in fields(EvalRecord))
 
 @dataclass(frozen=True)
 class AggregateCell:
-    group_key: tuple
     r_at_n: dict[int, float]
     mean_rank: float
     count: int
@@ -164,12 +163,10 @@ def rank_histogram(records: Sequence[EvalRecord], max_bucket: int = 50) -> RankH
 def aggregate_cell(
     records: Sequence[EvalRecord],
     n_values=DEFAULT_N_VALUES,
-    group_key: tuple = (),
 ) -> AggregateCell:
     if not records:
         raise EmptyGroup("no records")
     return AggregateCell(
-        group_key=group_key,
         r_at_n={int(n): recall_at_n(records, int(n)) for n in n_values},
         mean_rank=mean_best_rank(records),
         count=len(records),
@@ -192,7 +189,7 @@ def aggregate_by_group(
     keys: tuple[str, ...] = ("language", "source"),
 ) -> dict[tuple, AggregateCell]:
     return {
-        key: aggregate_cell(group, n_values, group_key=key)
+        key: aggregate_cell(group, n_values)
         for key, group in group_records(records, keys).items()
     }
 

@@ -257,7 +257,6 @@ def build_fact(fact: Fact, ctx: BuildContext):
     verbalization_lines: list[dict] = []
     audit: list[dict] = []
     relation = corpus.relations[fact.relation_id]
-    entity = corpus.entities[fact.object_id]
     # The English source sentence of MT, LLM and QE, built once when a
     # client role needs it. If it cannot be built, each of them builds it
     # again and fails as it would alone.
@@ -296,7 +295,7 @@ def build_fact(fact: Fact, ctx: BuildContext):
 
     splits = {}
     for source, verb in verbalizations.items():
-        result = split_verbalization(verb, entity)
+        result = split_verbalization(verb)
         if isinstance(result, Rejection):
             audit.append(_audit(fact.id, source.value, "REJECTION", result.reason))
             continue
@@ -661,7 +660,7 @@ def cmd_report(config: RunConfig, records_dir, force: bool = False) -> Path:
         languages = [l for l in config.languages if any(l == lang for lang, _ in groups)]
         sources = [s for s in config.sources if any(s == source for _, source in groups)]
         n_values = config.n_values
-        cells = {key: aggregate_cell(group, n_values, group_key=key)
+        cells = {key: aggregate_cell(group, n_values)
                  for key, group in groups.items()}
         histograms = {key: rank_histogram(group, config.report_max_rank_bucket)
                       for key, group in groups.items()}

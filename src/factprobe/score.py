@@ -238,11 +238,21 @@ _SCORE_TYPES = frozenset((float, int))
 _COUNT_TYPES = frozenset((int,))
 
 
+def _all_finite(numbers) -> bool:
+    """Whether every number is finite as a float: an integer too large for
+    one is not."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:
+        return False
+
+
 def _decode_reply(line: bytearray, count: int) -> list[tuple[float | int, int]]:
     """The ``(logprob, token count)`` pairs of the reply to a request of
-    ``count`` continuations. Each value is checked once, by one C-level pass
-    over its column: a score is a finite JSON number, a token count a JSON
-    integer. ``score_candidates`` converts the scores to floats."""
+    ``count`` continuations. Each column is checked by one C-level pass for
+    its type and one for its range: a score is a finite JSON number, a token
+    count a JSON integer, and each fits in a float. ``score_candidates``
+    converts the scores to floats."""
     try:
         response = loads(line)
     except ValueError as exc:
@@ -268,12 +278,10 @@ def _decode_reply(line: bytearray, count: int) -> list[tuple[float | int, int]]:
         raise BackendError("scorer reply holds a score that is not a number")
     if not _COUNT_TYPES.issuperset(map(type, counts)):
         raise BackendError("scorer reply holds a token count that is not an integer")
-    try:
-        finite = all(map(math.isfinite, logprobs))
-    except OverflowError:  # an integer score too large for a float
-        finite = False
-    if not finite:
+    if not _all_finite(logprobs):
         raise BackendError("scorer reply holds a score that is not a finite number")
+    if not _all_finite(counts):
+        raise BackendError("scorer reply holds a token count too large for a float")
     return list(zip(logprobs, counts))
 
 

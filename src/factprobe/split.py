@@ -1,9 +1,11 @@
-"""Locate the (possibly inflected) object form in a verbalization and split
-it into a prompt prefix and the object surface form.
+"""Locate the (possibly inflected) object form in a sentence, and cut a
+verbalization at it into a prompt prefix and the object surface form.
 
-Matching is tool-free: an exact whole-word pass first, then a
-stem pass that aligns label words to consecutive sentence words under a
-common-prefix rule.
+Each verbalizer reports where it put the object (``Verbalization.match``):
+TEMPLATE from the [Y] placeholder, MT and LLM by one ``match_object_form``
+over the ``object_labels``. Matching is tool-free: an exact whole-word pass
+first, then a stem pass that aligns label words to consecutive sentence
+words under a common-prefix rule. The split only rejects or cuts.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import (
-    PLACEHOLDER_OBJECT,
-    PLACEHOLDER_SUBJECT,
-    Corpus,
-    Entity,
-    Fact,
-    is_punctuation_or_space,
-)
+from .corpus import Corpus, Entity, Fact, is_punctuation_or_space
 from .errors import MissingLabel, NoAcceptedSplits
 
 # Hyphens are not word characters, so hyphenated names split like whitespace.
@@ -53,10 +48,6 @@ class ObjectMatch:
     matched_via: MatchVia
     confidence: float  # min per-word prefix ratio; 1.0 for EXACT
     label: int = 0  # the index of the matched label in the labels searched
-
-
-# The ``match`` of a verbalization whose sentence has not been searched.
-NOT_SEARCHED = object()
 
 
 @dataclass(frozen=True)
@@ -189,23 +180,6 @@ def _finalize_split(sentence: str, match: ObjectMatch) -> SplitResult | Rejectio
     )
 
 
-def split_template_sentence(
-    sentence: str, template: str, subject_label: str, object_label: str
-) -> SplitResult | Rejection:
-    """Positional split of a template-filled sentence at the [Y] location."""
-    ix = template.index(PLACEHOLDER_SUBJECT)
-    iy = template.index(PLACEHOLDER_OBJECT)
-    start = iy
-    if ix < iy:
-        start += len(subject_label) - len(PLACEHOLDER_SUBJECT)
-    end = start + len(object_label)
-    if sentence[start:end] != object_label:
-        raise ValueError("sentence does not correspond to template and labels")
-    return _finalize_split(
-        sentence, ObjectMatch((start, end), object_label, MatchVia.EXACT, 1.0)
-    )
-
-
 def object_labels(entity: Entity, language: str) -> list[str]:
     """The labels an MT or LLM verbalization in ``language`` is searched for:
     the default label of ``entity`` there, its aliases there, then its
@@ -223,34 +197,13 @@ def object_labels(entity: Entity, language: str) -> list[str]:
     return labels
 
 
-def split_verbalization(verbalization, object_entity: Entity) -> SplitResult | Rejection:
-    """Split one verbalization into prompt prefix and object form.
-
-    TEMPLATE verbalizations split positionally at the [Y] placeholder
-    (the template, subject and object labels ride in the provenance).
-    MT/LLM verbalizations are searched for the ``object_labels`` of their
-    ``target_language``, unless the verbalization carries the ``match`` of
-    that search. The split is accepted only if the text after the match is
-    punctuation/whitespace.
-    """
-    from .verbalize import VerbalizationSource  # local import, avoids cycle
-
-    sentence = verbalization.sentence
-    if not sentence:
-        raise ValueError("verbalization sentence is empty")
-    prov = verbalization.provenance
-    if verbalization.source == VerbalizationSource.TEMPLATE:
-        return split_template_sentence(
-            sentence, prov["template"], prov["subject_label"], prov["object_label"]
-        )
-
-    match = verbalization.match
-    if match is NOT_SEARCHED:
-        labels = object_labels(object_entity, prov["target_language"])
-        match = match_object_form(sentence, labels)
-    if match is None:
+def split_verbalization(verbalization) -> SplitResult | Rejection:
+    """Cut one verbalization at the object its verbalizer found into prompt
+    prefix and object form. The cut is accepted only if the text after the
+    object is punctuation/whitespace."""
+    if verbalization.match is None:
         return Rejection(REJECT_OBJECT_NOT_FOUND)
-    return _finalize_split(sentence, match)
+    return _finalize_split(verbalization.sentence, verbalization.match)
 
 
 def collect_correct_forms(

@@ -5,6 +5,7 @@ TEMPLATE fills the target-language template with target labels verbatim
 the English template with English labels and translates the whole
 sentence. LLM does the same through a few-shot translation prompt that
 pins the subject/object translations to the target-language labels.
+Each verbalization carries where its object is (``Verbalization.match``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     MissingTemplate,
     NoExemplars,
 )
-from .split import NOT_SEARCHED, ObjectMatch, match_object_form, object_labels
+from .split import MatchVia, ObjectMatch, match_object_form, object_labels
 
 WARN_CONSTRAINT_VIOLATION = "CONSTRAINT_VIOLATION"
 
@@ -60,11 +61,10 @@ class Verbalization:
     source: VerbalizationSource
     sentence: str
     provenance: dict[str, str]
+    # Where the verbalizer put the object in ``sentence``; None when it was
+    # not found. The split cuts there.
+    match: ObjectMatch | None
     warning: str | None = None
-    # The match of ``sentence`` over the ``object_labels`` of the fact's
-    # object (None: no label matched), when the verbalizer made it; the
-    # split then uses it instead of searching again.
-    match: ObjectMatch | None | object = NOT_SEARCHED
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,11 @@ def fill_template(template: str, subject_label: str, object_label: str) -> str:
     Substitution is positional, so labels containing placeholder-looking
     text never cascade.
     """
+    return _fill(template, subject_label, object_label)[0]
+
+
+def _fill(template: str, subject_label: str, object_label: str) -> tuple[str, tuple[int, int]]:
+    """``fill_template``'s sentence and the span of ``object_label`` in it."""
     try:
         ix, iy = placeholder_positions(template)
     except MalformedRecord as exc:
@@ -95,7 +100,8 @@ def fill_template(template: str, subject_label: str, object_label: str) -> str:
         out.append(value)
         cursor = pos + len(placeholder)
     out.append(template[cursor:])
-    return "".join(out)
+    start = iy + (len(subject_label) - len(PLACEHOLDER_SUBJECT) if ix < iy else 0)
+    return "".join(out), (start, start + len(object_label))
 
 
 def _labels_for(corpus: Corpus, fact: Fact, language: str) -> tuple[str, str]:
@@ -118,7 +124,7 @@ def make_template_verbalization(fact: Fact, corpus: Corpus) -> Verbalization:
             fact_id=fact.id,
         )
     subject, obj = _labels_for(corpus, fact, fact.language)
-    sentence = fill_template(template, subject, obj)
+    sentence, span = _fill(template, subject, obj)
     return Verbalization(
         fact_id=fact.id,
         source=VerbalizationSource.TEMPLATE,
@@ -129,6 +135,7 @@ def make_template_verbalization(fact: Fact, corpus: Corpus) -> Verbalization:
             "object_label": obj,
             "target_language": fact.language,
         },
+        match=ObjectMatch(span, obj, MatchVia.EXACT, 1.0),
     )
 
 
@@ -140,8 +147,9 @@ def english_sentence(fact: Fact, corpus: Corpus) -> str:
 
 def make_mt_verbalization(fact: Fact, corpus: Corpus, service: TextService,
                           english: str | None = None) -> Verbalization:
-    """Whole-sentence machine translation of the filled English template.
-    ``english`` is the fact's ``english_sentence``, built here when not given."""
+    """Whole-sentence machine translation of the filled English template,
+    searched once for the ``object_labels`` of the fact's object. ``english``
+    is the fact's ``english_sentence``, built here when not given."""
     source = english_sentence(fact, corpus) if english is None else english
     request = TextRequest(
         client_id=service.client.client_id,
@@ -166,6 +174,8 @@ def make_mt_verbalization(fact: Fact, corpus: Corpus, service: TextService,
             "request": request.canonical(),
             "target_language": fact.language,
         },
+        match=match_object_form(
+            sentence, object_labels(corpus.entities[fact.object_id], fact.language)),
     )
 
 
@@ -329,10 +339,11 @@ def make_llm_verbalization(
     CONSTRAINT_VIOLATION warning. ``english`` is the fact's
     ``english_sentence``, built here when not given.
 
-    The completion is searched once, for the ``object_labels`` the split
-    searches, and the verbalization carries that match to the split. Only
-    when the English label alone matched are the enforced labels searched
-    again, since one of them may still match elsewhere in the sentence.
+    The completion is searched once, for the ``object_labels`` an MT
+    sentence is searched for, and the verbalization carries that match to
+    the split. Only when the English label alone matched are the enforced
+    labels searched again, since one of them may still match elsewhere in
+    the sentence.
     """
     prompt = _fewshot_prompt(fewshot, fact.relation_id, fact.language, fact, corpus, english)
     request = TextRequest(

@@ -251,7 +251,7 @@ def test_criterion_report_fidelity():
     from factprobe.metrics import AggregateCell, InflectionDeltaCell
 
     slavic_cells = {
-        key: AggregateCell(group_key=key, r_at_n={1: r1}, mean_rank=mr, count=1)
+        key: AggregateCell(r_at_n={1: r1}, mean_rank=mr, count=1)
         for key, (r1, mr) in MAIN_SLAVIC.items()
     }
     table = render_main_table(slavic_cells, ["ru", "cs", "uk", "hr"],
@@ -259,7 +259,7 @@ def test_criterion_report_fidelity():
     assert table == (GOLDEN_DIR / "table_main_slavic.md").read_text()
 
     extra_cells = {
-        key: AggregateCell(group_key=key, r_at_n={1: r1}, mean_rank=mr, count=1)
+        key: AggregateCell(r_at_n={1: r1}, mean_rank=mr, count=1)
         for key, (r1, mr) in MAIN_EXTRA.items()
     }
     table = render_main_table(extra_cells, ["es", "zh", "vi", "id", "da"],

@@ -229,10 +229,19 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
          REPORT),
         # A rank-1 record whose every hit is false: report exited 0.
         ("out/records/records.jsonl", 2, "hits", {str(n): False for n in range(1, 6)}, REPORT),
+        # Integers too large for a float: an OverflowError from math.fsum in
+        # qe_delta_correlation and inflection_delta, from float() in the
+        # table load, and a rank refused under the hits it disagreed with.
+        ("out/records/records.jsonl", 2, "qe_score", 10**400, REPORT),
+        ("out/records/records.jsonl", 2, "form_ranks", {"NONINFLECTED": 1, "INFLECTED": 10**400},
+         REPORT),
+        ("out/records/records.jsonl", 3, "best_correct_rank", 10**400, REPORT),
+        ("scores.jsonl", 2, "logprob", -10**400, KINDS["scores"][1]),
     ],
     ids=["no-prompt", "one-element-distractor", "no-hits", "string-rank", "no-logprob",
          "aliases-list", "no-correct-form", "zero-rank", "negative-rank", "form-rank-below-1",
-         "hits-contradict-rank"],
+         "hits-contradict-rank", "qe-score-beyond-float", "form-rank-beyond-float",
+         "rank-beyond-float", "logprob-beyond-float"],
 )
 def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, field, value,
                                              argv):
@@ -390,6 +399,8 @@ def test_cli_reports_a_missing_input(built, tmp_path, argv, missing):
         # The matcher has no lemma pass; a lemmatizer name was refused by build only.
         pytest.param("match", {"lemmatizer": "x"}, id="match.lemmatizer-x"),
         pytest.param("match", {"lemmatizer": None}, id="match.lemmatizer-None"),
+        # An escaped lone surrogate: a UnicodeEncodeError from RunConfig.digest.
+        pytest.param("salt", "example-\ud800", id="salt-lone-surrogate"),
     ],
 )
 def test_cli_reports_a_bad_config_value(built, tmp_path, key, value):
@@ -552,10 +563,11 @@ def test_cli_reports_an_unreadable_config(built, tmp_path, spoil):
         None,
         "aa: {R1: {feminine: ['']}}\n",
         "aa: {R1: {masculine: [wqr1, ' ']}}\n",
+        'aa: {R1: {feminine: ["wqr1\\ud800"]}}\n',
     ],
     ids=["bad-yaml", "list-of-languages", "list-of-relations", "list-for-markers",
          "marker-string", "marker-number", "not-utf8", "a-directory", "marker-empty",
-         "marker-blank"],
+         "marker-blank", "marker-lone-surrogate"],
 )
 def test_report_checks_the_gender_patterns_file(built, tmp_path, text):
     ws = _copy(built, tmp_path)

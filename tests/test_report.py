@@ -37,10 +37,8 @@ def _golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
-def _cell(lang, source, r1, mean_rank):
-    return AggregateCell(
-        group_key=(lang, source), r_at_n={1: r1}, mean_rank=mean_rank, count=100
-    )
+def _cell(r1, mean_rank):
+    return AggregateCell(r_at_n={1: r1}, mean_rank=mean_rank, count=100)
 
 
 def test_format_stripped():
@@ -65,7 +63,7 @@ MAIN_SLAVIC = {
 
 
 def test_main_table_matches_golden():
-    cells = {key: _cell(key[0], key[1], r1, mr)
+    cells = {key: _cell(r1, mr)
              for key, (r1, mr) in MAIN_SLAVIC.items()}
     table = render_main_table(cells, SLAVIC, ALL_SOURCES, n=1)
     assert table == _golden("table_main_slavic.md")
@@ -82,7 +80,7 @@ MAIN_EXTRA = {
 
 
 def test_extra_languages_table_matches_golden():
-    cells = {key: _cell(key[0], key[1], r1, mr)
+    cells = {key: _cell(r1, mr)
              for key, (r1, mr) in MAIN_EXTRA.items()}
     table = render_main_table(cells, EXTRA, ["TEMPLATE", "MT"], n=1)
     assert table == _golden("table_main_extra.md")
@@ -167,7 +165,7 @@ def test_gender_table_matches_golden():
         for key, (fem, _) in GENDER.items()
     }
     subset_cells = {
-        key: AggregateCell(group_key=key, r_at_n={1: r1}, mean_rank=2.0, count=100)
+        key: AggregateCell(r_at_n={1: r1}, mean_rank=2.0, count=100)
         for key, (_, r1) in GENDER.items()
     }
     table = render_gender_table(rate_cells, subset_cells, SLAVIC, ALL_SOURCES)
@@ -175,7 +173,7 @@ def test_gender_table_matches_golden():
 
 
 def test_missing_cells_render_na():
-    cells = {("ru", "TEMPLATE"): _cell("ru", "TEMPLATE", 0.5, 2.0)}
+    cells = {("ru", "TEMPLATE"): _cell(0.5, 2.0)}
     table = render_main_table(cells, ["ru", "cs"], ["TEMPLATE", "MT"], n=1)
     lines = table.splitlines()
     assert lines[2] == "| Template | 0.5 | n/a | 2 | n/a |"
@@ -183,7 +181,7 @@ def test_missing_cells_render_na():
 
 
 def test_row_bytes_independent_of_other_rows():
-    cells = {key: _cell(key[0], key[1], r1, mr)
+    cells = {key: _cell(r1, mr)
              for key, (r1, mr) in MAIN_SLAVIC.items()}
     full = render_main_table(cells, SLAVIC, ALL_SOURCES, n=1).splitlines()
     partial = render_main_table(cells, SLAVIC, ["TEMPLATE", "MT"], n=1).splitlines()
@@ -193,8 +191,7 @@ def test_row_bytes_independent_of_other_rows():
 
 
 def test_csv_exports_parse_back():
-    cells = {key: AggregateCell(group_key=key,
-                                r_at_n={1: 0.5, 5: 0.9}, mean_rank=3.25, count=4)
+    cells = {key: AggregateCell(r_at_n={1: 0.5, 5: 0.9}, mean_rank=3.25, count=4)
              for key in [("cs", "TEMPLATE"), ("cs", "MT")]}
     for text, expected_header in [
         (cells_csv(cells, (1, 5)),

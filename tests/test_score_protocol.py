@@ -2,11 +2,16 @@
 
 import contextlib
 import json
+import os
 import queue
+import signal
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -38,11 +43,13 @@ class _LengthScorerHandler(socketserver.StreamRequestHandler):
 
     Records each request on ``server.received`` and, on
     ``server.parsed_at``, how many entries ``server.parsed`` held when the
-    request arrived. While
-    ``server.replies_before_drop`` is a number, the connection stops
-    answering after that many replies: it sends EOF and reads on until the
-    client hangs up. Later connections answer everything. A connection the
-    client resets, or closes with replies unread, is the client hanging up.
+    request arrived. While ``server.replies_before_drop`` is a number, the
+    connection stops answering after that many replies: it sends EOF and
+    reads on until the client hangs up. Later connections answer
+    everything. While ``server.kill_after`` is a number, ``server.kill()``
+    is called once that many replies are written, and the connection
+    answers no more. A connection the client resets, or closes with replies
+    unread, is the client hanging up.
     """
 
     def handle(self):
@@ -74,6 +81,12 @@ class _LengthScorerHandler(socketserver.StreamRequestHandler):
             response = {"version": 1, "results": results}
             self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
             self.wfile.flush()
+            if server.kill_after is not None:
+                server.kill_after -= 1
+                if server.kill_after == 0:
+                    server.kill_after = None
+                    server.kill()
+                    return
 
 
 @contextlib.contextmanager
@@ -94,6 +107,7 @@ def _threading_server(handler=_LengthScorerHandler):
     server.received = []
     server.parsed, server.parsed_at = [], []
     server.replies_before_drop = None
+    server.kill_after = server.kill = None
     return server
 
 
@@ -195,6 +209,16 @@ def test_protocol_takes_an_integer_score_as_a_number():
         scored = score.score_candidates(client, cs, score.NORMALIZATION_MEAN)
     assert scored.scores == [-2.0, 0.0]
     assert scored.token_counts == [1, 3]
+
+
+def test_protocol_refuses_a_token_count_too_large_for_a_float():
+    # It passed the reply check, and the MEAN division raised OverflowError.
+    reply = _reply_with("[[-2, 1], [0, 1" + "0" * 400 + "]]")
+    cs = CandidateSet("f", "p", ("a",), [["e", "b"]])
+    with (_serving(_canned_reply_server(reply)) as server,
+          contextlib.closing(ProtocolScorerClient(*server.server_address)) as client):
+        with pytest.raises(BackendError, match="too large"):
+            score.score_candidates(client, cs, score.NORMALIZATION_MEAN)
 
 
 # Python's json writes a nan or infinite float as NaN or Infinity, which are
@@ -483,6 +507,61 @@ def test_lost_connection_fails_evaluate_and_rerun_resumes(tmp_path, capsys):
             _protocol_workspace(tmp_path / "clean", healthy.server_address[1])
         )
         clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+    assert (resumed / "records.jsonl").read_bytes() == (clean / "records.jsonl").read_bytes()
+    assert read_jsonl(resumed / "audit.jsonl", "audit") == []
+
+
+def test_sigkilled_evaluate_reruns_to_the_records_of_an_uninterrupted_run(tmp_path):
+    # After a SIGKILL no Python cleanup runs: no finally, no atexit, no flush.
+    with _serving(_threading_server()) as healthy:
+        config_clean = load_config(
+            _protocol_workspace(tmp_path / "clean", healthy.server_address[1])
+        )
+        clean = cmd_evaluate(config_clean, cmd_build_dataset(config_clean, replay=True))
+
+    server = _threading_server()
+    config_path = _protocol_workspace(tmp_path / "ws", server.server_address[1])
+    config = load_config(config_path)
+    bundle = cmd_build_dataset(config, replay=True)
+    progress = config.output_dir / "records" / "progress.jsonl"
+    # The header and the sets of the first five replies, as counted in
+    # test_lost_connection_fails_evaluate_and_rerun_resumes.
+    logged = 1 + 3 + (2 + 1) + 3 + 2
+
+    def kill():
+        # Once the five replies are logged, the child waits on the sixth.
+        deadline = time.monotonic() + 60
+        while progress.read_bytes().count(b"\n") < logged and time.monotonic() < deadline:
+            time.sleep(0.005)
+        os.kill(child.pid, signal.SIGKILL)
+
+    server.kill_after, server.kill = 5, kill
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # The server listens from here, and answers once it serves, by when
+    # ``child`` is set.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "factprobe.cli", "evaluate", "--config", str(config_path),
+         "--bundle", str(bundle)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        with _serving(server):
+            assert child.wait(timeout=120) == -signal.SIGKILL
+            assert len(progress.read_text(encoding="utf-8").splitlines()) == logged
+            assert not (progress.parent / "manifest.json").exists()
+            resumed = cmd_evaluate(config, bundle)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    # No request was asked again: each set the child scored was logged.
+    requests = sum(
+        len({entry["prompt"] for entry in line["sources"].values()})
+        for line in read_jsonl(bundle / "candidate_sets.jsonl", "candidate_sets")
+    )
+    assert len(server.received) == requests
     assert (resumed / "records.jsonl").read_bytes() == (clean / "records.jsonl").read_bytes()
     assert read_jsonl(resumed / "audit.jsonl", "audit") == []
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factprobe.corpus import Corpus, Entity, Fact, Relation
 from factprobe.errors import NoAcceptedSplits
 from factprobe.split import (
     REJECT_NOT_SENTENCE_FINAL,
@@ -11,13 +12,12 @@ from factprobe.split import (
     SplitResult,
     collect_correct_forms,
     match_object_form,
-    split_template_sentence,
+    object_labels,
     split_verbalization,
 )
 from factprobe.verbalize import (
     VerbalizationSource,
     Verbalization,
-    fill_template,
     make_template_verbalization,
 )
 
@@ -211,9 +211,21 @@ def _finalize(sentence, match):
     return _finalize_split(sentence, match)
 
 
+def _template_split(template, subject_label, object_label):
+    """The sentence and split of the TEMPLATE verbalization of a one-fact
+    corpus whose relation has ``template`` in language ``xx``."""
+    corpus = Corpus(
+        entities={"S": Entity("S", {"xx": subject_label}),
+                  "O": Entity("O", {"xx": object_label})},
+        relations={"R": Relation("R", "[X] r [Y] .", {"xx": template}, {})},
+        facts={"f": Fact("f", "S", "R", "O", "xx")},
+    )
+    verb = make_template_verbalization(corpus.facts["f"], corpus)
+    return verb.sentence, split_verbalization(verb)
+
+
 def test_template_split_positional():
-    sentence = fill_template("[X] was born in [Y] .", "X", "Town")
-    result = split_template_sentence(sentence, "[X] was born in [Y] .", "X", "Town")
+    sentence, result = _template_split("[X] was born in [Y] .", "X", "Town")
     assert isinstance(result, SplitResult)
     assert result.prompt_prefix == "X was born in "
     assert result.object_form == "Town"
@@ -221,42 +233,43 @@ def test_template_split_positional():
 
 
 def test_template_split_rejects_non_final_object():
-    template = "[X] je [Y] povoláním ."
-    sentence = fill_template(template, "Novák", "spisovatel")
-    result = split_template_sentence(template=template, sentence=sentence,
-                                     subject_label="Novák", object_label="spisovatel")
+    _, result = _template_split("[X] je [Y] povoláním .", "Novák", "spisovatel")
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_NOT_SENTENCE_FINAL
 
 
-def _mt_verbalization(fact_id, sentence, language="cs"):
+def _mt_verbalization(fact_id, sentence, entity, language="cs"):
     return Verbalization(
         fact_id=fact_id,
         source=VerbalizationSource.MT,
         sentence=sentence,
         provenance={"target_language": language},
+        match=match_object_form(sentence, object_labels(entity, language)),
     )
 
 
 def test_split_mt_object_initial_rejected(cs_corpus):
     verb = _mt_verbalization(
-        "fact-p19-karel", "V Praze se narodil Karel Schwarzenberg."
+        "fact-p19-karel", "V Praze se narodil Karel Schwarzenberg.",
+        cs_corpus.entities["Q1085"],
     )
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
+    result = split_verbalization(verb)
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_NOT_SENTENCE_FINAL
 
 
 def test_split_mt_object_missing_rejected(cs_corpus):
-    verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg bydlí jinde.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
+    verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg bydlí jinde.",
+                             cs_corpus.entities["Q1085"])
+    result = split_verbalization(verb)
     assert isinstance(result, Rejection)
     assert result.reason == REJECT_OBJECT_NOT_FOUND
 
 
 def test_split_mt_inflected_sentence(cs_corpus):
-    verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Praze.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
+    verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Praze.",
+                             cs_corpus.entities["Q1085"])
+    result = split_verbalization(verb)
     assert isinstance(result, SplitResult)
     assert result.prompt_prefix == "Karel Schwarzenberg se narodil v "
     assert result.object_form == "Praze"
@@ -268,7 +281,7 @@ def test_split_mt_inflected_sentence(cs_corpus):
 def test_split_template_source_uses_provenance(cs_corpus):
     fact = cs_corpus.facts["fact-p19-karel"]
     verb = make_template_verbalization(fact, cs_corpus)
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
+    result = split_verbalization(verb)
     assert isinstance(result, SplitResult)
     assert result.object_form == "Praha"
     assert result.prompt_prefix == "Karel Schwarzenberg se narodil v "
@@ -276,8 +289,9 @@ def test_split_template_source_uses_provenance(cs_corpus):
 
 def test_split_finds_english_label(cs_corpus):
     # MT kept the English name; the English label is part of the search pool.
-    verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Prague.")
-    result = split_verbalization(verb, cs_corpus.entities["Q1085"])
+    verb = _mt_verbalization("fact-p19-karel", "Karel Schwarzenberg se narodil v Prague.",
+                             cs_corpus.entities["Q1085"])
+    result = split_verbalization(verb)
     assert isinstance(result, SplitResult)
     assert result.object_form == "Prague"
 

@@ -81,6 +81,20 @@ def test_fill_template_length_identity(x, y):
     assert len(fill_template(template, x, y)) == len(template) - 6 + len(x) + len(y)
 
 
+@given(
+    x=st.text(alphabet="ab[]XY ", max_size=8),
+    y=st.text(alphabet="ab[]XY ", max_size=8),
+    template=st.sampled_from(["[X] was born in [Y] .", "[Y] je [X]", "[Y][X]", "[X][Y]"]),
+)
+def test_fill_spans_the_object_label_where_y_stood(x, y, template):
+    from factprobe.verbalize import _fill  # noqa: SLF001
+
+    sentence, (start, end) = _fill(template, x, y)
+    assert sentence == fill_template(template, x, y)
+    assert sentence[start:end] == y
+    assert fill_template(template, x, "\0").index("\0") == start
+
+
 def test_template_verbalization_kapital_preserved(cs_corpus):
     verb = make_template_verbalization(cs_corpus.facts["fact-p36-cz"], cs_corpus)
     # The mistranslated template is used as-is, not repaired.
@@ -287,7 +301,7 @@ def _llm_split(cs_corpus, cs_exemplars, tmp_path, fact_id, sentence):
         TextService(CountingClient(sentence, client_id="llm"), ResponseCache(tmp_path / "c")),
         fewshot_prefix("cs", cs_exemplars),
     )
-    return verb, split_verbalization(verb, cs_corpus.entities[fact.object_id])
+    return verb, split_verbalization(verb)
 
 
 def test_llm_sentence_only_the_english_label_matches_violates(cs_corpus, cs_exemplars,
