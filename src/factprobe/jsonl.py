@@ -114,6 +114,44 @@ def _compile(spec: dict) -> tuple:
 _COMPILED = {kind: _compile(spec) for kind, spec in SPECS.items()}
 
 
+def _generate(fields: tuple, namespace: dict) -> str:
+    """Define in ``namespace`` a function of one value that is true exactly
+    when ``_check_object(fields, value, ...)`` would not raise, and return
+    its name. Each leaf check is called under the name ``c<n>``, and each
+    nested spec gets a function of its own."""
+    terms = ["type(r) is dict"]
+    for name, required, check in fields:
+        if type(check) is tuple:
+            call = _generate(check, namespace)
+        else:
+            call = f"c{len(namespace)}"
+            namespace[call] = check
+        value = f"r[{name!r}]"
+        if name == "*":
+            terms.append(f"all(map({call}, r.values()))")
+        elif required:
+            terms.append(f"{name!r} in r and {call}({value})")
+        elif type(check) is tuple:  # an optional object may be null
+            terms.append(f"({name!r} not in r or {value} is None or {call}({value}))")
+        else:
+            terms.append(f"({name!r} not in r or {call}({value}))")
+    function = f"f{len(namespace)}"
+    exec(f"def {function}(r):\n    return {' and '.join(terms)}\n", namespace)
+    return function
+
+
+def _predicate(fields: tuple):
+    """Whether a value passes ``fields``, as one generated function, so a
+    valid line costs one call per leaf; only a line that fails is walked
+    by ``_check_object`` for its message."""
+    namespace: dict = {}
+    return namespace[_generate(fields, namespace)]
+
+
+_VALID = {kind: _predicate(fields) for kind, fields in _COMPILED.items()}
+_IS_OBJECT = _predicate(())  # the check of a kind without a spec
+
+
 def _check_object(fields: tuple, record, where: dict, at: str | None = None,
                   error=MalformedRecord, noun: str = "field", closed: bool = False) -> None:
     """Raise ``error`` with ``where`` and, under ``noun``, the first field of
@@ -149,7 +187,8 @@ def _check_object(fields: tuple, record, where: dict, at: str | None = None,
 def check_line(kind: str, record, **where):
     """``record`` if it is a valid line of ``kind``, else a ``MalformedRecord``
     carrying ``where`` and the field at fault."""
-    _check_object(_COMPILED[kind], record, where)
+    if not _VALID[kind](record):
+        _check_object(_COMPILED[kind], record, where)
     return record
 
 
@@ -157,6 +196,13 @@ def check_line(kind: str, record, **where):
 # per call. Neither lets NaN or Infinity through: they are not JSON.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
                             allow_nan=False)
+# The C encoder that ``_ENCODER.encode`` builds on every call, built once: the
+# arguments ``JSONEncoder.iterencode`` passes for its options, without the
+# markers of circular references, which no value written here holds.
+_ENCODE = json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def _refuse_constant(name: str):
@@ -175,9 +221,10 @@ def loads(raw):
 
 def dump(obj) -> str:
     """Canonical serialization: the bytes of a value are a pure function of it."""
-    return _ENCODER.encode(obj)
+    return "".join(_ENCODE(obj, 0))
 
 
+_BACKSLASH = ord("\\")
 # Each escape is matched whole, so an escaped backslash never starts one.
 _ESCAPE = re.compile(rb"\\(?:ud[89ab]..\\ud[c-f]..|(ud[89a-f]..)|.)", re.IGNORECASE)
 
@@ -207,8 +254,9 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
     newline that does not decode, which is what a killed append leaves, is
     skipped instead of being an error. A line that escapes a lone surrogate
     is refused: its text could be read but never written again."""
-    fields = _COMPILED.get(kind, ())
+    fields, valid = _COMPILED.get(kind, ()), _VALID.get(kind, _IS_OBJECT)
     _, expected = _header(kind, header)
+    scan = _DECODER.scan_once
     try:
         fh = open(path, "rb")  # json decodes each line, so bad UTF-8 names its line
     except FileNotFoundError as exc:
@@ -219,22 +267,38 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
         for lineno, raw in enumerate(fh, start=1):
             if raw.isspace():
                 continue
-            where = {"file": str(path), "line": lineno}
+            # One scan of a line whose value ends it, before its newline if
+            # it has one; any other line, such as one with whitespace around
+            # its value or one that does not decode, is left to ``loads``,
+            # which reads it or raises the error that names it.
             try:
-                record = loads(raw)
-            except ValueError as exc:
-                if torn_tail and not raw.endswith(b"\n"):
-                    return
-                raise MalformedRecord(f"invalid JSON: {exc}", **where) from exc
+                text = raw.decode("utf-8")
+                record, end = scan(text, 0)
+                whole = end == len(text) - text.endswith("\n")
+            except (ValueError, StopIteration):
+                whole = False
+            if not whole:
+                try:
+                    record = loads(raw)
+                except ValueError as exc:
+                    if torn_tail and not raw.endswith(b"\n"):
+                        return
+                    raise MalformedRecord(f"invalid JSON: {exc}", file=str(path),
+                                          line=lineno) from exc
             # A line with no escape costs one search for a byte, which is
-            # several times faster than one for the two bytes of ``\u``.
-            if b"\\" in raw and lone_surrogate(raw):
-                raise MalformedRecord("a \\u escape of a lone surrogate is not text", **where)
-            _check_object(expected or fields, record, where)
-            if expected:
+            # several times faster than one for the two bytes of ``\u``; the
+            # byte is given as an int, which ``bytes.__contains__`` takes
+            # straight to ``memchr``.
+            if _BACKSLASH in raw and lone_surrogate(raw):
+                raise MalformedRecord("a \\u escape of a lone surrogate is not text",
+                                      file=str(path), line=lineno)
+            if expected is not None:
+                _check_object(expected, record, {"file": str(path), "line": lineno})
                 expected = None
-            else:
-                yield lineno, record
+                continue
+            if not valid(record):
+                _check_object(fields, record, {"file": str(path), "line": lineno})
+            yield lineno, record
 
 
 def read_jsonl(path, kind: str) -> list[dict]:

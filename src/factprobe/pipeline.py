@@ -123,7 +123,8 @@ def _stage_inputs(config: RunConfig, stage: str, upstream: Path | None = None,
     record store (``upstream`` is the records directory) and the gender
     patterns. The response cache, and the file a client in record mode
     appends to and starts from, are memos of what the clients would return,
-    not inputs."""
+    not inputs. A name that is not UTF-8, which the manifest could not
+    hold, is a ``ConfigError``."""
     if stage == "build_dataset":
         files = [config.entities_path, config.relations_path, config.facts_path]
         if "LLM" in config.sources and config.exemplars_dir is not None:
@@ -140,8 +141,15 @@ def _stage_inputs(config: RunConfig, stage: str, upstream: Path | None = None,
         files = [upstream / "records.jsonl"]
         if config.gender_patterns_path is not None:
             files.append(config.gender_patterns_path)
-    return {Path(os.path.relpath(Path(path).resolve(), config.config_dir)).as_posix(): Path(path)
-            for path in files}
+    inputs = {}
+    for path in files:
+        name = Path(os.path.relpath(Path(path).resolve(), config.config_dir)).as_posix()
+        try:
+            name.encode("utf-8")  # the manifest, a UTF-8 file, names it
+        except UnicodeEncodeError as exc:
+            raise ConfigError("an input file name is not UTF-8", path=str(path)) from exc
+        inputs[name] = Path(path)
+    return inputs
 
 
 def _write_json(path: Path, obj) -> None:
@@ -501,8 +509,17 @@ def make_scorer(config: RunConfig, lines: Iterable[dict]):
 
 
 def _bundle_lines(path: Path) -> Iterator[dict]:
-    """The candidate-set lines at ``path``, each parsed when it is reached."""
-    return (line for _, line in iter_lines(path, "candidate_sets"))
+    """The candidate-set lines at ``path``, each parsed when it is reached.
+    A fact has one line: a second is a ``MalformedRecord``, since a resumed
+    run would skip the sets that an uninterrupted one scores again."""
+    first_lines: dict[str, int] = {}
+    for lineno, line in iter_lines(path, "candidate_sets"):
+        first = first_lines.setdefault(line["fact_id"], lineno)
+        if first != lineno:
+            raise MalformedRecord(f"field 'fact_id' repeats that of line {first}: "
+                                  f"{line['fact_id']!r}", file=str(path), line=lineno,
+                                  field="fact_id")
+        yield line
 
 
 def _pending_sets(lines: Iterable[dict], done: set[tuple[str, str]]):

@@ -9,6 +9,7 @@ gender-patterns file.
 import contextlib
 import io
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -303,6 +304,22 @@ def test_a_malformed_bundle_line_fails_evaluate_where_it_is_reached(built, tmp_p
         (line["fact_id"], source) for line in before for source in line["sources"])
 
 
+@pytest.mark.parametrize("argv", [EVALUATE, KINDS["scores"][1]], ids=["oracle", "table"])
+def test_cli_refuses_a_bundle_that_holds_a_fact_twice(built, tmp_path, argv):
+    # The second line's sets were scored by an uninterrupted run but skipped
+    # by a resumed one, whose record stores then differed.
+    ws = _copy(built, tmp_path)
+    shutil.rmtree(ws / "out" / "records")
+    path = ws / "out" / "bundle" / "candidate_sets.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + [lines[1]]), encoding="utf-8")
+    code, err = _run(ws, argv)
+    _assert_coded(code, err, "MALFORMED_RECORD", file=str(path), line=len(lines) + 1,
+                  field="fact_id")
+    assert "line 2" in err
+    assert not (ws / "out" / "records" / "manifest.json").exists()
+
+
 # Python's json writes a nan or infinite float as NaN or Infinity, and reads
 # them back, but they are not JSON; 1e999 is, and reads back as infinite.
 @pytest.mark.parametrize(
@@ -442,6 +459,19 @@ def test_cli_reports_a_file_in_the_way_of_a_directory(built, tmp_path, settings,
     (ws / "config.yaml").write_text(yaml.safe_dump(data), encoding="utf-8")
     code, err = _run(ws, argv + ["--force"])
     _assert_coded(code, err, "CONFIG_ERROR", path=str(ws / "corpus" / "facts.jsonl"))
+
+
+def test_cli_refuses_an_input_file_name_that_is_not_utf8(built, tmp_path):
+    # A stray exemplar file of such a name matched its language's glob, and
+    # build wrote the whole bundle before its manifest, which names every
+    # input, ended it with a UnicodeEncodeError traceback.
+    ws = _copy(built, tmp_path)
+    shutil.rmtree(ws / "out")
+    stray = ws / "exemplars" / os.fsdecode(b"\xff.aa.txt")
+    shutil.copy(ws / "exemplars" / "R1.aa.txt", stray)
+    code, err = _run(ws, BUILD)
+    _assert_coded(code, err, "CONFIG_ERROR", path=str(stray))
+    assert not (ws / "out").exists()  # refused before any work
 
 
 def test_cli_reports_a_directory_in_the_way_of_a_file(built, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from factprobe.errors import MalformedRecord
 
 from conftest import tear_writes_of
-from factprobe.jsonl import (append, check_line, dump, iter_lines, open_log, read_jsonl,
-                             write_jsonl, write_text, writing)
+from factprobe.jsonl import (_COMPILED, _VALID, _check_object, _header, _predicate, append,
+                             check_line, dump, iter_lines, open_log, read_jsonl, write_jsonl,
+                             write_text, writing)
 
 # A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
 # and three sources.
@@ -252,3 +254,173 @@ def test_benchmark_check_candidate_set_line(benchmark):
         check_line, args=("candidate_sets", _CANDIDATE_SET), rounds=200, iterations=10
     )
     assert line is _CANDIDATE_SET
+
+
+def test_benchmark_dump_candidate_set_line(benchmark):
+    text = benchmark.pedantic(dump, args=(_CANDIDATE_SET,), rounds=200, iterations=10)
+    assert json.loads(text) == _CANDIDATE_SET
+
+
+def test_benchmark_read_candidate_set_lines(benchmark, tmp_path):
+    path = tmp_path / "candidate_sets.jsonl"
+    write_jsonl(path, "candidate_sets", [_CANDIDATE_SET] * 200)
+    lines = benchmark.pedantic(read_jsonl, args=(path, "candidate_sets"), rounds=20,
+                               iterations=1)
+    assert lines == [_CANDIDATE_SET] * 200
+
+
+# A valid line of each kind with a spec, every optional field present.
+_VALID_LINES = {
+    "entities": {"id": "Q1", "labels": {"aa": "x"}, "aliases": {"aa": ["y", "z"]}},
+    "relations": {"id": "R1", "english_template": "[X] in [Y]",
+                  "templates": {"aa": "[X] [Y]"}, "object_final": {"aa": True},
+                  "inflection_expected": False},
+    "facts": {"id": "f-1", "subject_id": "Q1", "relation_id": "R1", "object_id": "Q2",
+              "language": "aa", "subject_gender": "female"},
+    "candidate_sets": dict(_CANDIDATE_SET, distractors=_CANDIDATE_SET["distractors"][:2]),
+    "records": {"fact_id": "f-1", "language": "aa", "relation_id": "R1", "source": "MT",
+                "best_correct_rank": 2, "best_correct_form": "o", "hits": {"1": False, "5": True},
+                "form_ranks": {"noninflected": 2, "inflected": 3}, "qe_score": 0.5,
+                "subject_gender": None, "prompt": "p"},
+    "scores": {"prompt": "p", "continuation": " c", "logprob": -1.5, "token_count": 2},
+    "fixture": {"request": {"client_id": "mt", "text": "t", "source_language": "en",
+                            "target_language": "aa", "extra": {"source_text": "s"}},
+                "response": "r"},
+}
+_VALID_LINES["progress"] = _VALID_LINES["records"]
+_HEADER_EXTRA = {"config_digest": "c0ffee", "inputs": {"bundle": "d1"}}
+# Each kind's compiled fields and valid line, and those of the header lines,
+# which are compiled per file and checked by the walk; their predicates are
+# made here only to test the generator on more specs.
+_SPECS = {kind: (_COMPILED[kind], line) for kind, line in _VALID_LINES.items()}
+for kind in ("candidate_sets", "progress"):
+    line, fields = _header(kind, _HEADER_EXTRA)
+    _SPECS[f"header:{kind}"] = (fields, line)
+_PREDICATES = {name: _VALID.get(name) or _predicate(fields)
+               for name, (fields, _) in _SPECS.items()}
+_DROP = object()
+# A value of each JSON type, and values that some checks refuse: blank
+# strings, non-finite floats and integers too large for a float.
+_VALUES = [None, True, False, 0, 1, -3, 2.5, 10**400, float("inf"), float("nan"), "", " ",
+           "x", "7", [], ["x"], [["Q1", "x"]], [["Q1"]], {}, {"7": True}, {"prompt": "p"},
+           {"noninflected": "a", "inflected": "b"}, "candidate_sets", _DROP]
+
+
+def _paths(value, at=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield at
+    if type(value) is dict:
+        items = value.items()
+    else:
+        items = enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from _paths(item, at + (key,))
+
+
+def _set(line, path, value):
+    """``line`` with the value at ``path`` replaced by ``value`` or dropped."""
+    if not path:
+        return {} if value is _DROP else value
+    line = copy.deepcopy(line)
+    *parents, last = path
+    obj = line
+    for key in parents:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[last]
+    else:
+        obj[last] = value
+    return line
+
+
+def _walk_accepts(fields, line) -> bool:
+    try:
+        _check_object(fields, line, {})
+    except MalformedRecord:
+        return False
+    return True
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(_SPECS)), changes=st.integers(0, 3))
+@settings(max_examples=1500, deadline=None)
+def test_the_compiled_check_agrees_with_the_walk(data, name, changes):
+    fields, line = _SPECS[name]
+    for _ in range(changes):
+        path = data.draw(st.sampled_from(list(_paths(line))))
+        line = _set(line, path, data.draw(st.sampled_from(_VALUES)))
+    assert bool(_PREDICATES[name](line)) is _walk_accepts(fields, line)
+
+
+def test_a_header_line_fails_the_check_of_its_kind():
+    for kind in _VALID:
+        header = {"schema_version": 1, "kind": kind}
+        assert not _VALID[kind](header)
+        assert not _walk_accepts(_COMPILED[kind], header)
+
+
+_TEXT = st.text(st.characters() | st.sampled_from("\u2028\u2029\u0000\"\\řž😀"))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_dump_is_the_canonical_json_dumps(value):
+    assert dump(value) == json.dumps(value, ensure_ascii=False, sort_keys=True,
+                                     separators=(",", ":"), allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [{"x": float("-inf")}]])
+def test_dump_refuses_a_non_finite_float(value):
+    with pytest.raises(ValueError):
+        dump(value)
+
+
+_SCORES_LINE = b'{"continuation":"c","logprob":1,"prompt":"p"}'
+_SCORES_RECORD = {"continuation": "c", "logprob": 1, "prompt": "p"}
+
+
+# What each line reads as: its records, or the message of its error. A
+# line that is not its value and a newline is read by ``loads``.
+@pytest.mark.parametrize("raw, torn_tail, expected", [
+    (_SCORES_LINE + b"\n", False, [_SCORES_RECORD]),
+    (_SCORES_LINE, False, [_SCORES_RECORD]),
+    (b"  " + _SCORES_LINE + b"\n", False, [_SCORES_RECORD]),
+    (_SCORES_LINE + b"\r\n", False, [_SCORES_RECORD]),
+    (_SCORES_LINE + b" \t\n", False, [_SCORES_RECORD]),
+    (_SCORES_LINE + b"\n\n", False, [_SCORES_RECORD]),
+    (_SCORES_LINE + b"{}\n", False, "invalid JSON: Extra data: line 1 column 46 (char 45)"),
+    (_SCORES_LINE + b"\r{}\n", False, "invalid JSON: Extra data: line 1 column 47 (char 46)"),
+    (b'{"prompt":"\xff"}\n', False,
+     "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    (b'{"logprob":NaN}\n', False, "invalid JSON: NaN is not a JSON value"),
+    (b"-Infinity\n", False, "invalid JSON: -Infinity is not a JSON value"),
+    (b"}\n", False, "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b"\xef\xbb\xbf" + _SCORES_LINE + b"\n", False,
+     "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b'"a string"\n', False, "record is not an object"),
+    (b'{"prompt":"p"}\n', False, "missing field 'continuation'"),
+    (_SCORES_LINE[:-9], True, []),
+    (_SCORES_LINE[:-9], False,
+     "invalid JSON: Unterminated string starting at: line 1 column 33 (char 32)"),
+    (_SCORES_LINE[:-9] + b"\n", True,  # only a last line without its newline is torn
+     "invalid JSON: Invalid control character at: line 1 column 37 (char 36)"),
+], ids=["plain", "no-newline", "leading-spaces", "crlf", "trailing-whitespace", "blank-after",
+        "trailing-data", "carriage-return-then-data", "bad-utf8", "nan", "minus-infinity",
+        "no-value", "bom", "not-an-object", "missing-field", "torn-tail-skipped",
+        "torn-tail-refused", "cut-line-with-newline"])
+def test_a_line_reads_as_its_value_or_as_its_error(tmp_path, raw, torn_tail, expected):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(b'{"kind":"scores","schema_version":1}\n' + raw)
+    if type(expected) is list:
+        assert [r for _, r in iter_lines(path, "scores", torn_tail=torn_tail)] == expected
+        return
+    with pytest.raises(MalformedRecord) as info:
+        list(iter_lines(path, "scores", torn_tail=torn_tail))
+    assert info.value.args[0] == expected
+    assert {"file": str(path), "line": 2}.items() <= info.value.context.items()
