@@ -122,8 +122,9 @@ class ResponseCache:
     Construction reads every log once, through the loader of replay
     fixtures, skipping a torn last line, so a wrong-shape line is a
     ``MalformedRecord`` naming its file and line; ``get`` is then a dict
-    lookup, and ``put`` appends one line. Separate processes append whole
-    lines too, but each sees only the lines its construction read.
+    lookup, and ``put`` appends one line unless the key already holds that
+    response. Separate processes append whole lines too, but each sees only
+    the lines its construction read.
     """
 
     def __init__(self, directory):
@@ -137,7 +138,11 @@ class ResponseCache:
         return self._responses.get(key)
 
     def put(self, key: str, request: TextRequest, response: str) -> None:
-        """Store ``response`` under ``key``, the digest of ``request``."""
+        """Store ``response`` under ``key``, the digest of ``request``. A
+        response the key already holds is not appended again; another one is,
+        and wins when the log is read, as the last line of a key does."""
+        if self._responses.get(key) == response:
+            return
         client_id = request.client_id
         with self._lock:
             if client_id not in self._logs:
@@ -251,7 +256,7 @@ class HttpClient:
         # A reply of the wrong shape would be the same on every try.
         try:
             reply = json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):  # not JSON, or nested too deep to read
             reply = None
         text = reply.get("text") if type(reply) is dict else None
         if type(text) is not str:

@@ -195,6 +195,8 @@ def _read_yaml(path: Path, what: str, /, **where) -> dict:
         raise MissingInput(f"{what} file is missing", path=str(path)) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}", **where) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"cannot parse {what}: nesting too deep", **where) from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = {} if mark is None else {"line": mark.line + 1, "column": mark.column + 1}

@@ -63,8 +63,6 @@ _RANK = _check("an integer >= 1 within float range",
 _RECORD = {
     "fact_id": STRING, "language": STRING, "relation_id": STRING, "source": STRING,
     "best_correct_rank": _RANK, "best_correct_form?": STRING,
-    "hits": _check("a map from integer strings to booleans", lambda v: type(v) is dict
-                   and all(n.isdecimal() and type(hit) is bool for n, hit in v.items())),
     "form_ranks?": _or_null(_map_of(_RANK, "a map of integers >= 1")),
     "qe_score?": _or_null(NUMBER), "subject_gender?": _or_null(STRING), "prompt?": STRING,
 }
@@ -89,7 +87,7 @@ SPECS = {
         "distractors": _check("a list of [entity id, form] string pairs", lambda v: (
             type(v) is list and all([type(p) is list and len(p) == 2 and type(p[0]) is str
                                      and type(p[1]) is str for p in v]))),
-        "salt": STRING, "no_space?": BOOL, "inflection_pair?": _or_null(_INFLECTION_PAIR),
+        "no_space?": BOOL, "inflection_pair?": _or_null(_INFLECTION_PAIR),
         "subject_gender?": _or_null(STRING),
         "sources": {"*": {"prompt": STRING, "qe_score?": _or_null(NUMBER)}},
     },
@@ -214,9 +212,13 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 def loads(raw):
     """The value of one JSON text, given as UTF-8 bytes or as a string; the
-    ``NaN``, ``Infinity`` and ``-Infinity`` that ``json.loads`` accepts are a
-    ``ValueError`` like any other invalid JSON."""
-    return _DECODER.decode(raw if type(raw) is str else raw.decode("utf-8"))
+    ``NaN``, ``Infinity`` and ``-Infinity`` that ``json.loads`` accepts, and
+    nesting deeper than the decoder can recurse, are a ``ValueError`` like
+    any other invalid JSON."""
+    try:
+        return _DECODER.decode(raw if type(raw) is str else raw.decode("utf-8"))
+    except RecursionError as exc:
+        raise ValueError("nesting too deep") from exc
 
 
 def dump(obj) -> str:
@@ -275,7 +277,7 @@ def iter_lines(path, kind: str, torn_tail: bool = False, **header):
                 text = raw.decode("utf-8")
                 record, end = scan(text, 0)
                 whole = end == len(text) - text.endswith("\n")
-            except (ValueError, StopIteration):
+            except (ValueError, StopIteration, RecursionError):
                 whole = False
             if not whole:
                 try:

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-import reprlib
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateInput,
     EmptyGroup,
-    MalformedRecord,
     MissingPatterns,
     NoEligibleRecords,
 )
@@ -34,10 +32,7 @@ DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
 class EvalRecord:
     """Per-(fact, verbalization) ranking outcome feeding every aggregate.
 
-    Its fields are those of a ``records`` or ``progress`` line. The line
-    also holds ``hits``, whether the rank is within each of the run's n
-    values; that is no state of its own, so it is written from the rank and
-    checked against it when read."""
+    Its fields are those of a ``records`` or ``progress`` line."""
 
     fact_id: str
     language: str
@@ -50,21 +45,14 @@ class EvalRecord:
     subject_gender: str | None = None
     prompt: str | None = None
 
-    def to_line(self, n_values) -> dict:
-        """The record's line: its fields, and ``hits`` at each of ``n_values``."""
-        rank = self.best_correct_rank
-        return dict(vars(self), hits={str(n): rank <= n for n in n_values})
+    def to_line(self) -> dict:
+        """The record's line: its fields."""
+        return vars(self).copy()
 
     @classmethod
-    def from_line(cls, line: dict, file: str, lineno: int) -> EvalRecord:
-        """The record of ``line``, line ``lineno`` of ``file``, already
-        checked against its spec. A ``hits`` entry that disagrees with the
-        rank makes the line a ``MalformedRecord``."""
-        rank, hits = line["best_correct_rank"], line["hits"]
-        if any(hit != (rank <= int(n)) for n, hit in hits.items()):
-            raise MalformedRecord(
-                f"field 'hits' disagrees with best_correct_rank {rank}: {reprlib.repr(hits)}",
-                file=file, line=lineno, field="hits")
+    def from_line(cls, line: dict) -> EvalRecord:
+        """The record of ``line``, already checked against its spec; any
+        field the record does not have is ignored."""
         return cls(*map(line.get, _RECORD_FIELDS))
 
 

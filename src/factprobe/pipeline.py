@@ -370,7 +370,6 @@ def build_fact(fact: Fact, ctx: BuildContext):
                 "relation_id": fact.relation_id,
                 "correct_forms": list(candidate_set.correct_forms),
                 "distractors": [[d.entity_id, d.form] for d in candidate_set.distractors],
-                "salt": config.salt,
                 "subject_gender": fact.subject_gender,
                 "inflection_pair": inflection_pair,
                 "no_space": fact.language in config.no_space_languages,
@@ -541,7 +540,7 @@ def _pending_sets(lines: Iterable[dict], done: set[tuple[str, str]]):
                                               line["distractors"])
 
 
-def _record_texts(line: dict, sources: list[str], prompt: str, result, n_values):
+def _record_texts(line: dict, sources: list[str], prompt: str, result):
     """``((fact id, source), text)`` of the record of each of ``sources``,
     the sources of bundle ``line`` whose ``prompt`` was ranked as
     ``result``: the ``dump`` text of its line, which is encoded once."""
@@ -563,7 +562,7 @@ def _record_texts(line: dict, sources: list[str], prompt: str, result, n_values)
         qe_score=line["sources"][source].get("qe_score"),
         subject_gender=line.get("subject_gender"),
         prompt=prompt,
-    ).to_line(n_values))) for source in sources]
+    ).to_line())) for source in sources]
 
 
 def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False) -> Path:
@@ -597,7 +596,7 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
             stack.callback(os.close, progress)
             # Each record as the text of its progress line, keyed by (fact, source),
             # encoded once more so that only canonical text reaches the store.
-            entries = [((record.fact_id, record.source), dump(record.to_line(config.n_values)))
+            entries = [((record.fact_id, record.source), dump(record.to_line()))
                        for record in _read_records(progress_path, "progress")]
             backend = scorer
             if backend is None:
@@ -633,8 +632,7 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
                     audit.extend(_audit(line["fact_id"], source, "BACKEND_ERROR", exc.code)
                                  for source in sources)
                     continue
-                texts = _record_texts(line, sources, candidate_set.prompt, result,
-                                      config.n_values)
+                texts = _record_texts(line, sources, candidate_set.prompt, result)
                 entries += texts
                 append(progress, "".join(text + "\n" for _, text in texts))
 
@@ -655,8 +653,7 @@ def cmd_evaluate(config: RunConfig, bundle_dir, scorer=None, force: bool = False
 def _read_records(path: Path, kind: str) -> Iterator[EvalRecord]:
     """The records of a ``records`` or ``progress`` file, each made from its
     line as the line is read."""
-    return (EvalRecord.from_line(line, str(path), lineno)
-            for lineno, line in iter_lines(path, kind))
+    return (EvalRecord.from_line(line) for _, line in iter_lines(path, kind))
 
 
 def load_records(records_dir) -> list[EvalRecord]:

@@ -59,7 +59,6 @@ class Scores(NamedTuple):
 class RankedResult:
     """A ranking: the scored columns, and the rank of the best correct form."""
 
-    fact_id: str
     forms: list[str]
     scores: list[float]
     best_correct_rank: int
@@ -140,7 +139,7 @@ def rank_candidates(scored: Scores, correct_forms, fact_id: str = "") -> RankedR
     assembly guarantees no distractor shares a correct form. The best
     correct form is the correct one with the highest score, the first in
     byte order among equal scores; byte-identical forms (duplicate labels)
-    share their rank.
+    share their rank. ``fact_id`` only names the fact in a ``NonFiniteScore``.
     """
     forms, scores = scored.forms, scored.scores
     if not forms:
@@ -155,7 +154,6 @@ def rank_candidates(scored: Scores, correct_forms, fact_id: str = "") -> RankedR
         raise ValueError("no correct form present among candidates")
     neg_score, form = best
     return RankedResult(
-        fact_id=fact_id,
         forms=forms,
         scores=scores,
         best_correct_rank=_rank(forms, scores, -neg_score, form),

@@ -52,8 +52,8 @@ KINDS = {
     ),
     "candidate_sets": (
         ["out/bundle/candidate_sets.jsonl"], EVALUATE,
-        ["fact_id", "language", "relation_id", "correct_forms", "distractors", "salt",
-         "sources"] + [f"sources.{source}.prompt" for source in SOURCES],
+        ["fact_id", "language", "relation_id", "correct_forms", "distractors", "sources"]
+        + [f"sources.{source}.prompt" for source in SOURCES],
         ["no_space", "inflection_pair", "subject_gender"]
         + [f"sources.{source}.qe_score" for source in SOURCES],
         ["inflection_pair", "subject_gender"] + [f"sources.{source}.qe_score"
@@ -65,13 +65,13 @@ KINDS = {
     ),
     "records": (
         ["out/records/records.jsonl"], REPORT,
-        ["fact_id", "language", "relation_id", "source", "best_correct_rank", "hits"],
+        ["fact_id", "language", "relation_id", "source", "best_correct_rank"],
         ["best_correct_form", "form_ranks", "qe_score", "subject_gender", "prompt"],
         ["form_ranks", "qe_score", "subject_gender"],
     ),
     "progress": (
         ["out/records/progress.jsonl"], EVALUATE,
-        ["fact_id", "language", "relation_id", "source", "best_correct_rank", "hits"],
+        ["fact_id", "language", "relation_id", "source", "best_correct_rank"],
         ["best_correct_form", "form_ranks", "qe_score", "subject_gender", "prompt"],
         ["form_ranks", "qe_score", "subject_gender"],
     ),
@@ -218,7 +218,6 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
     [
         ("out/bundle/candidate_sets.jsonl", 2, "sources.LLM.prompt", _DROP, EVALUATE),
         ("out/bundle/candidate_sets.jsonl", 3, "distractors", [["o1aa0"]], EVALUATE),
-        ("out/records/records.jsonl", 2, "hits", _DROP, REPORT),
         ("out/records/records.jsonl", 4, "best_correct_rank", "one", REPORT),
         ("scores.jsonl", 2, "logprob", _DROP, KINDS["scores"][1]),
         ("corpus/entities.jsonl", 3, "aliases", ["o1aa0alias"], BUILD),
@@ -228,21 +227,19 @@ def test_cli_reports_a_spoiled_line_of_each_kind(built, tmp_path_factory, kind, 
         # Reached metrics.inflection_delta, and report exited 0.
         ("out/records/records.jsonl", 2, "form_ranks", {"NONINFLECTED": 0, "INFLECTED": -1},
          REPORT),
-        # A rank-1 record whose every hit is false: report exited 0.
-        ("out/records/records.jsonl", 2, "hits", {str(n): False for n in range(1, 6)}, REPORT),
         # Integers too large for a float: an OverflowError from math.fsum in
-        # qe_delta_correlation and inflection_delta, from float() in the
-        # table load, and a rank refused under the hits it disagreed with.
+        # qe_delta_correlation, inflection_delta and mean_best_rank, and from
+        # float() in the table load.
         ("out/records/records.jsonl", 2, "qe_score", 10**400, REPORT),
         ("out/records/records.jsonl", 2, "form_ranks", {"NONINFLECTED": 1, "INFLECTED": 10**400},
          REPORT),
         ("out/records/records.jsonl", 3, "best_correct_rank", 10**400, REPORT),
         ("scores.jsonl", 2, "logprob", -10**400, KINDS["scores"][1]),
     ],
-    ids=["no-prompt", "one-element-distractor", "no-hits", "string-rank", "no-logprob",
-         "aliases-list", "no-correct-form", "zero-rank", "negative-rank", "form-rank-below-1",
-         "hits-contradict-rank", "qe-score-beyond-float", "form-rank-beyond-float",
-         "rank-beyond-float", "logprob-beyond-float"],
+    ids=["no-prompt", "one-element-distractor", "string-rank", "no-logprob", "aliases-list",
+         "no-correct-form", "zero-rank", "negative-rank", "form-rank-below-1",
+         "qe-score-beyond-float", "form-rank-beyond-float", "rank-beyond-float",
+         "logprob-beyond-float"],
 )
 def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, field, value,
                                              argv):
@@ -251,6 +248,37 @@ def test_cli_reports_a_former_traceback_line(built, tmp_path, name, lineno, fiel
     code, err = _run(ws, argv)
     _assert_coded(code, err, "MALFORMED_RECORD", file=str(ws / name), line=lineno,
                   field=field)
+
+
+# A value nested this deep ended its stage in a RecursionError traceback: the
+# decoders recurse once per level.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name, argv", [("scores.jsonl", KINDS["scores"][1]),
+                                        ("fixtures/mt.jsonl", BUILD + ["--force"])],
+                         ids=["scores", "fixture"])
+def test_cli_reports_a_deeply_nested_line(built, tmp_path, name, argv):
+    ws = _copy(built, tmp_path)
+    path = ws / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = _DEEP + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    code, err = _run(ws, argv)
+    _assert_coded(code, err, "MALFORMED_RECORD", file=str(path), line=2)
+    assert "nesting too deep" in err
+
+
+def test_cli_reports_a_deeply_nested_config(built, tmp_path):
+    ws = _copy(built, tmp_path)
+    path = ws / "config.yaml"
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    del data["languages"]
+    path.write_text(yaml.safe_dump(data) + "languages: " + "[" * 5_000 + "]" * 5_000 + "\n",
+                    encoding="utf-8")
+    code, err = _run(ws, BUILD)
+    _assert_coded(code, err, "CONFIG_ERROR", path=str(path))
+    assert "nesting too deep" in err
 
 
 # Each was read, and its text ended build-dataset with a UnicodeEncodeError

@@ -45,6 +45,19 @@ def test_cache_roundtrip_byte_identity(tmp_path):
     assert cache.get("0" * 64) is None
 
 
+def test_cache_put_appends_only_a_response_the_key_does_not_hold(tmp_path):
+    request = _request()
+    ResponseCache(tmp_path).put(request.digest(), request, "ano")
+    log = tmp_path / "mt.jsonl"
+    before = log.read_bytes()
+    cache = ResponseCache(tmp_path)
+    cache.put(request.digest(), request, "ano")
+    assert log.read_bytes() == before
+    cache.put(request.digest(), request, "ne")
+    assert log.read_bytes() == before + record_line(request, "ne").encode("utf-8")
+    assert ResponseCache(tmp_path).get(request.digest()) == "ne"  # the last line wins
+
+
 def test_replay_client_hit_and_miss(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     path.write_text(record_line(_request(), "odpověď"), encoding="utf-8")
@@ -410,6 +423,15 @@ def test_http_reply_whose_text_is_no_string_is_refused(http_server, tmp_path):
         assert _Handler.requests == 1, reply
         assert not (tmp_path / "mt.jsonl").exists()
         assert ResponseCache(tmp_path).get(_request().digest()) is None
+
+
+def test_http_reply_nested_too_deep_is_refused(http_server):
+    # It ended the build in a RecursionError traceback.
+    _Handler.reply = b"[" * 100_000 + b"]" * 100_000
+    client = HttpClient("mt", endpoint=http_server)
+    with pytest.raises(ClientError, match="reply is not"):
+        client.complete(_request())
+    assert _Handler.requests == 1
 
 
 def test_http_reply_with_a_lone_surrogate_is_refused(http_server, tmp_path):

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from factprobe.errors import MalformedRecord
 
 from conftest import tear_writes_of
-from factprobe.jsonl import (_COMPILED, _VALID, _check_object, _header, _predicate, append,
-                             check_line, dump, iter_lines, open_log, read_jsonl, write_jsonl,
-                             write_text, writing)
+from factprobe.jsonl import (_COMPILED, _VALID, SPECS, _check_object, _header, _predicate,
+                             append, check_line, dump, iter_lines, open_log, read_jsonl,
+                             write_jsonl, write_text, writing)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # A bundle line as build-dataset writes it: 2 correct forms, 50 distractors
 # and three sources.
@@ -21,7 +25,6 @@ _CANDIDATE_SET = {
     "relation_id": "R1",
     "correct_forms": ["o1aa0aa", "o1aa0aazu"],
     "distractors": [[f"Q{i:04d}", f"Q{i:04d}-label"] for i in range(50)],
-    "salt": "toy-salt",
     "subject_gender": "male",
     "inflection_pair": {"noninflected": "o1aa0aa", "inflected": "o1aa0aazu"},
     "no_space": False,
@@ -31,6 +34,30 @@ _CANDIDATE_SET = {
         "TEMPLATE": {"prompt": "s1aa0aa wqr1", "qe_score": 0.611},
     },
 }
+
+
+def _spec_fields(spec: dict):
+    """The name of each field of ``spec`` and of its nested specs, with its
+    ``?``; the ``*`` of a map of objects names no field."""
+    for name, check in spec.items():
+        if name != "*":
+            yield name
+        if isinstance(check, dict):
+            yield from _spec_fields(check)
+
+
+def test_readme_data_formats_list_the_fields_of_each_spec():
+    # A bullet names its kinds before its first colon; its field list runs
+    # from there to the end of its first sentence, and every backticked name
+    # in it is a field.
+    section = README.read_text(encoding="utf-8").split("## Data formats", 1)[1].split("\n#")[0]
+    documented = {}
+    for bullet in re.findall(r"^\* (.*?)(?=\n\* |\n\n)", section, re.M | re.S):
+        head, rest = bullet.split(":", 1)
+        fields = sorted(re.findall(r"`([a-z_]+\??)`", re.split(r"\.\s", rest, maxsplit=1)[0]))
+        documented.update((kind, fields) for kind in re.findall(r"`([a-z_]+)`", head)
+                          if kind in SPECS)
+    assert documented == {kind: sorted(_spec_fields(spec)) for kind, spec in SPECS.items()}
 
 
 def test_unknown_fields_are_ignored():
@@ -193,10 +220,13 @@ _LOG_LINES = {
                                          "source_language": "en", "target_language": "cs"},
                              "response": "řádek"},
     "progress": lambda text: {"fact_id": text, "language": "cs", "relation_id": "P1",
-                              "source": "MT", "best_correct_rank": 1, "hits": {"1": True},
-                              "prompt": "řádek"},
+                              "source": "MT", "best_correct_rank": 1, "prompt": "řádek"},
 }
 _PROGRESS_HEADER = {"config_digest": "c0ffee", "inputs": {"bundle": "d1"}}
+
+
+# A value nested deeper than the decoder can recurse.
+_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 def _log_header(kind) -> bytes:
@@ -217,7 +247,8 @@ def _append_to_log(path, kind, *lines):
     (lambda raw: raw[: len(raw) // 2], False),
     (lambda raw: raw[: raw.index("ř".encode("utf-8")) + 1], False),  # inside a character
     (lambda raw: raw[:-1], True),  # only the newline is missing: the line decodes
-], ids=["cut-mid-line", "cut-mid-character", "cut-before-newline"])
+    (lambda raw: _DEEP[:100_000], False),  # too deep to decode: a RecursionError traceback
+], ids=["cut-mid-line", "cut-mid-character", "cut-before-newline", "deeply-nested"])
 @pytest.mark.parametrize("kind", ["fixture", "progress"])
 def test_a_log_cuts_a_torn_last_line_that_its_reader_skips(tmp_path, kind, tear, whole):
     # A cache log or record fixtures (``fixture``), and evaluate's progress.
@@ -239,7 +270,9 @@ def test_a_log_cuts_a_torn_last_line_that_its_reader_skips(tmp_path, kind, tear,
     b'{"kind":"progress","schema_version":1,"config_digest":"other","inputs":{}}\n{"x":1}\n',
     b'{"type":"header","config_digest":"c0ffee"}\n',  # an older format
     b'{"kind":"progress","schema_ver',  # a header cut short
-], ids=["missing", "empty", "blank", "another-run", "older-format", "torn-header"])
+    _DEEP + b"\n",  # too deep to decode: a RecursionError traceback
+], ids=["missing", "empty", "blank", "another-run", "older-format", "torn-header",
+        "deeply-nested-header"])
 def test_a_log_that_does_not_open_with_its_header_starts_afresh(tmp_path, existing):
     path = tmp_path / "progress.jsonl"
     if existing is not None:
@@ -279,7 +312,7 @@ _VALID_LINES = {
               "language": "aa", "subject_gender": "female"},
     "candidate_sets": dict(_CANDIDATE_SET, distractors=_CANDIDATE_SET["distractors"][:2]),
     "records": {"fact_id": "f-1", "language": "aa", "relation_id": "R1", "source": "MT",
-                "best_correct_rank": 2, "best_correct_form": "o", "hits": {"1": False, "5": True},
+                "best_correct_rank": 2, "best_correct_form": "o",
                 "form_ranks": {"noninflected": 2, "inflected": 3}, "qe_score": 0.5,
                 "subject_gender": None, "prompt": "p"},
     "scores": {"prompt": "p", "continuation": " c", "logprob": -1.5, "token_count": 2},
@@ -410,10 +443,15 @@ _SCORES_RECORD = {"continuation": "c", "logprob": 1, "prompt": "p"}
      "invalid JSON: Unterminated string starting at: line 1 column 33 (char 32)"),
     (_SCORES_LINE[:-9] + b"\n", True,  # only a last line without its newline is torn
      "invalid JSON: Invalid control character at: line 1 column 37 (char 36)"),
+    # Each ended in a RecursionError traceback, from the scan or from ``loads``.
+    (_DEEP + b"\n", False, "invalid JSON: nesting too deep"),
+    (b" " + _DEEP + b"\n", False, "invalid JSON: nesting too deep"),
+    (_DEEP[:100_000], True, []),
 ], ids=["plain", "no-newline", "leading-spaces", "crlf", "trailing-whitespace", "blank-after",
         "trailing-data", "carriage-return-then-data", "bad-utf8", "nan", "minus-infinity",
         "no-value", "bom", "not-an-object", "missing-field", "torn-tail-skipped",
-        "torn-tail-refused", "cut-line-with-newline"])
+        "torn-tail-refused", "cut-line-with-newline", "deeply-nested", "deeply-nested-spaced",
+        "deeply-nested-torn-tail"])
 def test_a_line_reads_as_its_value_or_as_its_error(tmp_path, raw, torn_tail, expected):
     path = tmp_path / "scores.jsonl"
     path.write_bytes(b'{"kind":"scores","schema_version":1}\n' + raw)

@@ -168,8 +168,60 @@ def test_adversarial_oracle_lower_bound(tmp_path):
     # correct form at the bottom the best correct rank is 5: R@n is zero
     # for all n below the distractor-plus-one boundary.
     assert lines and all(line["best_correct_rank"] == 5 for line in lines)
-    assert all(line["hits"] == {"1": False, "2": False, "3": False, "4": False, "5": True}
-               for line in lines)
+    assert not any("hits" in line for line in lines)
+
+
+def _run_all(config):
+    """The bundle, record and report directories of a full run."""
+    bundle = cmd_build_dataset(config, replay=True)
+    records_dir = cmd_evaluate(config, bundle)
+    return bundle, records_dir, cmd_report(config, records_dir)
+
+
+def _add_to_every_line(path, field, value_of):
+    """Give each line of the JSONL file at ``path`` but its header the
+    ``field`` of value ``value_of(line)``."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(header + "".join(
+        jsonl.dump(dict(line, **{field: value_of(line)})) + "\n" for line in map(json.loads, lines)
+    ), encoding="utf-8")
+
+
+def test_a_run_that_changes_only_n_values_writes_the_same_records(tmp_path):
+    # Each record held a hit for each of the run's n values, so its store
+    # changed with them.
+    config, config_path = _build(tmp_path, facts_per_cell=3)
+    _, records_dir, _ = _run_all(config)
+    before = (records_dir / "records.jsonl").read_bytes()
+    data = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    assert data["n_values"] == [1, 2, 3, 4, 5]
+    data["n_values"] = [1, 10]
+    config_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    _, records_dir, report_dir = _run_all(load_config(config_path))
+    assert (records_dir / "records.jsonl").read_bytes() == before
+    assert "r_at_10" in (report_dir / "cells.csv").read_text(encoding="utf-8")
+
+
+def test_a_store_whose_lines_hold_hits_reports_the_same_bytes(tmp_path):
+    # A store written while records held ``hits`` still reads.
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    _, records_dir, report_dir = _run_all(config)
+    before = {p.name: p.read_bytes() for p in report_dir.iterdir() if p.name != "manifest.json"}
+    _add_to_every_line(records_dir / "records.jsonl", "hits", lambda line: {
+        str(n): line["best_correct_rank"] <= n for n in config.n_values})
+    cmd_report(config, records_dir, force=True)
+    assert {p.name: p.read_bytes() for p in report_dir.iterdir()
+            if p.name != "manifest.json"} == before
+
+
+def test_a_bundle_whose_lines_hold_salt_evaluates_to_the_same_bytes(tmp_path):
+    # A bundle written while its lines held ``salt`` still reads.
+    config, _ = _build(tmp_path, facts_per_cell=3)
+    bundle, records_dir, _ = _run_all(config)
+    before = (records_dir / "records.jsonl").read_bytes()
+    _add_to_every_line(bundle / "candidate_sets.jsonl", "salt", lambda line: config.salt)
+    cmd_evaluate(config, bundle, force=True)
+    assert (records_dir / "records.jsonl").read_bytes() == before
 
 
 class _Interrupted(BaseException):
@@ -316,8 +368,8 @@ _MISSING = object()
 # (``{"type": "record", "data": {...}}``) it replaces.
 WRONG_PROGRESS_ENTRIES = {
     "no-type": ("best_correct_rank", "one"),
-    "no-data": ("hits", _MISSING),
-    "data-not-object": ("hits", ["1"]),
+    "no-data": ("relation_id", _MISSING),
+    "data-not-object": ("best_correct_form", ["1"]),
     "fact-id-not-string": ("fact_id", 5),
     "no-source": ("source", _MISSING),
 }
@@ -1149,7 +1201,7 @@ def _manual_bundle(tmp_path, lines, normalization="SUM"):
 def _line(fact_id, prompt, no_space, correct="gold", distractor="lead"):
     return {
         "fact_id": fact_id, "language": "aa", "relation_id": "R1",
-        "correct_forms": [correct], "distractors": [["d1", distractor]], "salt": "s",
+        "correct_forms": [correct], "distractors": [["d1", distractor]],
         "subject_gender": None, "inflection_pair": None, "no_space": no_space,
         "sources": {"TEMPLATE": {"prompt": prompt, "qe_score": None}},
     }

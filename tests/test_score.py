@@ -373,7 +373,7 @@ def test_benchmark_score_and_rank_with_the_oracle(benchmark):
 _BENCH_LINE = {
     "fact_id": "f1", "language": "cs", "relation_id": "P19",
     "correct_forms": ["Praha", "Praze"],
-    "distractors": [[f"Q{i}", f"město{i}"] for i in range(50)], "salt": "s",
+    "distractors": [[f"Q{i}", f"město{i}"] for i in range(50)],
     "subject_gender": None, "no_space": False,
     "inflection_pair": {"noninflected": "Praha", "inflected": "Praze"},
     "sources": {"TEMPLATE": {"prompt": "Narodil se v", "qe_score": 0.5},
@@ -392,7 +392,7 @@ def test_benchmark_evaluate_one_bundle_line(benchmark):
             continuations = candidate_continuations(cs, line["no_space"])
             scored = score_candidates(oracle, cs, continuations=continuations)
             result = rank_candidates(scored, cs.correct_forms, fact_id=cs.fact_id)
-            texts += pipeline._record_texts(line, sources, cs.prompt, result, (1, 2, 3, 4, 5))
+            texts += pipeline._record_texts(line, sources, cs.prompt, result)
         return texts
 
     texts = benchmark.pedantic(evaluate_line, rounds=200, iterations=10)

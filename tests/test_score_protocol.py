@@ -201,6 +201,16 @@ def test_protocol_refuses_reply_values_of_the_wrong_type(results):
             client.score_batch("p", ["a"] * count)
 
 
+def test_protocol_refuses_a_deeply_nested_reply():
+    # It ended evaluate in a RecursionError traceback.
+    reply = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    with (_serving(_canned_reply_server(reply)) as server,
+          contextlib.closing(ProtocolScorerClient(*server.server_address)) as client):
+        for _ in range(2):  # the connection stays in step
+            with pytest.raises(BackendError, match="nesting too deep"):
+                client.score_batch("p", ["a"])
+
+
 def test_protocol_takes_an_integer_score_as_a_number():
     reply = _reply_with("[[-2, 1], [0, 3]]")
     cs = CandidateSet("f", "p", ("a",), [["e", "b"]])
